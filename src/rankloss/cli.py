@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="maximum almost-sure rank loss of an ensemble")
     certify.add_argument("ensemble", help="ensemble JSON file")
     certify.add_argument("--tau", type=int, help="also report the C2 verdict at this rank loss")
-    certify.add_argument("--prune", action="store_true", help="try support-closed row sets first")
     _add_output_flags(certify)
 
     mc = sub.add_parser("mc-rank", help="sampled generic rank of the scaled concatenation")
@@ -141,7 +140,7 @@ def _cmd_certify(args) -> dict:
     }
     probe = args.tau if args.tau is not None else (tau_star if tau_star >= 1 else None)
     if probe is not None:
-        result = check_C2(ensemble, probe, prune=args.prune)
+        result = check_C2(ensemble, probe)
         report["tau"] = probe
         report["c2"] = result.to_dict()
     return report

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import EquivalenceViolation, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, det, is_full_column_rank
+from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_rows, det, is_full_column_rank
 from .randrank import C1Verdict, TrialConfig, check_C1
 
 
@@ -174,67 +174,49 @@ def _ordered_partitions(members: tuple[int, ...], sizes: Sequence[int]) -> Itera
 # Rank tables: rank of a block's chosen columns restricted to a row subset
 # ---------------------------------------------------------------------------
 
-def _integer_grid(block: ExactMatrix) -> list[list[int]]:
-    from math import lcm
-
-    grid = []
-    for row in block.rows:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        grid.append([int(v * scale) for v in row])
-    return grid
-
-
-def _int_rank(rows: list[list[int]], n_cols: int) -> int:
-    # Bareiss elimination on an integer grid (mutates its argument).
-    n_rows = len(rows)
-    r = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        for i in range(r + 1, n_rows):
-            f = rows[i][col]
-            ri, rr = rows[i], rows[r]
-            for j in range(col + 1, n_cols):
-                ri[j] = (p * ri[j] - f * rr[j]) // prev
-            ri[col] = 0
-        prev = p
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 class _RankTable:
     """Memoized rank of one block's chosen columns over arbitrary row subsets."""
 
-    def __init__(self, block: ExactMatrix, cols: IndexSet):
-        grid = _integer_grid(block)
-        self._cols = [c - 1 for c in cols]
-        self._grid = grid
-        self._n = block.n_rows
+    def __init__(self, grid: list[list[int]], cols: IndexSet):
+        self._rows = [[row[c - 1] for c in cols] for row in grid]
+        self._n_cols = len(cols)
+        self._all = (1 << len(grid)) - 1
         self._memo: dict[int, int] = {}
-        self.full_rank = self.rank_of_rows((1 << self._n) - 1)
+        self.full_rank = self.rank_of_rows(self._all)
 
     def rank_of_rows(self, rowmask: int) -> int:
         cached = self._memo.get(rowmask)
         if cached is not None:
             return cached
-        rows = [[self._grid[i][c] for c in self._cols] for i in range(self._n) if rowmask >> i & 1]
-        value = _int_rank(rows, len(self._cols))
+        rows = [row[:] for i, row in enumerate(self._rows) if rowmask >> i & 1]
+        value = _bareiss(rows, self._n_cols)[0]
         self._memo[rowmask] = value
         return value
 
     def sparse_dim(self, jmask: int) -> int:
         # dim(S_J & colspan) = rank - rank(rows outside J)
-        return self.full_rank - self.rank_of_rows(~jmask & (1 << self._n) - 1)
+        return self.full_rank - self.rank_of_rows(~jmask & self._all)
 
 
-def _tables(ensemble: Ensemble, ys: tuple[IndexSet, ...]) -> list[_RankTable]:
-    return [_RankTable(block, y) for block, y in zip(ensemble.blocks, ys)]
+class _RankTableSet:
+    """The rank tables of one scan: each block cleared once, one table per (block, Y_i).
+
+    Built at the start of a scan and dropped with it, so memory stays
+    bounded by the scan's own column choices.
+    """
+
+    def __init__(self, ensemble: Ensemble):
+        self._grids = [_integer_rows(block)[0] for block in ensemble.blocks]
+        self._memo: dict[tuple[int, tuple[int, ...]], _RankTable] = {}
+
+    def of(self, ys: tuple[IndexSet, ...]) -> list[_RankTable]:
+        out = []
+        for i, y in enumerate(ys):
+            table = self._memo.get((i, y.members))
+            if table is None:
+                table = self._memo[i, y.members] = _RankTable(self._grids[i], y)
+            out.append(table)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +235,10 @@ class _YProfile:
 @lru_cache(maxsize=None)
 def _c2_profiles(ensemble: Ensemble) -> tuple[_YProfile, ...]:
     n = ensemble.n
+    table_set = _RankTableSet(ensemble)
     profiles = []
     for ys in column_choices(ensemble, ensemble.R):
-        tables = _tables(ensemble, ys)
+        tables = table_set.of(ys)
         best, argmax = -1, 0
         first_at: dict[int, tuple[int, int]] = {}
         for jmask in lex_subset_masks(n):
@@ -268,37 +251,15 @@ def _c2_profiles(ensemble: Ensemble) -> tuple[_YProfile, ...]:
     return tuple(profiles)
 
 
-def _support_closed_masks(ensemble: Ensemble, ys: tuple[IndexSet, ...]) -> list[int]:
-    # Unions of supports of the selected columns, in lexicographic order.
-    supports = []
-    for block, y in zip(ensemble.blocks, ys):
-        for j in y:
-            col = block.column(j - 1)
-            supports.append(sum(1 << i for i, v in enumerate(col) if v != 0))
-    closed = {0}
-    for s in supports:
-        closed |= {u | s for u in closed}
-    n = ensemble.n
-    return sorted(closed, key=lambda m: tuple(i + 1 for i in range(n) if m >> i & 1))
-
-
 def _check_tau(ensemble: Ensemble, tau: int) -> None:
     if not 1 <= tau <= ensemble.R:
         raise PreconditionError(f"tau must be in [1, {ensemble.R}], got {tau}")
 
 
-def check_C2(ensemble: Ensemble, tau: int, prune: bool = False) -> CheckResult:
-    """For every R-column choice, does some J capture |J| + tau sparse dimensions?
-
-    With prune=True, row sets that are unions of selected-column supports
-    are tried first; this is only a fast path for the holding direction
-    and always falls back to the exhaustive scan, so verdicts are
-    unchanged (reported witnesses may differ).
-    """
+def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
+    """For every R-column choice, does some J capture |J| + tau sparse dimensions?"""
     _check_tau(ensemble, tau)
     n = ensemble.n
-    if prune:
-        return _check_c2_pruned(ensemble, tau)
     witnesses = []
     for profile in _c2_profiles(ensemble):
         if profile.max_slack < tau:
@@ -322,46 +283,6 @@ def _c2_counterexample(profile: _YProfile, n: int, tau: int) -> Witness:
         J=IndexSet.from_mask(n, profile.argmax_mask),
         slack=profile.max_slack - tau,
     )
-
-
-def _check_c2_pruned(ensemble: Ensemble, tau: int) -> CheckResult:
-    # Fast path: support-closed J candidates first, exhaustive scan on miss.
-    n = ensemble.n
-    witnesses = []
-    missed: list[tuple[IndexSet, ...]] = []
-    for ys in column_choices(ensemble, ensemble.R):
-        tables = _tables(ensemble, ys)
-        for candidate in _support_closed_masks(ensemble, ys):
-            slack = sum(t.sparse_dim(candidate) for t in tables) - candidate.bit_count()
-            if slack >= tau:
-                witnesses.append(
-                    Witness(
-                        kind="C2-witness",
-                        Y=ys,
-                        J=IndexSet.from_mask(n, candidate),
-                        slack=slack - tau,
-                    )
-                )
-                break
-        else:
-            missed.append(ys)
-    if missed:
-        remaining = set(missed)
-        for profile in _c2_profiles(ensemble):
-            if profile.ys not in remaining:
-                continue
-            if profile.max_slack < tau:
-                return CheckResult("C2", False, (_c2_counterexample(profile, n, tau),))
-            jmask, slack = profile.first_at[tau]
-            witnesses.append(
-                Witness(
-                    kind="C2-witness",
-                    Y=profile.ys,
-                    J=IndexSet.from_mask(n, jmask),
-                    slack=slack - tau,
-                )
-            )
-    return CheckResult("C2", True, tuple(witnesses))
 
 
 def max_tau(ensemble: Ensemble) -> int:
@@ -439,13 +360,14 @@ def _c4_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}
     order = 0
+    table_set = _RankTableSet(ensemble)
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
             continue
         x = IndexSet.from_mask(n, xmask)
         for ys in column_choices(ensemble, size):
-            tables = _tables(ensemble, ys)
+            tables = table_set.of(ys)
             sizes = tuple(len(y) for y in ys)
             for parts in _ordered_partitions(x.members, sizes):
                 order += 1
@@ -490,6 +412,7 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
     per_size: dict[int, _Violation] = {}
     holders: list[Witness] = []
     order = 0
+    table_set = _RankTableSet(ensemble)
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0:
@@ -498,7 +421,7 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
         xc_mask = ~xmask & (1 << n) - 1
         for ys in column_choices(ensemble, size):
             order += 1
-            tables = _tables(ensemble, ys)
+            tables = table_set.of(ys)
             found = None
             best, best_mask = None, 0
             for jmask in lex_subset_masks(n, cap=xmask):

@@ -221,26 +221,38 @@ class ExactMatrix:
         return all(v == 0 for row in self.rows for v in row)
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    # Row scaling by the denominator lcm preserves rank.
+def _integer_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those scales.
+
+    Row scaling preserves rank and multiplies the determinant by the scale.
+    """
     out = []
+    scales = 1
     for row in m.rows:
         scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
-    return out
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+        scales *= scale
+    return out, scales
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank over the rationals, by fraction-free (Bareiss) elimination."""
-    a = _integer_rows(m)
-    n_rows, n_cols = len(a), m.n_cols
+def _bareiss(a: list[list[int]], n_cols: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer grid, in place.
+
+    Returns the rank and the last pivot times the sign of the row swaps.
+    When the grid is square and of full rank, that signed pivot is its
+    determinant.
+    """
+    n_rows = len(a)
     r = 0
     prev = 1
+    sign = 1
     for col in range(n_cols):
         piv = next((i for i in range(r, n_rows) if a[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         p = a[r][col]
         for i in range(r + 1, n_rows):
             f = a[i][col]
@@ -252,32 +264,23 @@ def rank(m: ExactMatrix) -> int:
         r += 1
         if r == n_rows:
             break
-    return r
+    return r, sign * prev
+
+
+def rank(m: ExactMatrix) -> int:
+    """Exact rank over the rationals, by fraction-free (Bareiss) elimination."""
+    return _bareiss(_integer_rows(m)[0], m.n_cols)[0]
 
 
 def det(m: ExactMatrix) -> Fraction:
-    """Exact determinant of a square matrix (Gaussian elimination over Fraction)."""
+    """Exact determinant of a square matrix, by Bareiss elimination on cleared rows."""
     if m.n_rows != m.n_cols:
         raise ShapeError(f"determinant of non-square {m.n_rows}x{m.n_cols} matrix")
-    n = m.n_rows
-    a = [list(row) for row in m.rows]
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            result = -result
-        pivot = a[col][col]
-        result *= pivot
-        for i in range(col + 1, n):
-            f = a[i][col] / pivot
-            if f == 0:
-                continue
-            for j in range(col, n):
-                a[i][j] -= f * a[col][j]
-    return result
+    grid, scales = _integer_rows(m)
+    r, pivot = _bareiss(grid, m.n_cols)
+    if r < m.n_rows:
+        return Fraction(0)
+    return Fraction(pivot, scales)
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:

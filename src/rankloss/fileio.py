@@ -33,6 +33,11 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as Python bools, which are ints too.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_literal(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise LoadError(f"{where}: float literals are not accepted, got {value!r}")
@@ -55,7 +60,7 @@ def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
 
 def parse_ensemble_data(data, where: str = "ensemble") -> Ensemble:
     n = _require(data, "n", where)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise LoadError(f"{where}: n must be a positive integer")
     matrices = _require(data, "matrices", where)
     if not isinstance(matrices, list) or not matrices:
@@ -86,13 +91,13 @@ def emit_ensemble(ensemble: Ensemble) -> dict:
 def parse_topology_data(data, where: str = "topology") -> Topology:
     k = _require(data, "K", where)
     sets = _require(data, "interference_sets", where)
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise LoadError(f"{where}: K must be a positive integer")
     if not isinstance(sets, list) or len(sets) != k:
         raise LoadError(f"{where}: interference_sets must list exactly K = {k} sets")
     parsed = []
     for j, s in enumerate(sets, start=1):
-        if not isinstance(s, list) or not all(isinstance(v, int) for v in s):
+        if not isinstance(s, list) or not all(_is_int(v) for v in s):
             raise LoadError(f"{where}, receiver {j}: interference set must be a list of integers")
         parsed.append(frozenset(s))
     try:
@@ -114,7 +119,7 @@ def emit_topology(topology: Topology) -> dict:
 
 def parse_scheme_data(data, where: str = "scheme") -> tuple[Scheme, SparseAssignment | None]:
     n = _require(data, "n", where)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise LoadError(f"{where}: n must be a positive integer")
     users = _require(data, "beamformers", where)
     if not isinstance(users, list) or not users:
@@ -133,7 +138,7 @@ def parse_scheme_data(data, where: str = "scheme") -> tuple[Scheme, SparseAssign
         for j, entry in enumerate(raw, start=1):
             if entry is None:
                 sets.append(None)
-            elif isinstance(entry, list) and all(isinstance(v, int) for v in entry):
+            elif isinstance(entry, list) and all(_is_int(v) for v in entry):
                 try:
                     sets.append(IndexSet.of(n, entry))
                 except ShapeError as exc:

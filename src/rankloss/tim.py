@@ -143,6 +143,32 @@ def is_bipartite(graph: ConflictGraph) -> tuple[bool, tuple[tuple[int, ...], tup
     return True, (part1, part2)
 
 
+def _k_coloring(adj: dict[int, set[int]], order: Sequence[int], k: int) -> dict[int, int] | None:
+    """Lexicographically first k-coloring of the vertices in `order`, or None.
+
+    Backtracking in the given vertex order, smallest color first.  A vertex
+    never takes a color above the highest used so far plus one, which skips
+    colorings that differ only by a renaming of colors and leaves the
+    lexicographically first coloring unchanged.
+    """
+    assignment: dict[int, int] = {}
+
+    def assign(idx: int, top: int) -> bool:
+        if idx == len(order):
+            return True
+        v = order[idx]
+        used = {assignment[w] for w in adj[v] if w in assignment}
+        for c in range(min(top + 1, k - 1) + 1):
+            if c not in used:
+                assignment[v] = c
+                if assign(idx + 1, max(top, c)):
+                    return True
+                del assignment[v]
+        return False
+
+    return assignment if assign(0, -1) else None
+
+
 def chromatic_number(graph: ConflictGraph) -> int:
     """Exact chromatic number of the underlying undirected graph."""
     if graph.n_vertices > 20:
@@ -150,30 +176,8 @@ def chromatic_number(graph: ConflictGraph) -> int:
     adj = graph.undirected_adjacency()
     if not any(adj.values()):
         return 1
-    vertices = sorted(adj, key=lambda v: len(adj[v]), reverse=True)
-
-    def colorable(k: int) -> bool:
-        assignment: dict[int, int] = {}
-
-        def assign(idx: int) -> bool:
-            if idx == len(vertices):
-                return True
-            v = vertices[idx]
-            used = {assignment[w] for w in adj[v] if w in assignment}
-            seen = max(assignment.values(), default=-1)
-            for c in range(min(seen + 1, k - 1) + 1):
-                if c not in used:
-                    assignment[v] = c
-                    if assign(idx + 1):
-                        return True
-                    del assignment[v]
-            return False
-
-        return assign(0)
-
-    for k in itertools.count(2):
-        if colorable(k):
-            return k
+    vertices = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    return next(k for k in itertools.count(2) if _k_coloring(adj, vertices, k) is not None)
 
 
 def check_P1_P2(topology: Topology) -> tuple[bool, tuple[tuple, ...]]:
@@ -338,48 +342,13 @@ def _alignment_conflict_edges(topology: Topology) -> tuple[frozenset[int], froze
     return nodes, frozenset(edges)
 
 
-def _color_alignment_sets(topology: Topology, limit: int) -> dict[int, int]:
+def _color_alignment_sets(topology: Topology, chi: int) -> dict[int, int]:
     nodes, edges = _alignment_conflict_edges(topology)
-    relation = ConflictGraph(topology.K, edges, "alignment-conflict")
-    coloring: dict[int, int] = {}
-    adj = relation.undirected_adjacency()
-    for v in sorted(nodes, key=lambda v: (-len(adj[v]), v)):
-        used = {coloring[w] for w in adj[v] if w in coloring}
-        c = next(c for c in itertools.count() if c not in used)
-        coloring[v] = c
-    colors_used = max(coloring.values(), default=-1) + 1
-    if colors_used > limit:
-        # Greedy overshoot: fall back to the exact coloring of the relation.
-        exact = chromatic_number(relation) if edges else (1 if nodes else 0)
-        if exact > limit:
-            raise InternalInvariantError(
-                f"alignment-conflict relation needs {exact} colors, above chi = {limit}"
-            )
-        coloring = _exact_coloring(relation, nodes, exact)
+    adj = ConflictGraph(topology.K, edges, "alignment-conflict").undirected_adjacency()
+    coloring = _k_coloring(adj, sorted(nodes, key=lambda v: (-len(adj[v]), v)), chi)
+    if coloring is None:
+        raise InternalInvariantError(f"alignment-conflict relation needs more than chi = {chi} colors")
     return coloring
-
-
-def _exact_coloring(graph: ConflictGraph, nodes: frozenset[int], k: int) -> dict[int, int]:
-    adj = graph.undirected_adjacency()
-    order = sorted(nodes, key=lambda v: (-len(adj[v]), v))
-    assignment: dict[int, int] = {}
-
-    def assign(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        used = {assignment[w] for w in adj[v] if w in assignment}
-        for c in range(k):
-            if c not in used:
-                assignment[v] = c
-                if assign(idx + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    if not assign(0):
-        raise InternalInvariantError(f"no {k}-coloring found for the alignment-conflict relation")
-    return assignment
 
 
 def synth_exclusive_scheme(topology: Topology, attempts: int = 8) -> tuple[Scheme, SparseAssignment]:

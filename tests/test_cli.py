@@ -55,6 +55,31 @@ def test_bad_rational_literal(tmp_path):
         fileio.load_ensemble(str(path))
 
 
+@pytest.mark.parametrize(
+    "loader, data, location",
+    [
+        ("ensemble", {"n": True, "matrices": [[["1"]]]}, "n must be"),
+        ("scheme", {"n": True, "beamformers": [[["1"]]]}, "n must be"),
+        ("topology", {"K": True, "interference_sets": [[]]}, "K must be"),
+        ("topology", {"K": 2, "interference_sets": [[], [True]]}, "receiver 2"),
+        ("scheme", {"n": 1, "beamformers": [[["1"]]], "sparse_assignment": [[True]]}, "receiver 1"),
+    ],
+)
+def test_json_booleans_rejected(tmp_path, capsys, loader, data, location):
+    # JSON true is a Python bool, which is an int; it must not load as 1.
+    path = tmp_path / f"{loader}.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(LoadError, match=location):
+        getattr(fileio, f"load_{loader}")(str(path))
+    argv = {
+        "ensemble": ["certify", str(path)],
+        "topology": ["tim", "dof", str(path)],
+        "scheme": ["tim", "verify", str(FIXTURES / "T6.json"), str(path)],
+    }[loader]
+    assert main(argv) == 3
+    assert location in capsys.readouterr().err
+
+
 def test_topology_round_trip(tmp_path):
     data = fileio.emit_topology(t6())
     path = tmp_path / "t.json"

@@ -164,10 +164,26 @@ def test_intersect_dim_shape_error():
         intersect_dim(ExactMatrix.identity(2), ExactMatrix.identity(3))
 
 
+def cofactor_det(m: ExactMatrix) -> Fraction:
+    # Laplace expansion along the first row: independent of any elimination.
+    if m.n_rows == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, v in enumerate(m.rows[0]):
+        minor = ExactMatrix(tuple(row[:j] + row[j + 1:] for row in m.rows[1:]), m.n_cols - 1)
+        total += (-1) ** j * v * cofactor_det(minor)
+    return total
+
+
 def test_det_values():
     assert det(ExactMatrix.identity(3)) == 1
     assert det(ExactMatrix.from_rows([[3, 5], [9, 25]])) == 30
     assert det(ExactMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    # a zero leading entry forces a row swap, and the sign must follow it
+    swap = ExactMatrix.from_rows([[0, 2, 1], [3, 1, 4], [1, 5, 9]])
+    assert det(swap) == cofactor_det(swap) == -32
+    fractional = ExactMatrix.from_rows([["1/2", "-2/3", 4], ["3/5", 1, "7/4"], [-2, "5/6", "1/3"]])
+    assert det(fractional) == cofactor_det(fractional) == Fraction(2857, 240)
     with pytest.raises(ShapeError):
         det(B1)
 

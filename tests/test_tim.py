@@ -29,6 +29,7 @@ from rankloss.tim import (
     synth_exclusive_scheme,
     synth_half_dof_scheme,
     verify_decodability,
+    _color_alignment_sets,
 )
 
 from conftest import e1, t6, t9a, t9b
@@ -221,6 +222,20 @@ def test_exclusive_scheme_chi2():
     assert scheme.n == 6 and scheme.symbol_counts == (3,) * 5
     w1, w2 = set(assignment.get(1)), set(assignment.get(2))
     assert not (w1 & w2) and len(w1) == len(w2) == 3
+    assert verify_decodability(top, scheme, FAST).ok
+
+
+def test_alignment_coloring_where_greedy_overshoots():
+    # Largest-degree-first greedy would need a third color on this
+    # alignment-conflict relation; the coloring must stay within chi = 2.
+    top = Topology.of(
+        {2, 16}, {10}, {8}, {12, 14}, {3}, set(), {8}, {3}, {15}, {4, 19},
+        set(), {13, 17}, {10}, set(), set(), {6, 20}, {1, 7}, {3}, set(), {8},
+    )
+    assert chromatic_number(reduced_conflict_graph(top)) == 2
+    assert _color_alignment_sets(top, 2) == {1: 0, 4: 1, 12: 0, 17: 1, 10: 0, 16: 1}
+    scheme, _ = synth_exclusive_scheme(top)
+    assert scheme.n == 6
     assert verify_decodability(top, scheme, FAST).ok
 
 
