@@ -15,14 +15,16 @@ by tau almost surely:
 verdicts agree.  All searches are exhaustive with canonical (lexicographic)
 enumeration so reported witnesses are deterministic.  Cost grows as 2^n
 times the number of column choices; comfortable through n around 14 for
-C2 and n around 10 for the X-quantified conditions.
+C2 and n around 10 for the X-quantified conditions.  C3-C5 stop scanning
+a size |X| at its first violation, and every size up to the generic rank
+holds one, so they scan in full only the sizes above the generic rank.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import EquivalenceViolation, PreconditionError, ShapeError
@@ -49,6 +51,14 @@ class Ensemble:
                 raise PreconditionError(f"block {i} has no columns")
             if not is_full_column_rank(block):
                 raise PreconditionError(f"block {i} is not full column rank")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.blocks,))
+
+    def __hash__(self) -> int:
+        # Every scan cache keys on the ensemble; hash its Fractions only once.
+        return self._hash
 
     @classmethod
     def of(cls, *blocks) -> "Ensemble":
@@ -415,7 +425,7 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
     table_set = _RankTableSet(ensemble)
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
-        if size == 0:
+        if size == 0 or size in per_size:
             continue
         x = IndexSet.from_mask(n, xmask)
         xc_mask = ~xmask & (1 << n) - 1
@@ -432,11 +442,10 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
                     found = jmask
                     break
             if found is not None:
-                if size not in per_size:
-                    holders.append(
-                        Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, found))
-                    )
-            elif size not in per_size:
+                holders.append(
+                    Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, found))
+                )
+            else:
                 per_size[size] = _Violation(
                     order,
                     Witness(
@@ -447,6 +456,7 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
                         slack=best,
                     ),
                 )
+                break
     return _C5Scan(per_size, tuple(holders))
 
 

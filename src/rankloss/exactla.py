@@ -235,6 +235,16 @@ def _integer_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
     return out, scales
 
 
+def _integer_columns(m: ExactMatrix) -> list[list[int]]:
+    """The rows of m after each column is multiplied by the lcm of its denominators.
+
+    Column scaling preserves the rank of m and of any matrix built from m
+    by scaling its rows or placing other columns beside it.
+    """
+    scales = [lcm(*(row[j].denominator for row in m.rows)) for j in range(m.n_cols)]
+    return [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in m.rows]
+
+
 def _bareiss(a: list[list[int]], n_cols: int) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of an integer grid, in place.
 

@@ -19,12 +19,16 @@ from .tim import Scheme, SparseAssignment, Topology
 
 def _read_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path} is not well-formed JSON: {exc}") from None
+    except RecursionError:
+        raise LoadError(f"{path} nests JSON arrays or objects too deeply") from None
 
 
 def _require(data: dict, key: str, where: str):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import PreconditionError, ShapeError
-from .exactla import ExactMatrix, rank
+from .exactla import ExactMatrix, _bareiss, _integer_columns
 
 if TYPE_CHECKING:
     from .conditions import Ensemble
@@ -67,11 +67,23 @@ def _draw_diags(ensemble: "Ensemble", cfg: TrialConfig, trial: int) -> list[list
 
 
 def sample_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
-    """Exact rank of the scaled concatenation at each of cfg.trials sample points."""
-    return tuple(
-        rank(scaled_concatenation(ensemble, _draw_diags(ensemble, cfg, t)))
-        for t in range(cfg.trials)
-    )
+    """Exact rank of the scaled concatenation at each of cfg.trials sample points.
+
+    Each block's columns are cleared of denominators once; that column
+    scaling leaves the rank at every sample point unchanged, so each trial
+    eliminates plain integers.
+    """
+    grids = [_integer_columns(block) for block in ensemble.blocks]
+    n_cols = sum(ensemble.column_counts)
+    ranks = []
+    for t in range(cfg.trials):
+        diags = _draw_diags(ensemble, cfg, t)
+        rows = [
+            [d[r] * v for grid, d in zip(grids, diags) for v in grid[r]]
+            for r in range(ensemble.n)
+        ]
+        ranks.append(_bareiss(rows, n_cols)[0])
+    return tuple(ranks)
 
 
 @lru_cache(maxsize=4096)

@@ -225,6 +225,18 @@ def test_exit_code_load_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"n": 1, "matrices": [[["\xff"]]]}', b"[" * 200000 + b"]" * 200000],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_unreadable_json_is_a_load_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["certify", str(path)]) == 3
+    assert str(path) in capsys.readouterr().err
+
+
 def test_exit_code_precondition(capsys):
     assert main(["certify", str(FIXTURES / "E1.json"), "--tau", "9"]) == 4
     capsys.readouterr()

@@ -1,0 +1,87 @@
+"""Invariances the theory guarantees, checked on random small ensembles.
+
+Almost-sure rank loss depends only on each block's column span and on
+the row structure up to the random scaling, so `max_tau` and every
+`cross_validate` verdict must survive a joint row permutation, a block
+permutation, rescaling one row of one block, and a change of basis of
+one block's columns.  `cross_validate` raises when C1-C5 disagree, so
+each example also checks the five routes against one another.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rankloss.conditions import Ensemble, cross_validate, max_tau
+from rankloss.exactla import ExactMatrix, det, is_full_column_rank
+
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+
+entries = st.sampled_from([1, 0, -1, 2])
+
+
+def _matrix(draw, n_rows: int, n_cols: int) -> list[list[int]]:
+    return draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+
+
+@st.composite
+def ensembles(draw) -> Ensemble:
+    # Rows left zero in every block make rank loss likely once sum m_i
+    # reaches n - 1; draws are ordered so examples shrink towards that case.
+    n = draw(st.integers(2, 5))
+    zero_rows = draw(st.permutations(range(n)))[: min(draw(st.sampled_from([1, 2, 0])), n - 1)]
+    width = min(3, n - len(zero_rows))
+    blocks = []
+    for _ in range(draw(st.sampled_from([3, 2, 1]))):
+        rows = _matrix(draw, n, draw(st.sampled_from(range(width, 0, -1))))
+        for r in zero_rows:
+            rows[r] = [0] * len(rows[r])
+        block = ExactMatrix.from_rows(rows)
+        assume(is_full_column_rank(block))
+        blocks.append(block)
+    return Ensemble(tuple(blocks))
+
+
+def outcome(e: Ensemble) -> tuple[int, list[dict[str, bool]]]:
+    return max_tau(e), [cross_validate(e, tau).verdicts for tau in range(1, e.R + 1)]
+
+
+@PROPERTY
+@given(ensembles(), st.data())
+def test_joint_row_permutation(e, data):
+    perm = data.draw(st.permutations(range(e.n)))
+    permuted = Ensemble(tuple(ExactMatrix(tuple(b.rows[i] for i in perm), b.n_cols) for b in e.blocks))
+    assert outcome(permuted) == outcome(e)
+
+
+@PROPERTY
+@given(ensembles(), st.data())
+def test_block_permutation(e, data):
+    assert outcome(Ensemble(tuple(data.draw(st.permutations(e.blocks))))) == outcome(e)
+
+
+@PROPERTY
+@given(
+    ensembles(),
+    st.data(),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda q: q != 0),
+)
+def test_row_scaling(e, data, q):
+    i = data.draw(st.integers(0, e.K - 1))
+    r = data.draw(st.integers(0, e.n - 1))
+    block = e.blocks[i]
+    rows = tuple(tuple(v * q for v in row) if k == r else row for k, row in enumerate(block.rows))
+    scaled = e.blocks[:i] + (ExactMatrix(rows, block.n_cols),) + e.blocks[i + 1 :]
+    assert outcome(Ensemble(scaled)) == outcome(e)
+
+
+@PROPERTY
+@given(ensembles(), st.data())
+def test_column_change_of_basis(e, data):
+    i = data.draw(st.integers(0, e.K - 1))
+    m = e.blocks[i].n_cols
+    g = ExactMatrix.from_rows(_matrix(data.draw, m, m))
+    assume(det(g) != 0)
+    changed = e.blocks[:i] + (e.blocks[i].matmul(g),) + e.blocks[i + 1 :]
+    assert outcome(Ensemble(changed)) == outcome(e)

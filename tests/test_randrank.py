@@ -8,8 +8,16 @@ import pytest
 
 from rankloss.conditions import Ensemble, check_C2
 from rankloss.errors import PreconditionError
-from rankloss.exactla import ExactMatrix
-from rankloss.randrank import TrialConfig, check_C1, failure_bound, sample_generic_rank, sample_ranks
+from rankloss.exactla import ExactMatrix, rank
+from rankloss.randrank import (
+    TrialConfig,
+    _draw_diags,
+    check_C1,
+    failure_bound,
+    sample_generic_rank,
+    sample_ranks,
+    scaled_concatenation,
+)
 
 from conftest import e1, e3, random_ensemble
 
@@ -55,6 +63,38 @@ def test_reproducibility_bitwise():
     assert sample_ranks(e3(), cfg) == sample_ranks(e3(), cfg)
     again = TrialConfig(seed=123)
     assert sample_ranks(e1(), cfg) == sample_ranks(e1(), again)
+
+
+def test_sample_ranks_match_fraction_route():
+    # Reference: the scaled concatenation built over Fraction and ranked by
+    # the public kernel, against the column-cleared integer route.
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    # With scalings in {1, 2}, det [D_1 b_1, D_2 b_2] = d_11 d_22 / 2 - d_12 d_21
+    # vanishes at some trials; clearing b_1's rows instead of its column
+    # would move those points.
+    degenerate = Ensemble.of([[half], [1]], [[1], [1]])
+    cases = [
+        e1(),
+        e3(),
+        degenerate,
+        Ensemble.of(
+            [[half, 1], [third, 0], [0, Fraction(5, 7)], [Fraction(-3, 4), 2]],
+            [[Fraction(2, 9)], [0], [-1], [Fraction(1, 6)]],
+        ),
+        # a shared zero row and a column mixing denominators 2, 3 and 5
+        Ensemble.of(
+            [[half, -2], [third, Fraction(7, 5)], [0, 0]],
+            [[Fraction(-4, 15), 1], [1, Fraction(-1, 10)], [0, 0]],
+        ),
+    ]
+    configs = (TrialConfig(trials=6, seed=9), TrialConfig(trials=20, entry_bound=2, seed=2))
+    for e in cases:
+        for cfg in configs:
+            ranks = sample_ranks(e, cfg)
+            assert len(ranks) == cfg.trials
+            for t, r in enumerate(ranks):
+                assert r == rank(scaled_concatenation(e, _draw_diags(e, cfg, t)))
+    assert set(sample_ranks(degenerate, configs[1])) == {1, 2}
 
 
 def test_seed_changes_draws():
