@@ -138,6 +138,9 @@ def _cmd_certify(args) -> dict:
         "R": ensemble.R,
         "max_tau": tau_star,
     }
+    # C6 gave max_tau; C2 must hold there, which cross-checks the two routes.
+    if tau_star >= 1 and not check_C2(ensemble, tau_star).holds:
+        raise InternalInvariantError(f"C2 fails at max_tau = {tau_star} from C6")
     probe = args.tau if args.tau is not None else (tau_star if tau_star >= 1 else None)
     if probe is not None:
         result = check_C2(ensemble, probe)

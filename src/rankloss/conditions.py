@@ -13,11 +13,22 @@ by tau almost surely:
 
 `cross_validate` runs all four plus the sampled C1 oracle and insists the
 verdicts agree.  All searches are exhaustive with canonical (lexicographic)
-enumeration so reported witnesses are deterministic.  Cost grows as 2^n
-times the number of column choices; comfortable through n around 14 for
-C2 and n around 10 for the X-quantified conditions.  C3-C5 stop scanning
-a size |X| at its first violation, and every size up to the generic rank
-holds one, so they scan in full only the sizes above the generic rank.
+enumeration so reported witnesses are deterministic.
+
+`max_tau` comes from a sixth route, C6: the generic rank of the scaled
+concatenation is the rank of the union of the blocks' row matroids,
+min over T of n - |T| + sum_i rank(B_i[T, :]), found by Edmonds' matroid
+partition in time polynomial in n, K and the column counts.  Its
+certificate (the partition and the set T) is checked with exact rank
+before the value is returned.
+
+Cost: C2 scans each column choice's 2^n row masks only until some J
+reaches the tau asked, and resumes there when a later call asks for a
+higher tau; a tau the ensemble does not reach still scans the failing
+column choice to the end.  C3-C5 grow as 2^n times the number of column
+choices; they stop scanning a size |X| at its first violation, and every
+size up to the generic rank holds one, so they scan in full only the
+sizes above the generic rank.
 """
 
 from __future__ import annotations
@@ -27,8 +38,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .errors import EquivalenceViolation, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_rows, det, is_full_column_rank
+from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
+from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_rows, is_full_column_rank
+from .matroid import Partition, matroid_partition
 from .randrank import C1Verdict, TrialConfig, check_C1
 
 
@@ -233,32 +245,50 @@ class _RankTableSet:
 # C2 and the maximum almost-sure rank loss
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _YProfile:
-    ys: tuple[IndexSet, ...]
-    max_slack: int
-    argmax_mask: int
-    # slack level -> (lex-first J mask reaching that level, its actual slack)
-    first_at: dict[int, tuple[int, int]] = field(hash=False)
+class _C2Scan:
+    """The lexicographic J scan of one R-column choice, resumable.
 
+    first_at maps each slack level reached so far to the lex-first J mask
+    reaching it and that mask's own slack; next_mask is None once every
+    mask has been scanned, and best/argmax are then the maximum slack and
+    its lex-first J.
+    """
 
-@lru_cache(maxsize=None)
-def _c2_profiles(ensemble: Ensemble) -> tuple[_YProfile, ...]:
-    n = ensemble.n
-    table_set = _RankTableSet(ensemble)
-    profiles = []
-    for ys in column_choices(ensemble, ensemble.R):
-        tables = table_set.of(ys)
-        best, argmax = -1, 0
-        first_at: dict[int, tuple[int, int]] = {}
-        for jmask in lex_subset_masks(n):
+    def __init__(self, ys: tuple[IndexSet, ...]):
+        self.ys = ys
+        self.next_mask: int | None = 0
+        self.best = -1
+        self.argmax = 0
+        self.first_at: dict[int, tuple[int, int]] = {}
+
+    def advance(self, tables: list[_RankTable], n: int, tau: int) -> None:
+        """Scan on until some J reaches slack tau or the masks run out."""
+        jmask, best = self.next_mask, self.best
+        top = 1 << (n - 1)
+        while jmask is not None and best < tau:
             slack = sum(t.sparse_dim(jmask) for t in tables) - jmask.bit_count()
             if slack > best:
                 for level in range(best + 1, slack + 1):
-                    first_at[level] = (jmask, slack)
-                best, argmax = slack, jmask
-        profiles.append(_YProfile(ys, best, argmax, first_at))
-    return tuple(profiles)
+                    self.first_at[level] = (jmask, slack)
+                best, self.argmax = slack, jmask
+            jmask = _lex_successor(jmask, top)
+        self.next_mask, self.best = jmask, best
+
+
+def _lex_successor(mask: int, top: int) -> int | None:
+    # The mask after `mask` in lex_subset_masks order; top is the bit of element n.
+    if mask & top == 0:
+        return mask | 1 << mask.bit_length()
+    mask ^= top
+    if mask == 0:
+        return None
+    high = 1 << (mask.bit_length() - 1)
+    return mask ^ high | high << 1
+
+
+@lru_cache(maxsize=None)
+def _c2_scans(ensemble: Ensemble) -> tuple[_C2Scan, ...]:
+    return tuple(_C2Scan(ys) for ys in column_choices(ensemble, ensemble.R))
 
 
 def _check_tau(ensemble: Ensemble, tau: int) -> None:
@@ -267,18 +297,38 @@ def _check_tau(ensemble: Ensemble, tau: int) -> None:
 
 
 def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
-    """For every R-column choice, does some J capture |J| + tau sparse dimensions?"""
+    """For every R-column choice, does some J capture |J| + tau sparse dimensions?
+
+    Each column choice's J scan runs only until it reaches tau and resumes
+    there when a later call asks for more, so a choice is scanned at most
+    once in total over any sequence of calls.
+    """
     _check_tau(ensemble, tau)
     n = ensemble.n
+    table_set = None
     witnesses = []
-    for profile in _c2_profiles(ensemble):
-        if profile.max_slack < tau:
-            return CheckResult("C2", False, (_c2_counterexample(profile, n, tau),))
-        jmask, slack = profile.first_at[tau]
+    for scan in _c2_scans(ensemble):
+        if tau not in scan.first_at and scan.next_mask is not None:
+            table_set = table_set or _RankTableSet(ensemble)
+            scan.advance(table_set.of(scan.ys), n, tau)
+        if tau not in scan.first_at:
+            return CheckResult(
+                "C2",
+                False,
+                (
+                    Witness(
+                        kind="C2-counterexample",
+                        Y=scan.ys,
+                        J=IndexSet.from_mask(n, scan.argmax),
+                        slack=scan.best - tau,
+                    ),
+                ),
+            )
+        jmask, slack = scan.first_at[tau]
         witnesses.append(
             Witness(
                 kind="C2-witness",
-                Y=profile.ys,
+                Y=scan.ys,
                 J=IndexSet.from_mask(n, jmask),
                 slack=slack - tau,
             )
@@ -286,22 +336,43 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
     return CheckResult("C2", True, tuple(witnesses))
 
 
-def _c2_counterexample(profile: _YProfile, n: int, tau: int) -> Witness:
-    return Witness(
-        kind="C2-counterexample",
-        Y=profile.ys,
-        J=IndexSet.from_mask(n, profile.argmax_mask),
-        slack=profile.max_slack - tau,
+# ---------------------------------------------------------------------------
+# C6: the union of the blocks' row matroids
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _row_union(ensemble: Ensemble) -> Partition:
+    """A maximum partition of the rows into sets I_i independent in B_i, checked.
+
+    Its size is the generic rank of the scaled concatenation.  Before it is
+    returned the certificate is re-checked with exact rank alone: the rows
+    I_i of each B_i are independent, and sum |I_i| = n - |T| + sum_i
+    rank(B_i[T, :]), which bounds every partition from above.
+    """
+    grids = [_integer_rows(block)[0] for block in ensemble.blocks]
+    widths = ensemble.column_counts
+
+    def row_rank(i: int, rows: Sequence[int]) -> int:
+        return _bareiss([grids[i][r - 1][:] for r in rows], widths[i])[0]
+
+    cert = matroid_partition(
+        range(1, ensemble.n + 1), ensemble.K, lambda i, rows: row_rank(i, rows) == len(rows)
     )
+    if any(row_rank(i, part) != len(part) for i, part in enumerate(cert.parts)):
+        raise InternalInvariantError("C6: a part of the row partition is dependent")
+    bound = ensemble.n - len(cert.T) + sum(row_rank(i, cert.T) for i in range(ensemble.K))
+    if cert.size != bound:
+        raise InternalInvariantError(f"C6: partition of {cert.size} rows, but T bounds it by {bound}")
+    return cert
 
 
 def max_tau(ensemble: Ensemble) -> int:
     """Largest tau such that the ensemble almost surely loses rank by tau.
 
     tau = 0 holds vacuously; the value equals R minus the generic rank of
-    the scaled concatenation.
+    the scaled concatenation, which C6 computes in polynomial time.
     """
-    return min(profile.max_slack for profile in _c2_profiles(ensemble))
+    return ensemble.R - _row_union(ensemble).size
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +398,7 @@ def _c3_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}
     order = 0
+    grids = [_integer_rows(block)[0] for block in ensemble.blocks]
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
@@ -336,9 +408,10 @@ def _c3_scan(ensemble: Ensemble) -> dict[int, _Violation]:
             sizes = tuple(len(y) for y in ys)
             for parts in _ordered_partitions(x.members, sizes):
                 order += 1
+                # Row scaling keeps a square submatrix nonsingular or singular.
                 if all(
-                    det(block.submatrix(IndexSet(n, part), y)) != 0
-                    for block, part, y in zip(ensemble.blocks, parts, ys)
+                    _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y))[0] == len(y)
+                    for grid, part, y in zip(grids, parts, ys)
                     if len(y) > 0
                 ):
                     per_size[size] = _Violation(

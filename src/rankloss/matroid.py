@@ -1,7 +1,9 @@
 """Rank-oracle matroids: the scaled-row linear matroid, duals, and unions.
 
 A matroid here is a ground set plus a rank evaluator; duals and unions
-compose oracles without enumerating independent sets.  The scaled-linear
+compose oracles without enumerating independent sets, and union ranks
+come from Edmonds' matroid partition over an independence oracle, the
+routine C6 also runs on the blocks' row matroids.  The scaled-linear
 construction puts a matroid on a row set X whose independent sets are the
 J with dim(S_{J u X^c} & colspan B_{*,Y}) = 0, with rank function
 |J| - dim(S_{J u X^c} & colspan B_{*,Y}); it is defined only when the
@@ -14,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapacityError, PreconditionError, ShapeError
+from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
 from .exactla import ExactMatrix, IndexSet, sparse_dim
 
 
@@ -95,11 +97,83 @@ def dual(matroid: RankOracleMatroid) -> RankOracleMatroid:
     return RankOracleMatroid(matroid.ground, rank_fn, label="dual")
 
 
+@dataclass(frozen=True)
+class Partition:
+    """A maximum partitionable set and the set T that proves it maximum.
+
+    parts[i] is independent in matroid i and the parts are disjoint.  T
+    holds every element reachable from an uncovered one in the exchange
+    graph, so the parts span T in every matroid and cover everything
+    outside it: sum |parts[i]| = |E \\ T| + sum_i r_i(T).
+    """
+
+    parts: tuple[tuple[int, ...], ...]
+    T: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return sum(len(p) for p in self.parts)
+
+
+def matroid_partition(
+    elements: Sequence[int], k: int, independent: Callable[[int, tuple[int, ...]], bool]
+) -> Partition:
+    """Edmonds' matroid partition: the most elements coverable by k independent sets.
+
+    `independent(i, S)` says whether the sorted tuple S is independent in
+    matroid i.  Elements are added in ascending order.  Each searches,
+    breadth first, for a shortest augmenting path in the exchange graph,
+    where y -> z when parts[i] - z + y is independent and y is a sink when
+    parts[i] + y is, so an element that fits a part outright goes to the
+    first such part.  Shortest paths keep every part independent, and an
+    element that finds no path never will, since the covered set only
+    grows.  Parts and exchanges are tried in ascending order too, so the
+    result is deterministic.  O(|E|^2 k r) oracle calls, r the largest part.
+    """
+    parts: list[list[int]] = [[] for _ in range(k)]
+    owner: dict[int, int] = {}
+
+    def search(sources: list[int]) -> tuple[list[tuple[int, int]] | None, list[int]]:
+        # BFS from the sources; on reaching a sink, the path as (element, part it enters).
+        parent: dict[int, tuple[int, int] | None] = {s: None for s in sources}
+        queue = list(sources)
+        for y in queue:
+            others = [i for i in range(k) if owner.get(y) != i]
+            sink = next((i for i in others if independent(i, tuple(sorted(parts[i] + [y])))), None)
+            if sink is not None:
+                path = [(y, sink)]
+                while parent[path[-1][0]] is not None:
+                    path.append(parent[path[-1][0]])
+                return path, queue
+            for i in others:
+                for z in sorted(parts[i]):
+                    if z not in parent and independent(i, tuple(sorted([v for v in parts[i] if v != z] + [y]))):
+                        parent[z] = (y, i)
+                        queue.append(z)
+        return None, queue
+
+    left = []
+    for s in sorted(elements):
+        path, _ = search([s])
+        if path is None:
+            left.append(s)
+            continue
+        for y, i in path:
+            if y in owner:
+                parts[owner[y]].remove(y)
+            parts[i].append(y)
+            owner[y] = i
+    path, reach = search(left)
+    if path is not None:
+        raise InternalInvariantError("matroid partition left an augmentable element uncovered")
+    return Partition(tuple(tuple(sorted(p)) for p in parts), tuple(sorted(reach)))
+
+
 def union_rank(matroids: Sequence[RankOracleMatroid], U: Iterable[int]) -> int:
     """Rank of U in the union matroid: min over T of |U \\ T| + sum_i r_i(T).
 
-    Exhaustive over subsets T of U, which is exact and cheap at the ground
-    sizes this package targets.
+    Computed as the size of a maximum partition of U into sets independent
+    in the respective matroids (`matroid_partition`).
     """
     if not matroids:
         raise PreconditionError("union of no matroids")
@@ -110,13 +184,7 @@ def union_rank(matroids: Sequence[RankOracleMatroid], U: Iterable[int]) -> int:
     u = sorted(frozenset(U))
     if not frozenset(u) <= ground:
         raise PreconditionError(f"{sorted(frozenset(u) - ground)} not in ground set")
-    best = None
-    for r in range(len(u) + 1):
-        for t in itertools.combinations(u, r):
-            value = (len(u) - len(t)) + sum(m.rank(t) for m in matroids)
-            if best is None or value < best:
-                best = value
-    return best
+    return matroid_partition(u, len(matroids), lambda i, s: is_independent(matroids[i], s)).size
 
 
 def union_matroid(matroids: Sequence[RankOracleMatroid]) -> RankOracleMatroid:

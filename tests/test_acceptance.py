@@ -14,7 +14,7 @@ import time
 import pytest
 
 from rankloss.cli import main
-from rankloss.conditions import cross_validate
+from rankloss.conditions import cross_validate, max_tau
 from rankloss.errors import PreconditionError
 from rankloss.exactla import ExactMatrix, IndexSet
 from rankloss.matching import SupportGraph, defect, hall_threshold_check, max_matching
@@ -84,6 +84,7 @@ def equivalence_sweep():
     for index in range(500):
         ensemble = random_ensemble(rng, max_n=6, max_k=3)
         cfg = TrialConfig(trials=20, entry_bound=2**31, seed=index)
+        tau_star = max_tau(ensemble)
         for tau in range(1, ensemble.R + 1):
             report = cross_validate(ensemble, tau, cfg)
             c1 = report.c1
@@ -95,6 +96,7 @@ def equivalence_sweep():
                     "agreement": report.agreement,
                     "c1_certain_fail": c1.certain and not c1.holds,
                     "c2_holds": report.verdicts["C2"],
+                    "c6_holds": tau <= tau_star,
                 }
             )
     return records, time.monotonic() - start
@@ -102,7 +104,7 @@ def equivalence_sweep():
 
 def test_criterion_2_equivalence_suite(equivalence_sweep, capsys):
     records, elapsed = equivalence_sweep
-    disagreements = [r for r in records if not r["agreement"]]
+    disagreements = [r for r in records if not r["agreement"] or r["c2_holds"] != r["c6_holds"]]
     ok = not disagreements and elapsed < 300.0
     with capsys.disabled():
         report_line(2, "Condition-equivalence suite (500 ensembles)", ok, elapsed)

@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
+from rankloss.cli import main
 from rankloss.conditions import (
+    CheckResult,
     Ensemble,
+    Witness,
+    _c2_scans,
+    _row_union,
     check_C2,
     check_C3,
     check_C4,
     check_C5,
     column_choices,
     cross_validate,
+    lex_subset_masks,
     max_tau,
 )
 from rankloss.errors import PreconditionError
-from rankloss.exactla import ExactMatrix
+from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, rank, sparse_dim
+from rankloss.fileio import emit_ensemble
 from rankloss.randrank import TrialConfig
 
 from conftest import e1, e1_generic, e3, random_ensemble
@@ -241,3 +253,134 @@ def test_single_row_ensemble():
     aligned = Ensemble((ExactMatrix.from_columns([[1, 0]]), ExactMatrix.from_columns([[2, 0]])))
     assert max_tau(aligned) == 1
     assert cross_validate(aligned, 1, TrialConfig(seed=2)).agreement
+
+
+# ---------------------------------------------------------------------------
+# C6: max_tau from the union of the blocks' row matroids
+# ---------------------------------------------------------------------------
+
+def _varied_ensemble(rng, max_n=6, max_k=4):
+    """A random ensemble, often with a row zero in every block or fractional entries."""
+    while True:
+        e = random_ensemble(rng, max_n=max_n, max_k=max_k)
+        zero = rng.randrange(e.n) if rng.random() < 0.4 else None
+        scale = rng.choice([1, 1, 2, 3, 7])
+        blocks = tuple(
+            ExactMatrix(
+                tuple(
+                    tuple(Fraction(0) if r == zero else v / (scale + r) for v in row)
+                    for r, row in enumerate(b.rows)
+                ),
+                b.n_cols,
+            )
+            for b in e.blocks
+        )
+        if all(is_full_column_rank(b) for b in blocks):
+            return Ensemble(blocks)
+
+
+def _min_t_bound(e) -> int:
+    # rank(B_D) = min over T of n - |T| + sum_i rank(B_i[T, :]), exhaustively.
+    return min(
+        e.n - len(t) + sum(rank(b.take_rows(IndexSet(e.n, t))) for b in e.blocks)
+        for size in range(e.n + 1)
+        for t in itertools.combinations(range(1, e.n + 1), size)
+    )
+
+
+def test_c6_matches_min_t_formula(rng):
+    zero_rows = 0
+    for _ in range(320):
+        e = _varied_ensemble(rng)
+        zero_rows += any(all(b.rows[r][c] == 0 for b in e.blocks for c in range(b.n_cols)) for r in range(e.n))
+        assert max_tau(e) == e.R - _min_t_bound(e)
+    assert zero_rows >= 80
+
+
+def test_c6_certificate_shape(rng):
+    for _ in range(60):
+        e = _varied_ensemble(rng)
+        cert = _row_union(e)
+        assert len(cert.parts) == e.K
+        covered = [r for part in cert.parts for r in part]
+        assert len(covered) == len(set(covered))
+        for block, part in zip(e.blocks, cert.parts):
+            assert rank(block.take_rows(IndexSet(e.n, part))) == len(part)
+        rows_t = IndexSet(e.n, cert.T)
+        assert set(range(1, e.n + 1)) - set(covered) <= set(cert.T)
+        assert cert.size == e.n - len(cert.T) + sum(rank(b.take_rows(rows_t)) for b in e.blocks)
+        assert max_tau(e) == e.R - cert.size
+
+
+def _wide_ensemble(seed: int, zero_rows=()) -> Ensemble:
+    rng = random.Random(seed)
+    return Ensemble(
+        tuple(
+            ExactMatrix.from_rows(
+                [[0] * 16 if r in zero_rows else [rng.randint(-9, 9) for _ in range(16)] for r in range(64)]
+            )
+            for _ in range(4)
+        )
+    )
+
+
+def test_max_tau_wide_with_zero_rows():
+    # n = 64 is far past any 2^n scan; C6 answers in well under a second.
+    assert max_tau(_wide_ensemble(64, zero_rows=(5, 40))) == 2
+    assert max_tau(_wide_ensemble(65, zero_rows=(0,))) == 1
+
+
+def test_certify_wide_without_rank_loss(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(emit_ensemble(_wide_ensemble(64))))
+    assert main(["certify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n"], report["K"], report["R"], report["max_tau"]) == (64, 4, 64, 0)
+    assert "c2" not in report
+
+
+# ---------------------------------------------------------------------------
+# C2 scans that stop at the tau asked
+# ---------------------------------------------------------------------------
+
+def _full_profile_c2(e, tau):
+    """Every column choice's J scan run to the end, then the verdict at tau."""
+    n = e.n
+    dims = {}
+
+    def sparse(i, y, jmask):
+        key = (i, y.members, jmask)
+        if key not in dims:
+            dims[key] = sparse_dim(e.blocks[i].take_cols(y), IndexSet.from_mask(n, jmask))
+        return dims[key]
+
+    witnesses = []
+    for ys in column_choices(e, e.R):
+        best, argmax, first_at = -1, 0, {}
+        for jmask in lex_subset_masks(n):
+            slack = sum(sparse(i, y, jmask) for i, y in enumerate(ys)) - jmask.bit_count()
+            if slack > best:
+                for level in range(best + 1, slack + 1):
+                    first_at[level] = (jmask, slack)
+                best, argmax = slack, jmask
+        if best < tau:
+            w = Witness("C2-counterexample", ys, J=IndexSet.from_mask(n, argmax), slack=best - tau)
+            return CheckResult("C2", False, (w,))
+        jmask, slack = first_at[tau]
+        witnesses.append(Witness("C2-witness", ys, J=IndexSet.from_mask(n, jmask), slack=slack - tau))
+    return CheckResult("C2", True, tuple(witnesses))
+
+
+def test_c2_resumed_scans_do_not_depend_on_query_order(rng):
+    for _ in range(30):
+        e = _varied_ensemble(rng, max_n=5, max_k=3)
+        taus = list(range(1, e.R + 1))
+        expected = {t: _full_profile_c2(e, t) for t in taus}
+        shuffled = taus[:]
+        rng.shuffle(shuffled)
+        for order in (taus, taus[::-1], shuffled):
+            _c2_scans.cache_clear()
+            assert {t: check_C2(e, t) for t in order} == expected
+        for t in taus:
+            _c2_scans.cache_clear()
+            assert check_C2(e, t) == expected[t]

@@ -5,7 +5,8 @@ the row structure up to the random scaling, so `max_tau` and every
 `cross_validate` verdict must survive a joint row permutation, a block
 permutation, rescaling one row of one block, and a change of basis of
 one block's columns.  `cross_validate` raises when C1-C5 disagree, so
-each example also checks the five routes against one another.
+each example also checks the five routes against one another; `max_tau`
+comes from C6, and C2 must hold exactly at the taus up to it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankloss.conditions import Ensemble, cross_validate, max_tau
+from rankloss.conditions import Ensemble, check_C2, cross_validate, max_tau
 from rankloss.exactla import ExactMatrix, det, is_full_column_rank
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -85,3 +86,11 @@ def test_column_change_of_basis(e, data):
     assume(det(g) != 0)
     changed = e.blocks[:i] + (e.blocks[i].matmul(g),) + e.blocks[i + 1 :]
     assert outcome(Ensemble(changed)) == outcome(e)
+
+
+@PROPERTY
+@given(ensembles())
+def test_c2_holds_exactly_up_to_c6_max_tau(e):
+    # C6 (matroid partition) and C2 (exhaustive J scans) agree at every tau.
+    tau_star = max_tau(e)
+    assert [check_C2(e, tau).holds for tau in range(1, e.R + 1)] == [tau <= tau_star for tau in range(1, e.R + 1)]
