@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
 from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_rows, is_full_column_rank
 from .matroid import Partition, matroid_partition
-from .randrank import C1Verdict, TrialConfig, check_C1
+from .randrank import CACHE_SIZE, C1Verdict, TrialConfig, check_C1
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def _lex_successor(mask: int, top: int) -> int | None:
     return mask ^ high | high << 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _c2_scans(ensemble: Ensemble) -> tuple[_C2Scan, ...]:
     return tuple(_C2Scan(ys) for ys in column_choices(ensemble, ensemble.R))
 
@@ -340,7 +340,7 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
 # C6: the union of the blocks' row matroids
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _row_union(ensemble: Ensemble) -> Partition:
     """A maximum partition of the rows into sets I_i independent in B_i, checked.
 
@@ -392,7 +392,7 @@ def _first_violation(per_size: dict[int, _Violation], min_size_exclusive: int) -
     return min(hits, key=lambda v: v.order).witness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _c3_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     """First determinant-product violation per |X|, over the full canonical scan."""
     n = ensemble.n
@@ -438,7 +438,7 @@ def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     return CheckResult("C3", False, (witness,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _c4_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}
@@ -489,7 +489,7 @@ class _C5Scan:
     holders: tuple[Witness, ...] = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _c5_scan(ensemble: Ensemble) -> _C5Scan:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}

@@ -1,10 +1,11 @@
 """Randomized evaluation oracle for the ensemble's almost-sure rank.
 
 Scaling coefficients are sampled as uniform nonzero integers and the
-scaled concatenation's rank is computed exactly.  Any single evaluation
-point gives a certain lower bound on the generic rank; by the
-Zippel-Schwartz lemma the maximum over trials equals the generic rank
-except with probability at most (n / entry_bound) ** trials.
+scaled concatenation's rank is computed exactly; C1 and `tim`'s sampled
+checks all draw and eliminate here.  Any single evaluation point gives a
+certain lower bound on the generic rank; by the Zippel-Schwartz lemma the
+maximum over trials equals the generic rank except with probability at
+most (n / entry_bound) ** trials.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import PreconditionError, ShapeError
-from .exactla import ExactMatrix, _bareiss, _integer_columns
+from .errors import PreconditionError
+from .exactla import _bareiss, _integer_columns
 
 if TYPE_CHECKING:
     from .conditions import Ensemble
+
+# Entries per per-ensemble cache, here and in `conditions`: memory stays bounded.
+CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -37,56 +41,39 @@ class TrialConfig:
             raise PreconditionError(f"entry_bound must be >= 2, got {self.entry_bound}")
 
     def trial_rng(self, trial: int) -> random.Random:
-        # Counter-style derivation: one independent stream per trial index.
-        return random.Random(self.seed * 1_000_003 + trial)
+        # Distinct (seed, trial) pairs give distinct strings, and a string
+        # seed is hashed with SHA-512, the same in every interpreter.
+        return random.Random(f"{self.seed}:{trial}")
 
 
-def scaled_block(block: ExactMatrix, diag: Sequence[int]) -> ExactMatrix:
-    """Multiply row i of the block by diag[i] (a sampled diagonal scaling)."""
-    if len(diag) != block.n_rows:
-        raise ShapeError(f"{len(diag)} scalings for {block.n_rows} rows")
-    return ExactMatrix(
-        tuple(tuple(v * d for v in row) for row, d in zip(block.rows, diag)),
-        block.n_cols,
-    )
+def _draw_diags(cfg: TrialConfig, stream: int, n: int, count: int) -> list[list[int]]:
+    """`count` diagonals of n nonzero scalings, drawn in order from one stream."""
+    rng = cfg.trial_rng(stream)
+    return [[rng.randint(1, cfg.entry_bound) for _ in range(n)] for _ in range(count)]
 
 
-def scaled_concatenation(ensemble: "Ensemble", diags: Sequence[Sequence[int]]) -> ExactMatrix:
-    """The ensemble matrix [D_1 B_1 ... D_K B_K] for given diagonal scalings."""
-    if len(diags) != ensemble.K:
-        raise ShapeError(f"{len(diags)} diagonals for {ensemble.K} blocks")
-    out = scaled_block(ensemble.blocks[0], diags[0])
-    for block, diag in zip(ensemble.blocks[1:], diags[1:]):
-        out = out.hstack(scaled_block(block, diag))
-    return out
+def _scaled_rank(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> int:
+    """Exact rank of [D_1 G_1 | ... | D_k G_k] over integer grids with n rows (0 for none).
 
-
-def _draw_diags(ensemble: "Ensemble", cfg: TrialConfig, trial: int) -> list[list[int]]:
-    rng = cfg.trial_rng(trial)
-    return [[rng.randint(1, cfg.entry_bound) for _ in range(ensemble.n)] for _ in range(ensemble.K)]
+    Column scaling leaves that rank unchanged, so callers clear each block
+    once with `_integer_columns` and every call eliminates plain integers.
+    """
+    rows = [
+        [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
+        for grid_rows, ds in zip(zip(*grids), zip(*diags))
+    ]
+    return _bareiss(rows, len(rows[0]))[0] if rows else 0
 
 
 def sample_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
-    """Exact rank of the scaled concatenation at each of cfg.trials sample points.
-
-    Each block's columns are cleared of denominators once; that column
-    scaling leaves the rank at every sample point unchanged, so each trial
-    eliminates plain integers.
-    """
+    """Exact rank of the scaled concatenation at each of cfg.trials sample points."""
     grids = [_integer_columns(block) for block in ensemble.blocks]
-    n_cols = sum(ensemble.column_counts)
-    ranks = []
-    for t in range(cfg.trials):
-        diags = _draw_diags(ensemble, cfg, t)
-        rows = [
-            [d[r] * v for grid, d in zip(grids, diags) for v in grid[r]]
-            for r in range(ensemble.n)
-        ]
-        ranks.append(_bareiss(rows, n_cols)[0])
-    return tuple(ranks)
+    return tuple(
+        _scaled_rank(grids, _draw_diags(cfg, t, ensemble.n, ensemble.K)) for t in range(cfg.trials)
+    )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
     return sample_ranks(ensemble, cfg)
 

@@ -5,7 +5,8 @@ floor.  The analyzer characterizes when half symmetric DoF is achievable
 (bipartiteness of the reduced conflict graph), evaluates the linear
 symmetric DoF formula for exclusive-alignment topologies, synthesizes the
 corresponding beamforming schemes, and verifies decodability by sampled
-exact rank computations.
+exact rank computations, drawn and eliminated by `randrank`.  Synthesized
+exclusive-alignment schemes are checked exactly, with generic ranks from C6.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .conditions import Ensemble, max_tau
 from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
 from .exactla import (
     ExactMatrix,
     IndexSet,
+    _integer_columns,
     is_full_column_rank,
-    rank,
     row_support,
     sparse_dim,
 )
 from .matching import adapted_basis
-from .randrank import TrialConfig, scaled_block, scaled_concatenation
+from .randrank import TrialConfig, _draw_diags, _scaled_rank
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 
@@ -360,8 +362,11 @@ def synth_exclusive_scheme(topology: Topology, attempts: int = 8) -> tuple[Schem
     disjoint 3-slot window J; both members of an alignment set spend 3
     columns spanning the sparse subspace of their window and the rest on
     dense generic columns, while uninvolved transmitters stay fully
-    generic.  Generic entries are distinct small primes, and the exact
-    structural postconditions are re-verified before returning.
+    generic.  Generic entries are distinct small primes; a fill is replaced
+    by the next block of primes unless it passes the exact postconditions:
+    the window structure, and at every receiver with interferers generic
+    decodability, rank([interference | B_j]) = m_j + rank(interference)
+    with each generic rank from C6.
     """
     ok, violations = check_P1_P2(topology)
     if not ok:
@@ -401,7 +406,7 @@ def synth_exclusive_scheme(topology: Topology, attempts: int = 8) -> tuple[Schem
             scheme = Scheme(n, tuple(beamformers))
             sets = tuple(windows.get(r) for r in range(1, topology.K + 1))
             return scheme, SparseAssignment(n, sets)
-    raise InternalInvariantError("generic fill failed structural postconditions repeatedly")
+    raise InternalInvariantError("generic fill failed its postconditions repeatedly")
 
 
 def _exclusive_postconditions(
@@ -420,7 +425,18 @@ def _exclusive_postconditions(
         for i in topology.interferers(r):
             if sparse_dim(beamformers[i - 1], window) != tau:
                 return False
+    for j in range(1, topology.K + 1):
+        interference = [beamformers[i - 1] for i in sorted(topology.interferers(j))]
+        own = beamformers[j - 1]
+        if interference and _generic_rank(interference + [own]) != own.n_cols + _generic_rank(interference):
+            return False
     return True
+
+
+def _generic_rank(blocks: list[ExactMatrix]) -> int:
+    # The almost-sure rank of the row-scaled concatenation, exact, from C6.
+    ensemble = Ensemble(tuple(blocks))
+    return ensemble.R - max_tau(ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +469,20 @@ def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | N
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
     n = scheme.n
+    grids = [_integer_columns(b) for b in scheme.beamformers]
     per_receiver = []
     details = []
     for j in range(1, topology.K + 1):
-        desired = scheme.beamformers[j - 1]
-        interferers = sorted(topology.interferers(j))
-        receiver_ok = True
+        m_j = scheme.beamformers[j - 1].n_cols
+        interference = [grids[i - 1] for i in sorted(topology.interferers(j))]
         ranks = []
         for trial in range(cfg.trials):
-            rng = cfg.trial_rng(trial * topology.K + j)
-            desired_scaled = scaled_block(desired, [rng.randint(1, cfg.entry_bound) for _ in range(n)])
-            interference = None
-            for i in interferers:
-                block = scaled_block(
-                    scheme.beamformers[i - 1],
-                    [rng.randint(1, cfg.entry_bound) for _ in range(n)],
-                )
-                interference = block if interference is None else interference.hstack(block)
-            if interference is None:
-                combined_rank = rank(desired_scaled)
-                interference_rank = 0
-            else:
-                combined_rank = rank(interference.hstack(desired_scaled))
-                interference_rank = rank(interference)
+            # stream trial * K + j: the desired block draws first, then the interferers
+            desired_diag, *diags = _draw_diags(cfg, trial * topology.K + j, n, 1 + len(interference))
+            interference_rank = _scaled_rank(interference, diags)
+            combined_rank = _scaled_rank(interference + [grids[j - 1]], diags + [desired_diag])
             ranks.append((combined_rank, interference_rank))
-            if combined_rank != desired.n_cols + interference_rank:
-                receiver_ok = False
-        per_receiver.append(receiver_ok)
+        per_receiver.append(all(c == m_j + i for c, i in ranks))
         details.append(tuple(ranks))
     return DecodabilityReport(
         tuple(per_receiver), tuple(details), Fraction(n, cfg.entry_bound) ** cfg.trials
@@ -582,15 +585,12 @@ def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int
             if surplus(IndexSet(ensemble.n, combo)) >= x:
                 raise PreconditionError(f"J is not minimal: {list(combo)} already achieves surplus {x}")
 
-    identity_cols = ExactMatrix.from_columns(
-        [[Fraction(1) if i + 1 == j else Fraction(0) for i in range(ensemble.n)] for j in J],
-        n_rows=ensemble.n,
-    )
+    grids = [_integer_columns(b) for b in ensemble.blocks]
+    # S_J's coordinate columns keep their span under any scaling: take ones.
+    coordinates = [[int(r == j) for j in J] for r in range(1, ensemble.n + 1)]
     for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        diags = [[rng.randint(1, cfg.entry_bound) for _ in range(ensemble.n)] for _ in range(ensemble.K)]
-        bd = scaled_concatenation(ensemble, diags)
-        if rank(bd.hstack(identity_cols)) != rank(bd):
+        diags = _draw_diags(cfg, trial, ensemble.n, ensemble.K)
+        if _scaled_rank(grids + [coordinates], diags + [[1] * ensemble.n]) != _scaled_rank(grids, diags):
             return False
     return True
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rankloss.conditions import Ensemble
-from rankloss.exactla import ExactMatrix, is_full_column_rank
+from rankloss.exactla import ExactMatrix, is_full_column_rank, rank
 from rankloss.tim import Topology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,6 +51,24 @@ def t9a() -> Topology:
 def t9b() -> Topology:
     """Nine users with a shared interferer: exclusive-alignment property fails."""
     return Topology.of({2, 3}, {7}, {4, 5}, {7}, {6, 1}, {7}, set(), set(), {7, 8})
+
+
+def fraction_scaled_rank(blocks, diags) -> int:
+    """Rank of [D_1 B_1 | ... | D_k B_k], built over Fraction and ranked by the public kernel.
+
+    The reference for the sampled route, which clears each block's column
+    denominators once and eliminates integer rows; no blocks give rank 0.
+    """
+    scaled = [
+        ExactMatrix(tuple(tuple(v * d for v in row) for row, d in zip(b.rows, diag)), b.n_cols)
+        for b, diag in zip(blocks, diags)
+    ]
+    if not scaled:
+        return 0
+    out = scaled[0]
+    for block in scaled[1:]:
+        out = out.hstack(block)
+    return rank(out)
 
 
 def random_block(rng: random.Random, n: int, m: int) -> ExactMatrix:

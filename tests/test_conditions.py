@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import rankloss
 from rankloss.cli import main
 from rankloss.conditions import (
     CheckResult,
@@ -384,3 +387,14 @@ def test_c2_resumed_scans_do_not_depend_on_query_order(rng):
         for t in taus:
             _c2_scans.cache_clear()
             assert check_C2(e, t) == expected[t]
+
+
+def test_module_caches_are_bounded():
+    caches = {
+        f"{info.name}.{name}": obj.cache_parameters()["maxsize"]
+        for info in pkgutil.iter_modules(rankloss.__path__)
+        for name, obj in vars(importlib.import_module(f"rankloss.{info.name}")).items()
+        if hasattr(obj, "cache_parameters")
+    }
+    assert {"conditions._c2_scans", "conditions._row_union", "randrank._cached_ranks"} <= set(caches)
+    assert all(maxsize is not None for maxsize in caches.values()), caches

@@ -8,7 +8,7 @@ import pytest
 
 from rankloss.conditions import Ensemble, check_C2
 from rankloss.errors import PreconditionError
-from rankloss.exactla import ExactMatrix, rank
+from rankloss.exactla import ExactMatrix
 from rankloss.randrank import (
     TrialConfig,
     _draw_diags,
@@ -16,10 +16,9 @@ from rankloss.randrank import (
     failure_bound,
     sample_generic_rank,
     sample_ranks,
-    scaled_concatenation,
 )
 
-from conftest import e1, e3, random_ensemble
+from conftest import e1, e3, fraction_scaled_rank, random_ensemble
 
 
 def test_generic_rank_e1():
@@ -93,8 +92,18 @@ def test_sample_ranks_match_fraction_route():
             ranks = sample_ranks(e, cfg)
             assert len(ranks) == cfg.trials
             for t, r in enumerate(ranks):
-                assert r == rank(scaled_concatenation(e, _draw_diags(e, cfg, t)))
+                diags = _draw_diags(cfg, t, e.n, e.K)
+                assert r == fraction_scaled_rank(e.blocks, diags)
     assert set(sample_ranks(degenerate, configs[1])) == {1, 2}
+
+
+def test_trial_streams_never_collide():
+    # A linear seed such as seed * 1_000_003 + trial maps these two pairs to one stream.
+    a = TrialConfig(seed=1).trial_rng(0)
+    b = TrialConfig(seed=0).trial_rng(1_000_003)
+    assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
+    draws = {TrialConfig(seed=s).trial_rng(t).random() for s in range(-3, 4) for t in range(40)}
+    assert len(draws) == 7 * 40
 
 
 def test_seed_changes_draws():

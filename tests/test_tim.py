@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from rankloss import fileio
+from rankloss.conditions import Ensemble
 from rankloss.errors import PreconditionError
 from rankloss.exactla import ExactMatrix, IndexSet, sparse_dim
 from rankloss.randrank import TrialConfig
@@ -32,7 +34,7 @@ from rankloss.tim import (
     _color_alignment_sets,
 )
 
-from conftest import e1, t6, t9a, t9b
+from conftest import FIXTURES, e1, fraction_scaled_rank, t6, t9a, t9b
 
 FAST = TrialConfig(trials=5, seed=17)
 
@@ -245,6 +247,15 @@ def test_exclusive_scheme_chi1_routes_to_half():
     assert all(s is None for s in assignment.sets)
 
 
+def test_exclusive_scheme_rejects_singular_prime_fill():
+    # The first block of primes meets the window structure but leaves
+    # receiver 4's desired block inside its interference; the generic
+    # decodability postcondition moves the fill to the next block.
+    top = Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])
+    scheme, _ = synth_exclusive_scheme(top)
+    assert verify_decodability(top, scheme, TrialConfig(seed=3)).ok
+
+
 def test_exclusive_scheme_requires_p1p2():
     with pytest.raises(PreconditionError):
         synth_exclusive_scheme(t9b())
@@ -322,6 +333,71 @@ def test_decodability_shape_error():
     scheme = synth_half_dof_scheme(Topology.of(set(), {1}))
     with pytest.raises(Exception):
         verify_decodability(t6(), scheme, FAST)
+
+
+def fraction_route_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig):
+    """verify_decodability's verdicts and rank pairs, rebuilt over Fraction from the same draws."""
+    per_receiver, details = [], []
+    for j in range(1, topology.K + 1):
+        desired = scheme.beamformers[j - 1]
+        interference = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
+        ranks = []
+        for trial in range(cfg.trials):
+            rng = cfg.trial_rng(trial * topology.K + j)
+            # the desired block draws first, then the interferers in ascending order
+            diags = [
+                [rng.randint(1, cfg.entry_bound) for _ in range(scheme.n)]
+                for _ in range(1 + len(interference))
+            ]
+            ranks.append(
+                (
+                    fraction_scaled_rank(interference + [desired], diags[1:] + diags[:1]),
+                    fraction_scaled_rank(interference, diags[1:]),
+                )
+            )
+        per_receiver.append(all(c == desired.n_cols + i for c, i in ranks))
+        details.append(tuple(ranks))
+    return tuple(per_receiver), tuple(details)
+
+
+def test_decodability_matches_fraction_route():
+    # Fractional entries with mixed denominators inside a column; receiver 2
+    # hears no one, receiver 3 cannot decode, and with scalings in {1, 2}
+    # det [D b_2 | D' b_1] = d_1 d'_2 - d_2 d'_1 / 2 vanishes at some draws.
+    mixed = (
+        Topology.of({2}, set(), {1, 4}, {1}),
+        Scheme(
+            3,
+            (
+                ExactMatrix.from_columns([[Fraction(1, 2), 1, 0]]),
+                ExactMatrix.from_columns([[1, 1, 0]]),
+                ExactMatrix.from_columns(
+                    [[Fraction(-4, 15), 1, Fraction(2, 3)], [Fraction(1, 6), Fraction(-1, 10), 1]]
+                ),
+                ExactMatrix.from_columns([[0, Fraction(5, 7), Fraction(-3, 4)]]),
+            ),
+        ),
+    )
+    t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    # every user repeating in both slots of a triangle: no receiver decodes
+    dense = (odd_cycle_topology(), Scheme(2, tuple(ExactMatrix.from_columns([[1, 1]]) for _ in range(3))))
+    cases = [
+        mixed,
+        dense,
+        (t9b(), t9b_scheme),
+        (t6(), synth_half_dof_scheme(t6())),
+        (t9a(), synth_exclusive_scheme(t9a())[0]),
+    ]
+    configs = (FAST, TrialConfig(trials=20, entry_bound=2, seed=2))
+    for topology, scheme in cases:
+        for cfg in configs:
+            report = verify_decodability(topology, scheme, cfg)
+            assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(
+                topology, scheme, cfg
+            )
+    assert verify_decodability(*mixed, FAST).per_receiver == (True, True, False, True)
+    assert verify_decodability(*mixed, configs[1]).per_receiver == (False, True, False, True)
+    assert verify_decodability(*dense, FAST).per_receiver == (False, False, False)
 
 
 def test_structure_check_t6_passes():
@@ -420,6 +496,32 @@ def test_minimal_fully_occupied_empty_vacuous():
     e = e1()
     ys = (IndexSet.full(2), IndexSet.full(2))
     assert minimal_fully_occupied(e, ys, IndexSet.empty(4), 1, FAST)
+
+
+def test_minimal_fully_occupied_matches_fraction_route():
+    # Three single columns in the rows J = {1, 2}: S_J is occupied at a
+    # generic point, but scalings in {1, 2} can make all three parallel.
+    e = Ensemble.of([[1], [1], [0]], [[Fraction(1, 3)], [Fraction(2, 3)], [0]], [[1], [Fraction(1, 2)], [0]])
+    ys = (IndexSet.full(1),) * 3
+    j = IndexSet.of(3, [1, 2])
+    coordinates = ExactMatrix.from_columns([[1, 0, 0], [0, 1, 0]])
+
+    def fraction_route(cfg: TrialConfig) -> bool:
+        for trial in range(cfg.trials):
+            rng = cfg.trial_rng(trial)
+            diags = [[rng.randint(1, cfg.entry_bound) for _ in range(e.n)] for _ in range(e.K)]
+            with_j = fraction_scaled_rank(e.blocks + (coordinates,), diags + [[1] * e.n])
+            if with_j != fraction_scaled_rank(e.blocks, diags):
+                return False
+        return True
+
+    verdicts = []
+    for seed in range(12):
+        cfg = TrialConfig(trials=20, entry_bound=2, seed=seed)
+        verdicts.append(minimal_fully_occupied(e, ys, j, 1, cfg))
+        assert verdicts[-1] == fraction_route(cfg)
+    assert set(verdicts) == {True, False}
+    assert minimal_fully_occupied(e, ys, j, 1, FAST)
 
 
 def test_minimal_fully_occupied_rejects_non_minimal():
