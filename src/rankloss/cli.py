@@ -10,8 +10,8 @@ Subcommands:
   tim verify     sampled decodability check of a scheme against a topology
   tim normalize  tighten an aligned design's sparse windows
 
-Exit codes: 0 verdict computed, 2 usage, 3 load failure, 4 violated
-precondition, 5 internal invariant violation.
+Exit codes: 0 verdict computed, 2 usage, 3 load or write failure, 4
+violated precondition, 5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -319,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
             report = _TIM_HANDLERS[args.tim_command](args)
         else:
             report = _HANDLERS[args.command](args)
+        report["timing_seconds"] = round(time.monotonic() - started, 6)
+        text = fileio.write_json(report, args.out, pretty=args.pretty)
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return LOAD_ERROR
@@ -334,8 +336,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
 
-    report["timing_seconds"] = round(time.monotonic() - started, 6)
-    text = fileio.write_json(report, args.out, pretty=args.pretty)
     print(text)
     return 0
 

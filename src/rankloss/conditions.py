@@ -29,19 +29,25 @@ column choice to the end.  C3-C5 grow as 2^n times the number of column
 choices; they stop scanning a size |X| at its first violation, and every
 size up to the generic rank holds one, so they scan in full only the
 sizes above the generic rank.
+
+The `Ensemble` owns everything derived from its blocks: one cleared
+integer grid per block, read by every route, and a memo of the C2 scan
+state, the C3-C6 results and C1's sampled ranks, freed with the object.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, wraps
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_rows, is_full_column_rank
+from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_columns
 from .matroid import Partition, matroid_partition
-from .randrank import CACHE_SIZE, C1Verdict, TrialConfig, check_C1
+from .randrank import C1Verdict, TrialConfig, _check_tau, check_C1
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,7 @@ class Ensemble:
     """Full-column-rank blocks B_1..B_K sharing a row count n."""
 
     blocks: tuple[ExactMatrix, ...]
+    _memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -61,16 +68,22 @@ class Ensemble:
                 raise ShapeError(f"block {i} has {block.n_rows} rows, expected {n}")
             if block.n_cols < 1:
                 raise PreconditionError(f"block {i} has no columns")
-            if not is_full_column_rank(block):
+            if _bareiss([row[:] for row in self._grids[i - 1]], block.n_cols) != block.n_cols:
                 raise PreconditionError(f"block {i} is not full column rank")
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.blocks,))
+    def _grids(self) -> tuple[list[list[int]], ...]:
+        """Each block with its column denominators cleared; copy rows before eliminating.
 
-    def __hash__(self) -> int:
-        # Every scan cache keys on the ensemble; hash its Fractions only once.
-        return self._hash
+        Column scaling keeps every rank and minor singularity the routes read.
+        """
+        return tuple(_integer_columns(block) for block in self.blocks)
+
+    def _memoized(self, key: Any, build: Callable[[], T]) -> T:
+        """build(), computed once per key and kept as long as this ensemble is."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @classmethod
     def of(cls, *blocks) -> "Ensemble":
@@ -92,6 +105,16 @@ class Ensemble:
     def R(self) -> int:
         """Maximum possible rank of the scaled concatenation: min(sum m_i, n)."""
         return min(sum(self.column_counts), self.n)
+
+
+def _per_ensemble(build: Callable[[Ensemble], T]) -> Callable[[Ensemble], T]:
+    """Memoize build(ensemble) on the ensemble itself."""
+
+    @wraps(build)
+    def memoized(ensemble: Ensemble) -> T:
+        return ensemble._memoized(build, lambda: build(ensemble))
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -211,7 +234,7 @@ class _RankTable:
         if cached is not None:
             return cached
         rows = [row[:] for i, row in enumerate(self._rows) if rowmask >> i & 1]
-        value = _bareiss(rows, self._n_cols)[0]
+        value = _bareiss(rows, self._n_cols)
         self._memo[rowmask] = value
         return value
 
@@ -221,14 +244,14 @@ class _RankTable:
 
 
 class _RankTableSet:
-    """The rank tables of one scan: each block cleared once, one table per (block, Y_i).
+    """The rank tables of one scan: one table per (block, Y_i), over the ensemble's grids.
 
     Built at the start of a scan and dropped with it, so memory stays
     bounded by the scan's own column choices.
     """
 
     def __init__(self, ensemble: Ensemble):
-        self._grids = [_integer_rows(block)[0] for block in ensemble.blocks]
+        self._grids = ensemble._grids
         self._memo: dict[tuple[int, tuple[int, ...]], _RankTable] = {}
 
     def of(self, ys: tuple[IndexSet, ...]) -> list[_RankTable]:
@@ -286,14 +309,9 @@ def _lex_successor(mask: int, top: int) -> int | None:
     return mask ^ high | high << 1
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_per_ensemble
 def _c2_scans(ensemble: Ensemble) -> tuple[_C2Scan, ...]:
     return tuple(_C2Scan(ys) for ys in column_choices(ensemble, ensemble.R))
-
-
-def _check_tau(ensemble: Ensemble, tau: int) -> None:
-    if not 1 <= tau <= ensemble.R:
-        raise PreconditionError(f"tau must be in [1, {ensemble.R}], got {tau}")
 
 
 def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
@@ -340,7 +358,7 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
 # C6: the union of the blocks' row matroids
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_per_ensemble
 def _row_union(ensemble: Ensemble) -> Partition:
     """A maximum partition of the rows into sets I_i independent in B_i, checked.
 
@@ -349,11 +367,11 @@ def _row_union(ensemble: Ensemble) -> Partition:
     I_i of each B_i are independent, and sum |I_i| = n - |T| + sum_i
     rank(B_i[T, :]), which bounds every partition from above.
     """
-    grids = [_integer_rows(block)[0] for block in ensemble.blocks]
+    grids = ensemble._grids
     widths = ensemble.column_counts
 
     def row_rank(i: int, rows: Sequence[int]) -> int:
-        return _bareiss([grids[i][r - 1][:] for r in rows], widths[i])[0]
+        return _bareiss([grids[i][r - 1][:] for r in rows], widths[i])
 
     cert = matroid_partition(
         range(1, ensemble.n + 1), ensemble.K, lambda i, rows: row_rank(i, rows) == len(rows)
@@ -392,13 +410,13 @@ def _first_violation(per_size: dict[int, _Violation], min_size_exclusive: int) -
     return min(hits, key=lambda v: v.order).witness
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_per_ensemble
 def _c3_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     """First determinant-product violation per |X|, over the full canonical scan."""
     n = ensemble.n
     per_size: dict[int, _Violation] = {}
     order = 0
-    grids = [_integer_rows(block)[0] for block in ensemble.blocks]
+    grids = ensemble._grids
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
@@ -408,9 +426,8 @@ def _c3_scan(ensemble: Ensemble) -> dict[int, _Violation]:
             sizes = tuple(len(y) for y in ys)
             for parts in _ordered_partitions(x.members, sizes):
                 order += 1
-                # Row scaling keeps a square submatrix nonsingular or singular.
                 if all(
-                    _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y))[0] == len(y)
+                    _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y)) == len(y)
                     for grid, part, y in zip(grids, parts, ys)
                     if len(y) > 0
                 ):
@@ -438,7 +455,7 @@ def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     return CheckResult("C3", False, (witness,))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_per_ensemble
 def _c4_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}
@@ -489,7 +506,7 @@ class _C5Scan:
     holders: tuple[Witness, ...] = ()
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_per_ensemble
 def _c5_scan(ensemble: Ensemble) -> _C5Scan:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: load failures (3), violated
+The CLI maps these onto exit codes: load or write failures (3), violated
 preconditions (4), and internal invariant violations (5).
 """
 
@@ -12,7 +12,7 @@ class RanklossError(Exception):
 
 
 class LoadError(RanklossError):
-    """A file could not be parsed or failed validation on load."""
+    """A file could not be parsed, failed validation on load, or could not be written."""
 
 
 class PreconditionError(RanklossError):

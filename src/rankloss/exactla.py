@@ -3,7 +3,7 @@
 Every dimension computed anywhere in this package (rank certificates,
 matroid oracles, decodability checks) bottoms out here.  Matrices are
 immutable grids of `fractions.Fraction`; ranks are computed by
-fraction-free (Bareiss) elimination on denominator-cleared rows, so no
+fraction-free (Bareiss) elimination on denominator-cleared columns, so no
 intermediate value is ever rounded.
 
 Index sets are 1-based externally, matching the usual [n] convention of
@@ -221,20 +221,6 @@ class ExactMatrix:
         return all(v == 0 for row in self.rows for v in row)
 
 
-def _integer_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those scales.
-
-    Row scaling preserves rank and multiplies the determinant by the scale.
-    """
-    out = []
-    scales = 1
-    for row in m.rows:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-        scales *= scale
-    return out, scales
-
-
 def _integer_columns(m: ExactMatrix) -> list[list[int]]:
     """The rows of m after each column is multiplied by the lcm of its denominators.
 
@@ -245,24 +231,16 @@ def _integer_columns(m: ExactMatrix) -> list[list[int]]:
     return [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in m.rows]
 
 
-def _bareiss(a: list[list[int]], n_cols: int) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination of an integer grid, in place.
-
-    Returns the rank and the last pivot times the sign of the row swaps.
-    When the grid is square and of full rank, that signed pivot is its
-    determinant.
-    """
+def _bareiss(a: list[list[int]], n_cols: int) -> int:
+    """Rank of an integer grid by fraction-free (Bareiss) elimination, in place."""
     n_rows = len(a)
     r = 0
     prev = 1
-    sign = 1
     for col in range(n_cols):
         piv = next((i for i in range(r, n_rows) if a[i][col]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
+        a[r], a[piv] = a[piv], a[r]
         p = a[r][col]
         for i in range(r + 1, n_rows):
             f = a[i][col]
@@ -274,23 +252,12 @@ def _bareiss(a: list[list[int]], n_cols: int) -> tuple[int, int]:
         r += 1
         if r == n_rows:
             break
-    return r, sign * prev
+    return r
 
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals, by fraction-free (Bareiss) elimination."""
-    return _bareiss(_integer_rows(m)[0], m.n_cols)[0]
-
-
-def det(m: ExactMatrix) -> Fraction:
-    """Exact determinant of a square matrix, by Bareiss elimination on cleared rows."""
-    if m.n_rows != m.n_cols:
-        raise ShapeError(f"determinant of non-square {m.n_rows}x{m.n_cols} matrix")
-    grid, scales = _integer_rows(m)
-    r, pivot = _bareiss(grid, m.n_cols)
-    if r < m.n_rows:
-        return Fraction(0)
-    return Fraction(pivot, scales)
+    return _bareiss(_integer_columns(m), m.n_cols)
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:

@@ -175,6 +175,9 @@ def emit_scheme(scheme: Scheme, assignment: SparseAssignment | None = None) -> d
 def write_json(data: dict, path: str | None, pretty: bool = False) -> str:
     text = json.dumps(data, indent=2 if pretty else None, sort_keys=False)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise LoadError(f"cannot write {path}: {exc}") from None
     return text

@@ -6,6 +6,9 @@ checks all draw and eliminate here.  Any single evaluation point gives a
 certain lower bound on the generic rank; by the Zippel-Schwartz lemma the
 maximum over trials equals the generic rank except with probability at
 most (n / entry_bound) ** trials.
+
+The ensemble owns its derived results: sampling reads its cleared grids,
+and C1 memoizes sampled ranks on it, one entry per `TrialConfig`.
 """
 
 from __future__ import annotations
@@ -13,17 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import PreconditionError
-from .exactla import _bareiss, _integer_columns
+from .exactla import _bareiss
 
 if TYPE_CHECKING:
     from .conditions import Ensemble
-
-# Entries per per-ensemble cache, here and in `conditions`: memory stays bounded.
-CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -55,27 +54,31 @@ def _draw_diags(cfg: TrialConfig, stream: int, n: int, count: int) -> list[list[
 def _scaled_rank(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> int:
     """Exact rank of [D_1 G_1 | ... | D_k G_k] over integer grids with n rows (0 for none).
 
-    Column scaling leaves that rank unchanged, so callers clear each block
-    once with `_integer_columns` and every call eliminates plain integers.
+    Column scaling leaves that rank unchanged, so callers pass each block
+    with its column denominators cleared and every call eliminates plain integers.
     """
     rows = [
         [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
         for grid_rows, ds in zip(zip(*grids), zip(*diags))
     ]
-    return _bareiss(rows, len(rows[0]))[0] if rows else 0
+    return _bareiss(rows, len(rows[0])) if rows else 0
 
 
 def sample_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
     """Exact rank of the scaled concatenation at each of cfg.trials sample points."""
-    grids = [_integer_columns(block) for block in ensemble.blocks]
+    grids = ensemble._grids
     return tuple(
         _scaled_rank(grids, _draw_diags(cfg, t, ensemble.n, ensemble.K)) for t in range(cfg.trials)
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+def _check_tau(ensemble: "Ensemble", tau: int) -> None:
+    if not 1 <= tau <= ensemble.R:
+        raise PreconditionError(f"tau must be in [1, {ensemble.R}], got {tau}")
+
+
 def _cached_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
-    return sample_ranks(ensemble, cfg)
+    return ensemble._memoized(cfg, lambda: sample_ranks(ensemble, cfg))
 
 
 def sample_generic_rank(ensemble: "Ensemble", cfg: TrialConfig | None = None) -> int:
@@ -115,8 +118,7 @@ class C1Verdict:
 
 def check_C1(ensemble: "Ensemble", tau: int, cfg: TrialConfig | None = None) -> C1Verdict:
     """Does rank([D_1 B_1 ... D_K B_K]) <= R - tau at every sample point?"""
-    if tau < 1:
-        raise PreconditionError(f"tau must be >= 1, got {tau}")
+    _check_tau(ensemble, tau)
     cfg = cfg or TrialConfig()
     ranks = _cached_ranks(ensemble, cfg)
     threshold = ensemble.R - tau

@@ -585,12 +585,12 @@ def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int
             if surplus(IndexSet(ensemble.n, combo)) >= x:
                 raise PreconditionError(f"J is not minimal: {list(combo)} already achieves surplus {x}")
 
-    grids = [_integer_columns(b) for b in ensemble.blocks]
+    grids = ensemble._grids
     # S_J's coordinate columns keep their span under any scaling: take ones.
     coordinates = [[int(r == j) for j in J] for r in range(1, ensemble.n + 1)]
     for trial in range(cfg.trials):
         diags = _draw_diags(cfg, trial, ensemble.n, ensemble.K)
-        if _scaled_rank(grids + [coordinates], diags + [[1] * ensemble.n]) != _scaled_rank(grids, diags):
+        if _scaled_rank([*grids, coordinates], diags + [[1] * ensemble.n]) != _scaled_rank(grids, diags):
             return False
     return True
 

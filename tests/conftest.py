@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,17 @@ def t9a() -> Topology:
 def t9b() -> Topology:
     """Nine users with a shared interferer: exclusive-alignment property fails."""
     return Topology.of({2, 3}, {7}, {4, 5}, {7}, {6, 1}, {7}, set(), set(), {7, 8})
+
+
+def cofactor_det(m: ExactMatrix) -> Fraction:
+    """Determinant by Laplace expansion along the first row: independent of any elimination."""
+    if m.n_rows == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, v in enumerate(m.rows[0]):
+        minor = ExactMatrix(tuple(row[:j] + row[j + 1:] for row in m.rows[1:]), m.n_cols - 1)
+        total += (-1) ** j * v * cofactor_det(minor)
+    return total
 
 
 def fraction_scaled_rank(blocks, diags) -> int:

@@ -237,6 +237,21 @@ def test_unreadable_json_is_a_load_error(tmp_path, capsys, content):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "E1.json", "--out"], ["tim", "scheme", "T6.json", "--scheme-out"]],
+    ids=["out", "scheme-out"],
+)
+def test_unwritable_output_is_a_load_error(tmp_path, capsys, argv):
+    *command, source, flag = argv
+    target = tmp_path / "missing" / "x.json"
+    assert main([*command, str(FIXTURES / source), flag, str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}:")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_code_precondition(capsys):
     assert main(["certify", str(FIXTURES / "E1.json"), "--tau", "9"]) == 4
     capsys.readouterr()

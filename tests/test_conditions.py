@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import json
 import pkgutil
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,6 @@ from rankloss.conditions import (
     CheckResult,
     Ensemble,
     Witness,
-    _c2_scans,
     _row_union,
     check_C2,
     check_C3,
@@ -33,7 +34,7 @@ from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, rank, s
 from rankloss.fileio import emit_ensemble
 from rankloss.randrank import TrialConfig
 
-from conftest import e1, e1_generic, e3, random_ensemble
+from conftest import cofactor_det, e1, e1_generic, e3, fraction_scaled_rank, random_ensemble
 
 
 def test_ensemble_validation():
@@ -217,8 +218,6 @@ def test_c2_witnesses_recompute_exactly(rng):
 
 
 def test_c3_violation_recomputes_exactly(rng):
-    from rankloss.exactla import det
-
     found = 0
     while found < 10:
         e = random_ensemble(rng, max_n=5)
@@ -229,7 +228,7 @@ def test_c3_violation_recomputes_exactly(rng):
         product = 1
         for block, part, y in zip(e.blocks, w.partition, w.Y):
             if len(y):
-                product *= det(block.submatrix(part, y))
+                product *= cofactor_det(block.submatrix(part, y))
         assert product != 0
         found += 1
 
@@ -245,6 +244,46 @@ def test_fractional_entries_cross_validate():
     assert rep.agreement and all(rep.verdicts.values())
     rep2 = cross_validate(e, 2, TrialConfig(seed=31))
     assert rep2.agreement and not any(rep2.verdicts.values())
+
+    # Every route reads the ensemble's one cleared grid, so they could all go
+    # wrong together; fraction_scaled_rank builds the scaled matrix over
+    # Fraction and never reads that grid.
+    rng = random.Random(0xF4AC)
+    zero_rows = 0
+    for _ in range(150):
+        e, zero = _mixed_denominator_ensemble(rng)
+        zero_rows += zero
+        draws = [[[rng.randint(1, 2**31) for _ in range(e.n)] for _ in range(e.K)] for _ in range(3)]
+        loss = e.R - max(fraction_scaled_rank(e.blocks, diags) for diags in draws)
+        assert max_tau(e) == loss
+        for tau in range(1, e.R + 1):
+            for check in (check_C2, check_C3, check_C4, check_C5):
+                assert check(e, tau).holds == (tau <= loss), (check.__name__, tau, e)
+    assert zero_rows >= 30
+
+
+def _mixed_denominator_ensemble(rng) -> tuple[Ensemble, bool]:
+    """Entries over row, column and entry denominators at once; 30% share a zero row."""
+    n, k = rng.randint(2, 5), rng.randint(1, 3)
+    zero = rng.randrange(n) if rng.random() < 0.3 else None
+    blocks = []
+    while len(blocks) < k:
+        m = rng.randint(1, min(3, n))
+        rows_d = [rng.choice([1, 2, 3, 5]) for _ in range(n)]
+        cols_d = [rng.choice([1, 2, 7]) for _ in range(m)]
+        rows = [
+            [
+                Fraction(rng.choice([-2, -1, 0, 1, 3]), rows_d[r] * cols_d[c] * rng.choice([1, 1, 4]))
+                for c in range(m)
+            ]
+            for r in range(n)
+        ]
+        if zero is not None:
+            rows[zero] = [Fraction(0)] * m
+        block = ExactMatrix.from_rows(rows)
+        if is_full_column_rank(block):
+            blocks.append(block)
+    return Ensemble(tuple(blocks)), zero is not None
 
 
 def test_single_row_ensemble():
@@ -382,19 +421,29 @@ def test_c2_resumed_scans_do_not_depend_on_query_order(rng):
         shuffled = taus[:]
         rng.shuffle(shuffled)
         for order in (taus, taus[::-1], shuffled):
-            _c2_scans.cache_clear()
-            assert {t: check_C2(e, t) for t in order} == expected
+            fresh = Ensemble(e.blocks)
+            assert {t: check_C2(fresh, t) for t in order} == expected
         for t in taus:
-            _c2_scans.cache_clear()
-            assert check_C2(e, t) == expected[t]
+            assert check_C2(Ensemble(e.blocks), t) == expected[t]
 
 
-def test_module_caches_are_bounded():
-    caches = {
-        f"{info.name}.{name}": obj.cache_parameters()["maxsize"]
+def test_no_module_level_caches():
+    # Derived results live on the Ensemble, so no module keeps one alive.
+    caches = [
+        f"{info.name}.{name}"
         for info in pkgutil.iter_modules(rankloss.__path__)
         for name, obj in vars(importlib.import_module(f"rankloss.{info.name}")).items()
         if hasattr(obj, "cache_parameters")
-    }
-    assert {"conditions._c2_scans", "conditions._row_union", "randrank._cached_ranks"} <= set(caches)
-    assert all(maxsize is not None for maxsize in caches.values()), caches
+    ]
+    assert caches == []
+
+
+def test_derived_results_are_freed_with_the_ensemble():
+    e = _mixed_denominator_ensemble(random.Random(7))[0]
+    for tau in range(1, e.R + 1):
+        cross_validate(e, tau, TrialConfig(seed=3))
+    max_tau(e)
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None

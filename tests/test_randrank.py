@@ -47,8 +47,10 @@ def test_check_c1_verdicts():
 
 
 def test_check_c1_requires_positive_tau():
-    with pytest.raises(PreconditionError):
-        check_C1(e1(), 0, TrialConfig(seed=5))
+    e = e1()
+    for tau in (0, e.R + 1):
+        with pytest.raises(PreconditionError, match=r"tau must be in \[1, 4\]"):
+            check_C1(e, tau, TrialConfig(seed=5))
 
 
 def test_failure_bound_formula():
