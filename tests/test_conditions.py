@@ -268,7 +268,7 @@ def _mixed_denominator_ensemble(rng) -> tuple[Ensemble, bool]:
     zero = rng.randrange(n) if rng.random() < 0.3 else None
     blocks = []
     while len(blocks) < k:
-        m = rng.randint(1, min(3, n))
+        m = rng.randint(1, min(3, n - (zero is not None)))
         rows_d = [rng.choice([1, 2, 3, 5]) for _ in range(n)]
         cols_d = [rng.choice([1, 2, 7]) for _ in range(m)]
         rows = [
