@@ -31,8 +31,10 @@ size up to the generic rank holds one, so they scan in full only the
 sizes above the generic rank.
 
 The `Ensemble` owns everything derived from its blocks: one cleared
-integer grid per block, read by every route, and a memo of the C2 scan
-state, the C3-C6 results and C1's sampled ranks, freed with the object.
+integer grid per block, read by every route, and a memo of the rank
+tables (one per block and column choice Y_i, shared by C2, C4 and C5),
+the C2 scan state, the C3-C6 results and C1's sampled ranks, freed with
+the object.  C1, C3 and C6 stay independent of the rank tables.
 """
 
 from __future__ import annotations
@@ -220,14 +222,17 @@ def _ordered_partitions(members: tuple[int, ...], sizes: Sequence[int]) -> Itera
 # ---------------------------------------------------------------------------
 
 class _RankTable:
-    """Memoized rank of one block's chosen columns over arbitrary row subsets."""
+    """Memoized rank of one block's chosen columns over arbitrary row subsets.
+
+    The block is full column rank, so its chosen columns are too: over all
+    rows the rank is the column count.
+    """
 
     def __init__(self, grid: list[list[int]], cols: IndexSet):
         self._rows = [[row[c - 1] for c in cols] for row in grid]
-        self._n_cols = len(cols)
+        self._n_cols = self.full_rank = len(cols)
         self._all = (1 << len(grid)) - 1
-        self._memo: dict[int, int] = {}
-        self.full_rank = self.rank_of_rows(self._all)
+        self._memo: dict[int, int] = {self._all: self.full_rank}
 
     def rank_of_rows(self, rowmask: int) -> int:
         cached = self._memo.get(rowmask)
@@ -243,25 +248,12 @@ class _RankTable:
         return self.full_rank - self.rank_of_rows(~jmask & self._all)
 
 
-class _RankTableSet:
-    """The rank tables of one scan: one table per (block, Y_i), over the ensemble's grids.
-
-    Built at the start of a scan and dropped with it, so memory stays
-    bounded by the scan's own column choices.
-    """
-
-    def __init__(self, ensemble: Ensemble):
-        self._grids = ensemble._grids
-        self._memo: dict[tuple[int, tuple[int, ...]], _RankTable] = {}
-
-    def of(self, ys: tuple[IndexSet, ...]) -> list[_RankTable]:
-        out = []
-        for i, y in enumerate(ys):
-            table = self._memo.get((i, y.members))
-            if table is None:
-                table = self._memo[i, y.members] = _RankTable(self._grids[i], y)
-            out.append(table)
-        return out
+def _rank_tables(ensemble: Ensemble, ys: tuple[IndexSet, ...]) -> list[_RankTable]:
+    """The ensemble's rank table of each block's chosen columns, built once per (block, Y_i)."""
+    return [
+        ensemble._memoized((_RankTable, i, y.members), lambda: _RankTable(grid, y))
+        for i, (grid, y) in enumerate(zip(ensemble._grids, ys))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +315,10 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
     """
     _check_tau(ensemble, tau)
     n = ensemble.n
-    table_set = None
     witnesses = []
     for scan in _c2_scans(ensemble):
         if tau not in scan.first_at and scan.next_mask is not None:
-            table_set = table_set or _RankTableSet(ensemble)
-            scan.advance(table_set.of(scan.ys), n, tau)
+            scan.advance(_rank_tables(ensemble, scan.ys), n, tau)
         if tau not in scan.first_at:
             return CheckResult(
                 "C2",
@@ -460,14 +450,13 @@ def _c4_scan(ensemble: Ensemble) -> dict[int, _Violation]:
     n = ensemble.n
     per_size: dict[int, _Violation] = {}
     order = 0
-    table_set = _RankTableSet(ensemble)
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
             continue
         x = IndexSet.from_mask(n, xmask)
         for ys in column_choices(ensemble, size):
-            tables = table_set.of(ys)
+            tables = _rank_tables(ensemble, ys)
             sizes = tuple(len(y) for y in ys)
             for parts in _ordered_partitions(x.members, sizes):
                 order += 1
@@ -512,7 +501,6 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
     per_size: dict[int, _Violation] = {}
     holders: list[Witness] = []
     order = 0
-    table_set = _RankTableSet(ensemble)
     for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
@@ -521,7 +509,7 @@ def _c5_scan(ensemble: Ensemble) -> _C5Scan:
         xc_mask = ~xmask & (1 << n) - 1
         for ys in column_choices(ensemble, size):
             order += 1
-            tables = table_set.of(ys)
+            tables = _rank_tables(ensemble, ys)
             found = None
             best, best_mask = None, 0
             for jmask in lex_subset_masks(n, cap=xmask):

@@ -12,6 +12,7 @@ the combinatorial statements they feed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -22,11 +23,18 @@ from .errors import ShapeError
 Rational = Fraction
 
 
+# An optional sign, ASCII digits, then optionally "/" and ASCII digits.
+_RATIONAL_LITERAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(literal) -> Fraction:
     """Parse a rational literal: a decimal integer or a "p/q" string.
 
     Accepts Python ints and strings like "3", "-7/2".  Floats are
-    rejected to keep inexact values out of the pipeline.
+    rejected to keep inexact values out of the pipeline, and so are the
+    other strings `Fraction` would take ("1.5", "1_000", "1e5"): an
+    exponent literal such as "1e10000000" would expand to millions of
+    digits before any check could see it.
     """
     if isinstance(literal, bool):
         raise ValueError(f"not a rational literal: {literal!r}")
@@ -35,6 +43,8 @@ def parse_rational(literal) -> Fraction:
     if isinstance(literal, Fraction):
         return literal
     if isinstance(literal, str):
+        if not _RATIONAL_LITERAL.fullmatch(literal):
+            raise ValueError(f"bad rational literal {literal!r}: expected an integer or p/q")
         try:
             return Fraction(literal.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -319,19 +329,6 @@ def intersect_dim(a: ExactMatrix, b: ExactMatrix) -> int:
     if a.n_rows != b.n_rows:
         raise ShapeError(f"row count mismatch: {a.n_rows} vs {b.n_rows}")
     return rank(a) + rank(b) - rank(a.hstack(b))
-
-
-def sparse_intersection_basis(b: ExactMatrix, j: IndexSet) -> ExactMatrix:
-    """Columns spanning colspan(B) & S_J, computed through the nullspace route.
-
-    Coefficient vectors c with B_{J^c,*} c = 0 are exactly those whose
-    image Bc is supported inside J, so B times a nullspace basis of the
-    J^c row restriction spans the intersection.
-    """
-    if j.universe != b.n_rows:
-        raise ShapeError(f"index set over [{j.universe}] against {b.n_rows}-row matrix")
-    coeffs = nullspace_basis(b.take_rows(j.complement()))
-    return b.matmul(coeffs)
 
 
 def row_support(m: ExactMatrix) -> IndexSet:

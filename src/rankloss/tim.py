@@ -30,6 +30,7 @@ from .matching import adapted_basis
 from .randrank import TrialConfig, _draw_diags, _scaled_rank
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
+FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,7 @@ def _color_alignment_sets(topology: Topology, chi: int) -> dict[int, int]:
     return coloring
 
 
-def synth_exclusive_scheme(topology: Topology, attempts: int = 8) -> tuple[Scheme, SparseAssignment]:
+def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment]:
     """Beamformer synthesis achieving min(1/2, (chi+1)/(3 chi)).
 
     For chi = 1 (no reduced edges) the two-slot dense scheme already gives
@@ -366,7 +367,8 @@ def synth_exclusive_scheme(topology: Topology, attempts: int = 8) -> tuple[Schem
     by the next block of primes unless it passes the exact postconditions:
     the window structure, and at every receiver with interferers generic
     decodability, rank([interference | B_j]) = m_j + rank(interference)
-    with each generic rank from C6.
+    with each generic rank from C6.  After FILL_ATTEMPTS failed fills it
+    raises InternalInvariantError.
     """
     ok, violations = check_P1_P2(topology)
     if not ok:
@@ -386,7 +388,7 @@ def synth_exclusive_scheme(topology: Topology, attempts: int = 8) -> tuple[Schem
         for i in topology.interferers(r):
             member_window[i] = window
 
-    for attempt in range(attempts):
+    for attempt in range(FILL_ATTEMPTS):
         primes = _prime_stream(skip=97 * attempt)
         beamformers = []
         for user in range(1, topology.K + 1):
@@ -491,7 +493,7 @@ def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | N
 
 @dataclass(frozen=True)
 class StructureCheck:
-    kind: str  # "alignment-intersection" or "support-disjoint"
+    kind: str  # "alignment-collapse" or "conflict-overlap"
     users: tuple[int, ...]
     receiver: int | None
     ok: bool

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rankloss.conditions import Ensemble
-from rankloss.exactla import ExactMatrix, is_full_column_rank, rank
+from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, nullspace_basis, rank
 from rankloss.tim import Topology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,6 +63,16 @@ def cofactor_det(m: ExactMatrix) -> Fraction:
         minor = ExactMatrix(tuple(row[:j] + row[j + 1:] for row in m.rows[1:]), m.n_cols - 1)
         total += (-1) ** j * v * cofactor_det(minor)
     return total
+
+
+def sparse_intersection_basis(b: ExactMatrix, j: IndexSet) -> ExactMatrix:
+    """Columns spanning colspan(B) & S_J, through the nullspace: independent of rank differences.
+
+    Coefficient vectors c with B_{J^c,*} c = 0 are exactly those whose
+    image Bc is supported inside J, so B times a nullspace basis of the
+    J^c row restriction spans the intersection.
+    """
+    return b.matmul(nullspace_basis(b.take_rows(j.complement())))
 
 
 def fraction_scaled_rank(blocks, diags) -> int:

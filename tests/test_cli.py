@@ -53,6 +53,11 @@ def test_bad_rational_literal(tmp_path):
     path.write_text(json.dumps({"n": 2, "matrices": [[[0.5, "2"]]]}))
     with pytest.raises(LoadError):
         fileio.load_ensemble(str(path))
+    # An exponent literal would expand to ten million digits before any check.
+    path.write_text(json.dumps({"n": 2, "matrices": [[["1e10000000", "1"]]]}))
+    with pytest.raises(LoadError, match="1e10000000"):
+        fileio.load_ensemble(str(path))
+    assert main(["certify", str(path)]) == 3
 
 
 @pytest.mark.parametrize(

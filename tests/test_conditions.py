@@ -447,3 +447,26 @@ def test_derived_results_are_freed_with_the_ensemble():
     del e
     gc.collect()
     assert ref() is None
+
+
+def test_rank_tables_are_built_once_per_block_and_column_choice(monkeypatch):
+    # C2, C4 and C5 all read the ensemble's one table per (block, Y_i).
+    table_class = rankloss.conditions._RankTable
+    init = table_class.__init__
+    built = []
+
+    def counting_init(table, grid, cols):
+        built.append((id(grid), cols.members))
+        init(table, grid, cols)
+
+    monkeypatch.setattr(table_class, "__init__", counting_init)
+    rng = random.Random(2)
+    total = 0
+    for _ in range(8):
+        e = random_ensemble(rng)
+        built.clear()
+        for tau in range(1, e.R + 1):
+            cross_validate(e, tau)
+        assert len(built) == len(set(built))
+        total += len(built)
+    assert total > 0

@@ -18,8 +18,9 @@ from rankloss.exactla import (
     rank,
     row_support,
     sparse_dim,
-    sparse_intersection_basis,
 )
+
+from conftest import sparse_intersection_basis
 
 B1 = ExactMatrix.from_rows([[1, 1], [1, 2], [1, 3], [0, 0]])
 
@@ -34,6 +35,9 @@ def test_parse_rational_literals():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("abc")
+    for literal in ("1e5", "1.5", "1_000"):
+        with pytest.raises(ValueError):
+            parse_rational(literal)
 
 
 def test_rank_identity():
