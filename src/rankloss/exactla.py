@@ -24,7 +24,7 @@ Rational = Fraction
 
 
 # An optional sign, ASCII digits, then optionally "/" and ASCII digits.
-_RATIONAL_LITERAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+_RATIONAL_LITERAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(literal) -> Fraction:
@@ -43,10 +43,12 @@ def parse_rational(literal) -> Fraction:
     if isinstance(literal, Fraction):
         return literal
     if isinstance(literal, str):
-        if not _RATIONAL_LITERAL.fullmatch(literal):
+        match = _RATIONAL_LITERAL.fullmatch(literal)
+        if match is None:
             raise ValueError(f"bad rational literal {literal!r}: expected an integer or p/q")
+        num, den = match.groups()
         try:
-            return Fraction(literal.strip())
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {literal!r}: {exc}") from None
     raise ValueError(f"not a rational literal: {literal!r}")
