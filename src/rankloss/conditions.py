@@ -30,11 +30,12 @@ choices; they stop scanning a size |X| at its first violation, and every
 size up to the generic rank holds one, so they scan in full only the
 sizes above the generic rank.
 
-The `Ensemble` owns everything derived from its blocks: one cleared
-integer grid per block, read by every route, and a memo of the rank
-tables (one per block and column choice Y_i, shared by C2, C4 and C5),
-the C2 scan state, the C3-C6 results and C1's sampled ranks, freed with
-the object.  C1, C3 and C6 stay independent of the rank tables.
+Every route reads each block's own cleared integer grid
+(`ExactMatrix._grid`).  The `Ensemble` owns everything else derived from
+its blocks: a memo of the rank tables (one per block and column choice
+Y_i, shared by C2, C4 and C5), the C2 scan state, the C3-C6 results and
+C1's sampled ranks, freed with the object.  C1, C3 and C6 stay
+independent of the rank tables.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cached_property, wraps
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss, _integer_columns
+from .exactla import ExactMatrix, IndexSet, _bareiss
 from .matroid import Partition, matroid_partition
 from .randrank import C1Verdict, TrialConfig, _check_tau, check_C1
 
@@ -70,16 +71,16 @@ class Ensemble:
                 raise ShapeError(f"block {i} has {block.n_rows} rows, expected {n}")
             if block.n_cols < 1:
                 raise PreconditionError(f"block {i} has no columns")
-            if _bareiss([row[:] for row in self._grids[i - 1]], block.n_cols) != block.n_cols:
+            if block._rank != block.n_cols:
                 raise PreconditionError(f"block {i} is not full column rank")
 
     @cached_property
     def _grids(self) -> tuple[list[list[int]], ...]:
-        """Each block with its column denominators cleared; copy rows before eliminating.
+        """Each block's own cleared grid (`ExactMatrix._grid`); copy rows before eliminating.
 
         Column scaling keeps every rank and minor singularity the routes read.
         """
-        return tuple(_integer_columns(block) for block in self.blocks)
+        return tuple(block._grid for block in self.blocks)
 
     def _memoized(self, key: Any, build: Callable[[], T]) -> T:
         """build(), computed once per key and kept as long as this ensemble is."""

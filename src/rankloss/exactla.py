@@ -4,7 +4,9 @@ Every dimension computed anywhere in this package (rank certificates,
 matroid oracles, decodability checks) bottoms out here.  Matrices are
 immutable grids of `fractions.Fraction`; ranks are computed by
 fraction-free (Bareiss) elimination on denominator-cleared columns, so no
-intermediate value is ever rounded.
+intermediate value is ever rounded.  Each matrix owns its column-cleared
+integer grid and its rank, computed at most once and freed with it, so a
+block read by several routes is cleared and eliminated once.
 
 Index sets are 1-based externally, matching the usual [n] convention of
 the combinatorial statements they feed.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +29,19 @@ Rational = Fraction
 # An optional sign, ASCII digits, then optionally "/" and ASCII digits.
 _RATIONAL_LITERAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
+# Characters of a rejected literal that its error message quotes.
+_QUOTE_CHARS = 24
+
+
+def _quoted(literal) -> str:
+    """repr of a rejected literal; a long one is cut to a prefix and its length."""
+    if isinstance(literal, str):
+        size, head = len(literal), repr(literal[:_QUOTE_CHARS])
+    else:
+        text = repr(literal)
+        size, head = len(text), text[:_QUOTE_CHARS]
+    return head if size <= _QUOTE_CHARS else f"{head}... ({size} characters)"
+
 
 def parse_rational(literal) -> Fraction:
     """Parse a rational literal: a decimal integer or a "p/q" string.
@@ -34,10 +50,11 @@ def parse_rational(literal) -> Fraction:
     rejected to keep inexact values out of the pipeline, and so are the
     other strings `Fraction` would take ("1.5", "1_000", "1e5"): an
     exponent literal such as "1e10000000" would expand to millions of
-    digits before any check could see it.
+    digits before any check could see it.  An error message quotes only a
+    short prefix of the literal and its length, so a huge one stays one short line.
     """
     if isinstance(literal, bool):
-        raise ValueError(f"not a rational literal: {literal!r}")
+        raise ValueError(f"not a rational literal: {_quoted(literal)}")
     if isinstance(literal, int):
         return Fraction(literal)
     if isinstance(literal, Fraction):
@@ -45,13 +62,16 @@ def parse_rational(literal) -> Fraction:
     if isinstance(literal, str):
         match = _RATIONAL_LITERAL.fullmatch(literal)
         if match is None:
-            raise ValueError(f"bad rational literal {literal!r}: expected an integer or p/q")
+            raise ValueError(f"bad rational literal {_quoted(literal)}: expected an integer or p/q")
         num, den = match.groups()
         try:
             return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {literal!r}: {exc}") from None
-    raise ValueError(f"not a rational literal: {literal!r}")
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad rational literal {_quoted(literal)}: {exc}") from None
+        except ValueError:
+            # The digits matched, so int() refused them for CPython's digit limit.
+            raise ValueError(f"bad rational literal {_quoted(literal)}: too many digits") from None
+    raise ValueError(f"not a rational literal: {_quoted(literal)}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -181,6 +201,16 @@ class ExactMatrix:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _grid(self) -> list[list[int]]:
+        """The rows with each column's denominators cleared; copy rows before eliminating."""
+        return _integer_columns(self)
+
+    @cached_property
+    def _rank(self) -> int:
+        """Rank of the matrix, eliminated once on a copy of `_grid`."""
+        return _bareiss([row[:] for row in self._grid], self.n_cols)
+
     def column(self, j: int) -> tuple[Fraction, ...]:
         """Column with 0-based index j, as a tuple."""
         return tuple(row[j] for row in self.rows)
@@ -268,8 +298,8 @@ def _bareiss(a: list[list[int]], n_cols: int) -> int:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank over the rationals, by fraction-free (Bareiss) elimination."""
-    return _bareiss(_integer_columns(m), m.n_cols)
+    """Exact rank over the rationals, by fraction-free (Bareiss) elimination, once per matrix."""
+    return m._rank
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:

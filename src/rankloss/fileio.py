@@ -29,6 +29,9 @@ def _read_json(path: str) -> Any:
         raise LoadError(f"{path} is not well-formed JSON: {exc}") from None
     except RecursionError:
         raise LoadError(f"{path} nests JSON arrays or objects too deeply") from None
+    except ValueError as exc:
+        # CPython's limit on integer digits, hit by a JSON number too long to convert.
+        raise LoadError(f"{path} holds a number too long to read: {exc}") from None
 
 
 def _require(data: dict, key: str, where: str):

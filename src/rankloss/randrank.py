@@ -1,14 +1,15 @@
 """Randomized evaluation oracle for the ensemble's almost-sure rank.
 
-Scaling coefficients are sampled as uniform nonzero integers and the
-scaled concatenation's rank is computed exactly; C1 and `tim`'s sampled
-checks all draw and eliminate here.  Any single evaluation point gives a
-certain lower bound on the generic rank; by the Zippel-Schwartz lemma the
-maximum over trials equals the generic rank except with probability at
-most (n / entry_bound) ** trials.
+Scaling coefficients are sampled as uniform integers in [1, entry_bound],
+by rejection sampling on a seeded stream's random bits, and the scaled
+concatenation's rank is computed exactly; C1 and `tim`'s sampled checks
+all draw here.  Any single evaluation point gives a certain lower bound
+on the generic rank; by the Zippel-Schwartz lemma the maximum over trials
+equals the generic rank except with probability at most
+(n / entry_bound) ** trials.
 
-The ensemble owns its derived results: sampling reads its cleared grids,
-and C1 memoizes sampled ranks on it, one entry per `TrialConfig`.
+Sampling reads each block's own cleared grid, and C1 memoizes sampled
+ranks on the ensemble, one entry per `TrialConfig`.
 """
 
 from __future__ import annotations
@@ -46,9 +47,33 @@ class TrialConfig:
 
 
 def _draw_diags(cfg: TrialConfig, stream: int, n: int, count: int) -> list[list[int]]:
-    """`count` diagonals of n nonzero scalings, drawn in order from one stream."""
-    rng = cfg.trial_rng(stream)
-    return [[rng.randint(1, cfg.entry_bound) for _ in range(n)] for _ in range(count)]
+    """`count` diagonals of n nonzero scalings, drawn in order from one stream.
+
+    Each scaling is 1 + r, with r drawn by rejection sampling on
+    getrandbits(entry_bound.bit_length()) until r < entry_bound: the draws
+    `rng.randint(1, entry_bound)` makes, without its per-call overhead.
+    """
+    getrandbits = cfg.trial_rng(stream).getrandbits
+    bound = cfg.entry_bound
+    bits = bound.bit_length()
+    diags = []
+    for _ in range(count):
+        diag = []
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
+            diag.append(r + 1)
+        diags.append(diag)
+    return diags
+
+
+def _scaled_rows(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of [D_1 G_1 | ... | D_k G_k] over integer grids with n rows (none for no grids)."""
+    return [
+        [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
+        for grid_rows, ds in zip(zip(*grids), zip(*diags))
+    ]
 
 
 def _scaled_rank(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> int:
@@ -57,10 +82,7 @@ def _scaled_rank(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]
     Column scaling leaves that rank unchanged, so callers pass each block
     with its column denominators cleared and every call eliminates plain integers.
     """
-    rows = [
-        [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
-        for grid_rows, ds in zip(zip(*grids), zip(*diags))
-    ]
+    rows = _scaled_rows(grids, diags)
     return _bareiss(rows, len(rows[0])) if rows else 0
 
 

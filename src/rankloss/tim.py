@@ -5,8 +5,12 @@ floor.  The analyzer characterizes when half symmetric DoF is achievable
 (bipartiteness of the reduced conflict graph), evaluates the linear
 symmetric DoF formula for exclusive-alignment topologies, synthesizes the
 corresponding beamforming schemes, and verifies decodability by sampled
-exact rank computations, drawn and eliminated by `randrank`.  Synthesized
-exclusive-alignment schemes are checked exactly, with generic ranks from C6.
+exact rank computations on scalings drawn by `randrank`: one elimination
+per receiver trial gives both the combined and the interference rank.
+Synthesized exclusive-alignment schemes are checked exactly, with generic
+ranks from C6.  Each beamformer's cleared grid and rank live on its
+`ExactMatrix`, so synthesis, `Scheme` and verification clear and rank-check
+it once.
 """
 
 from __future__ import annotations
@@ -14,20 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .conditions import Ensemble, max_tau
 from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import (
-    ExactMatrix,
-    IndexSet,
-    _integer_columns,
-    is_full_column_rank,
-    row_support,
-    sparse_dim,
-)
+from .exactla import ExactMatrix, IndexSet, _bareiss, is_full_column_rank, row_support, sparse_dim
 from .matching import adapted_basis
-from .randrank import TrialConfig, _draw_diags, _scaled_rank
+from .randrank import TrialConfig, _draw_diags, _scaled_rank, _scaled_rows
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
@@ -326,7 +324,7 @@ def _prime_stream(skip: int = 0) -> Iterator[int]:
     count = 0
     candidate = 2
     while True:
-        if all(candidate % p for p in range(2, int(candidate**0.5) + 1)):
+        if all(candidate % p for p in range(2, isqrt(candidate) + 1)):
             count += 1
             if count > skip:
                 yield candidate
@@ -471,18 +469,23 @@ def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | N
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
     n = scheme.n
-    grids = [_integer_columns(b) for b in scheme.beamformers]
+    grids = [b._grid for b in scheme.beamformers]
     per_receiver = []
     details = []
     for j in range(1, topology.K + 1):
         m_j = scheme.beamformers[j - 1].n_cols
-        interference = [grids[i - 1] for i in sorted(topology.interferers(j))]
+        interferers = sorted(topology.interferers(j))
+        interference = [grids[i - 1] for i in interferers]
+        width = sum(scheme.beamformers[i - 1].n_cols for i in interferers)
         ranks = []
         for trial in range(cfg.trials):
             # stream trial * K + j: the desired block draws first, then the interferers
             desired_diag, *diags = _draw_diags(cfg, trial * topology.K + j, n, 1 + len(interference))
-            interference_rank = _scaled_rank(interference, diags)
-            combined_rank = _scaled_rank(interference + [grids[j - 1]], diags + [desired_diag])
+            rows = _scaled_rows(interference + [grids[j - 1]], diags + [desired_diag])
+            combined_rank = _bareiss(rows, width + m_j)
+            # Elimination runs column by column, so the rows left with a pivot
+            # among the first `width` columns count the interference's rank.
+            interference_rank = sum(1 for row in rows if any(row[:width]))
             ranks.append((combined_rank, interference_rank))
         per_receiver.append(all(c == m_j + i for c, i in ranks))
         details.append(tuple(ranks))

@@ -61,6 +61,25 @@ def test_bad_rational_literal(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "entry, location",
+    [
+        ('"' + "7" * 1_000_000 + '"', "block 1, column 1, row 2: bad rational literal '7777"),
+        ("[" + ", ".join(["0"] * 300_000) + "]", "block 1, column 1, row 2: not a rational literal: [0, 0"),
+        ("7" * 1_000_000, "holds a number too long to read"),
+    ],
+    ids=["string-numeral", "huge-repr", "json-number"],
+)
+def test_huge_literal_gives_one_short_error_line(tmp_path, capsys, entry, location):
+    # A 1 MB literal is quoted by a short prefix, not echoed into a 1 MB line.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "matrices": [[["1", ' + entry + "]]]}")
+    assert main(["certify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert location in err
+
+
+@pytest.mark.parametrize(
     "loader, data, location",
     [
         ("ensemble", {"n": True, "matrices": [[["1"]]]}, "n must be"),

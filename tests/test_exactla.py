@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import rankloss.exactla
 from rankloss.errors import ShapeError
 from rankloss.exactla import (
     ExactMatrix,
     IndexSet,
     format_rational,
     intersect_dim,
+    is_full_column_rank,
     nullspace_basis,
     parse_rational,
     rank,
@@ -38,6 +42,37 @@ def test_parse_rational_literals():
     for literal in ("1e5", "1.5", "1_000"):
         with pytest.raises(ValueError):
             parse_rational(literal)
+    # A huge rejected literal is quoted by a short prefix and its length.
+    for literal, head in (("7" * 1_000_000, "'7777"), ("x" * 100_000, "'xxxx"), ([0] * 100_000, "[0, 0")):
+        with pytest.raises(ValueError) as info:
+            parse_rational(literal)
+        message = str(info.value)
+        assert len(message) < 120 and head in message and "characters)" in message
+
+
+def test_rank_is_computed_once_per_matrix(monkeypatch):
+    calls = []
+    bareiss = rankloss.exactla._bareiss
+
+    def counting_bareiss(a, n_cols):
+        calls.append(n_cols)
+        return bareiss(a, n_cols)
+
+    monkeypatch.setattr(rankloss.exactla, "_bareiss", counting_bareiss)
+    m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)], [1, 1]])
+    assert rank(m) == 2 and rank(m) == 2 and is_full_column_rank(m)
+    assert calls == [2]
+    assert m._grid == [[1, 3], [0, 2], [2, 3]]
+
+
+def test_matrix_memos_are_freed_with_the_matrix():
+    m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)], [1, 1]])
+    assert rank(m) == 2
+    assert {"_grid", "_rank"} <= set(vars(m))
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
 
 
 def test_rank_identity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ def test_sample_ranks_match_fraction_route():
                 diags = _draw_diags(cfg, t, e.n, e.K)
                 assert r == fraction_scaled_rank(e.blocks, diags)
     assert set(sample_ranks(degenerate, configs[1])) == {1, 2}
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 2**31 - 1, 2**31, 10**12 + 7])
+def test_draws_equal_randint(bound):
+    # Rejection sampling on getrandbits reproduces randint(1, bound) draw for draw.
+    cfg = TrialConfig(entry_bound=bound, seed=7)
+    for stream in range(60):
+        rng = random.Random(f"7:{stream}")
+        expected = [[rng.randint(1, bound) for _ in range(5)] for _ in range(3)]
+        assert _draw_diags(cfg, stream, 5, 3) == expected
 
 
 def test_trial_streams_never_collide():

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import rankloss
 from rankloss import fileio
 from rankloss.conditions import Ensemble
 from rankloss.errors import PreconditionError
@@ -32,6 +34,7 @@ from rankloss.tim import (
     synth_half_dof_scheme,
     verify_decodability,
     _color_alignment_sets,
+    _prime_stream,
 )
 
 from conftest import FIXTURES, e1, fraction_scaled_rank, t6, t9a, t9b
@@ -254,6 +257,58 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
     top = Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])
     scheme, _ = synth_exclusive_scheme(top)
     assert verify_decodability(top, scheme, TrialConfig(seed=3)).ok
+
+
+def test_prime_stream_matches_sieve():
+    limit = 17_390  # just past the 2000th prime, 17389
+    composite = bytearray(limit)
+    primes = []
+    for v in range(2, limit):
+        if not composite[v]:
+            primes.append(v)
+            composite[v * v :: v] = b"\x01" * len(range(v * v, limit, v))
+    primes = primes[:2000]
+    assert list(itertools.islice(_prime_stream(), 2000)) == primes
+    assert list(itertools.islice(_prime_stream(skip=97), 5)) == primes[97:102]
+
+
+def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
+    # Each matrix keeps its cleared grid and rank: the postconditions, every
+    # C6 Ensemble, Scheme and verify_decodability all read the same ones.
+    cleared = []
+    clear = rankloss.exactla._integer_columns
+
+    def counting_clear(m):
+        cleared.append(m)  # keeps m alive, so ids stay distinct
+        return clear(m)
+
+    monkeypatch.setattr(rankloss.exactla, "_integer_columns", counting_clear)
+    # t9a takes the first fill; this topology's first fill fails its postconditions
+    for top in (t9a(), Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])):
+        cleared.clear()
+        scheme, _ = synth_exclusive_scheme(top)
+        assert verify_decodability(top, scheme, FAST).ok
+        times = Counter(map(id, cleared))
+        assert max(times.values()) == 1
+        assert all(times[id(b)] == 1 for b in scheme.beamformers)
+
+
+def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
+    # Both ranks of a trial come from one elimination of [interference | B_j].
+    calls = []
+    bareiss = rankloss.exactla._bareiss
+
+    def counting_bareiss(a, n_cols):
+        calls.append(n_cols)
+        return bareiss(a, n_cols)
+
+    cases = [(t9a(), synth_exclusive_scheme(t9a())[0]), (t6(), synth_half_dof_scheme(t6()))]
+    for module in (rankloss.exactla, rankloss.randrank, rankloss.conditions, rankloss.tim):
+        monkeypatch.setattr(module, "_bareiss", counting_bareiss)
+    for topology, scheme in cases:
+        calls.clear()
+        verify_decodability(topology, scheme, FAST)
+        assert len(calls) == topology.K * FAST.trials
 
 
 def test_exclusive_scheme_requires_p1p2():
