@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import fileio
@@ -55,7 +56,36 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pretty", action="store_true", help="indent the report")
 
 
-def _config(args) -> TrialConfig:
+def _prints(base: int, exponent: int) -> bool:
+    """Can str() convert base ** exponent under the interpreter's digit limit?"""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or base < 2:
+        return True
+    ceiling = 10**limit
+    # base ** exponent has at least (bit_length - 1) * exponent bits; past the
+    # ceiling's bit length it is too long, and short of it the power is cheap.
+    if (base.bit_length() - 1) * exponent >= ceiling.bit_length():
+        return False
+    return base**exponent < ceiling
+
+
+def _config(args, n: int) -> TrialConfig:
+    """The sampling flags as a TrialConfig, checked before any sampling.
+
+    Reports print the failure bound (n / 2**bits) ** trials as an exact
+    fraction, so flags whose bound str() cannot convert are refused here
+    instead of failing after the sampling.
+    """
+    if args.bits < 1:
+        raise PreconditionError(f"--bits must be >= 1, got {args.bits}")
+    if args.trials < 1:
+        raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
+    twos = min((n & -n).bit_length() - 1, args.bits)
+    if not (_prints(2, (args.bits - twos) * args.trials) and _prints(n >> twos, args.trials)):
+        raise PreconditionError(
+            f"--bits {args.bits} with --trials {args.trials} gives a failure bound "
+            f"(n/2^bits)^trials too long to print; lower --bits or --trials"
+        )
     return TrialConfig(trials=args.trials, entry_bound=2**args.bits, seed=args.seed)
 
 
@@ -65,66 +95,6 @@ def _indexset(text: str, universe: int, what: str) -> IndexSet:
         return IndexSet.of(universe, members)
     except ValueError:
         raise PreconditionError(f"{what} must be a comma-separated list of indices, got {text!r}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rankloss", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    certify = sub.add_parser("certify", help="maximum almost-sure rank loss of an ensemble")
-    certify.add_argument("ensemble", help="ensemble JSON file")
-    certify.add_argument("--tau", type=int, help="also report the C2 verdict at this rank loss")
-    _add_output_flags(certify)
-
-    mc = sub.add_parser("mc-rank", help="sampled generic rank of the scaled concatenation")
-    mc.add_argument("ensemble")
-    _add_sampling_flags(mc)
-    _add_output_flags(mc)
-
-    equiv = sub.add_parser("equiv", help="cross-validate conditions C1 through C5")
-    equiv.add_argument("ensemble")
-    equiv.add_argument("--tau", type=int, required=True)
-    _add_sampling_flags(equiv)
-    _add_output_flags(equiv)
-
-    mat = sub.add_parser("matroid-check", help="rank tables and axioms of a block's matroid")
-    mat.add_argument("ensemble")
-    mat.add_argument("--block", type=int, required=True, help="1-based block index")
-    mat.add_argument("--rows", required=True, help="ground set X, e.g. 1,2,3")
-    mat.add_argument("--cols", required=True, help="column choice Y, e.g. 1,2")
-    _add_output_flags(mat)
-
-    tim = sub.add_parser("tim", help="topological interference management analyzer")
-    tim_sub = tim.add_subparsers(dest="tim_command", required=True)
-
-    dof = tim_sub.add_parser("dof", help="conflict graphs, feasibility, and the DoF formula")
-    dof.add_argument("topology")
-    _add_output_flags(dof)
-
-    scheme = tim_sub.add_parser("scheme", help="synthesize a beamforming scheme")
-    scheme.add_argument("topology")
-    scheme.add_argument(
-        "--kind",
-        choices=["auto", "half", "exclusive"],
-        default="auto",
-        help="half: two-slot scheme; exclusive: alignment-window scheme; auto picks",
-    )
-    scheme.add_argument("--scheme-out", metavar="PATH", help="write the scheme file here")
-    _add_output_flags(scheme)
-
-    verify = tim_sub.add_parser("verify", help="sampled decodability of a scheme")
-    verify.add_argument("topology")
-    verify.add_argument("scheme")
-    _add_sampling_flags(verify)
-    _add_output_flags(verify)
-
-    norm = tim_sub.add_parser("normalize", help="tighten an aligned design's sparse windows")
-    norm.add_argument("topology")
-    norm.add_argument("scheme", help="scheme file carrying a sparse_assignment")
-    norm.add_argument("--scheme-out", metavar="PATH", help="write the normalized scheme here")
-    _add_output_flags(norm)
-
-    return parser
 
 
 def _cmd_certify(args) -> dict:
@@ -151,7 +121,7 @@ def _cmd_certify(args) -> dict:
 
 def _cmd_mc_rank(args) -> dict:
     ensemble = fileio.load_ensemble(args.ensemble)
-    cfg = _config(args)
+    cfg = _config(args, ensemble.n)
     ranks = sample_ranks(ensemble, cfg)
     return {
         "command": "mc-rank",
@@ -166,7 +136,7 @@ def _cmd_mc_rank(args) -> dict:
 
 def _cmd_equiv(args) -> dict:
     ensemble = fileio.load_ensemble(args.ensemble)
-    report = cross_validate(ensemble, args.tau, _config(args))
+    report = cross_validate(ensemble, args.tau, _config(args, ensemble.n))
     out = {"command": "equiv", "input": args.ensemble}
     out.update(report.to_dict())
     return out
@@ -258,7 +228,7 @@ def _cmd_tim_scheme(args) -> dict:
 def _cmd_tim_verify(args) -> dict:
     topology = fileio.load_topology(args.topology)
     scheme, _ = fileio.load_scheme(args.scheme)
-    result = verify_decodability(topology, scheme, _config(args))
+    result = verify_decodability(topology, scheme, _config(args, scheme.n))
     return {
         "command": "tim verify",
         "topology": args.topology,
@@ -291,34 +261,125 @@ def _cmd_tim_normalize(args) -> dict:
     return report
 
 
-_HANDLERS = {
-    "certify": _cmd_certify,
-    "mc-rank": _cmd_mc_rank,
-    "equiv": _cmd_equiv,
-    "matroid-check": _cmd_matroid_check,
+def _certify_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("ensemble", help="ensemble JSON file")
+    parser.add_argument("--tau", type=int, help="also report the C2 verdict at this rank loss")
+    _add_output_flags(parser)
+
+
+def _mc_rank_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("ensemble")
+    _add_sampling_flags(parser)
+    _add_output_flags(parser)
+
+
+def _equiv_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("ensemble")
+    parser.add_argument("--tau", type=int, required=True)
+    _add_sampling_flags(parser)
+    _add_output_flags(parser)
+
+
+def _matroid_check_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("ensemble")
+    parser.add_argument("--block", type=int, required=True, help="1-based block index")
+    parser.add_argument("--rows", required=True, help="ground set X, e.g. 1,2,3")
+    parser.add_argument("--cols", required=True, help="column choice Y, e.g. 1,2")
+    _add_output_flags(parser)
+
+
+def _tim_dof_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("topology")
+    _add_output_flags(parser)
+
+
+def _tim_scheme_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("topology")
+    parser.add_argument(
+        "--kind",
+        choices=["auto", "half", "exclusive"],
+        default="auto",
+        help="half: two-slot scheme; exclusive: alignment-window scheme; auto picks",
+    )
+    parser.add_argument("--scheme-out", metavar="PATH", help="write the scheme file here")
+    _add_output_flags(parser)
+
+
+def _tim_verify_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("topology")
+    parser.add_argument("scheme")
+    _add_sampling_flags(parser)
+    _add_output_flags(parser)
+
+
+def _tim_normalize_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("topology")
+    parser.add_argument("scheme", help="scheme file carrying a sparse_assignment")
+    parser.add_argument("--scheme-out", metavar="PATH", help="write the normalized scheme here")
+    _add_output_flags(parser)
+
+
+# Every command as name -> (help, add_arguments, handler), in the order help
+# lists them.  A group such as `tim` has no arguments of its own, and its
+# handler slot holds a nested table of the same shape.
+_TIM_COMMANDS = {
+    "dof": ("conflict graphs, feasibility, and the DoF formula", _tim_dof_args, _cmd_tim_dof),
+    "scheme": ("synthesize a beamforming scheme", _tim_scheme_args, _cmd_tim_scheme),
+    "verify": ("sampled decodability of a scheme", _tim_verify_args, _cmd_tim_verify),
+    "normalize": ("tighten an aligned design's sparse windows", _tim_normalize_args, _cmd_tim_normalize),
 }
 
-_TIM_HANDLERS = {
-    "dof": _cmd_tim_dof,
-    "scheme": _cmd_tim_scheme,
-    "verify": _cmd_tim_verify,
-    "normalize": _cmd_tim_normalize,
+_COMMANDS = {
+    "certify": ("maximum almost-sure rank loss of an ensemble", _certify_args, _cmd_certify),
+    "mc-rank": ("sampled generic rank of the scaled concatenation", _mc_rank_args, _cmd_mc_rank),
+    "equiv": ("cross-validate conditions C1 through C5", _equiv_args, _cmd_equiv),
+    "matroid-check": ("rank tables and axioms of a block's matroid", _matroid_check_args, _cmd_matroid_check),
+    "tim": ("topological interference management analyzer", None, _TIM_COMMANDS),
 }
+
+
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str, argv: Sequence[str]) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named = bool(argv) and argv[0] in table
+    for name in [argv[0]] if named else table:
+        help_text, add_arguments, run = table[name]
+        command = sub.add_parser(name, help=help_text)
+        if isinstance(run, dict):
+            _add_commands(command, run, f"{name}_command", argv[1:] if named else ())
+        else:
+            add_arguments(command)
+            command.set_defaults(run=run)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for `argv`; with no argv, the full parser of every command.
+
+    Where argv names a command (and, under `tim`, a subcommand), only that
+    sub-parser is built; at a level where it names none (no arguments, `-h`,
+    an unknown name) every sub-parser is built, so argparse prints the full
+    usage, help and error text.  Each command runs in a fresh process, and
+    building all ten sub-parsers (53 arguments) costs about 2 ms, most of the
+    run time of a light command such as `tim dof`.
+    """
+    parser = argparse.ArgumentParser(prog="rankloss", description=__doc__.splitlines()[0])
+    _add_commands(parser, _COMMANDS, "command", argv)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser(argv).parse_known_args(argv)
+        if extras:
+            # argparse reports unrecognized arguments under the top-level
+            # usage, which lists every command: only the full parser prints it.
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 
     started = time.monotonic()
     try:
-        if args.command == "tim":
-            report = _TIM_HANDLERS[args.tim_command](args)
-        else:
-            report = _HANDLERS[args.command](args)
+        report = args.run(args)
         report["timing_seconds"] = round(time.monotonic() - started, 6)
         text = fileio.write_json(report, args.out, pretty=args.pretty)
     except LoadError as exc:

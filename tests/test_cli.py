@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from rankloss import fileio
-from rankloss.cli import main
+from rankloss.cli import build_parser, main
 from rankloss.errors import LoadError
 from rankloss.exactla import IndexSet
+from rankloss.randrank import TrialConfig
 
 from conftest import FIXTURES, e1, t6
 
@@ -281,9 +285,112 @@ def test_exit_code_precondition(capsys):
     capsys.readouterr()
 
 
-def test_exit_code_usage(capsys):
+def test_exit_code_usage(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
     assert main(["no-such-command"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "usage: rankloss [-h] {certify,mc-rank,equiv,matroid-check,tim} ...\n"
+    )
+
+
+COMMANDS = [
+    ["certify"], ["mc-rank"], ["equiv"], ["matroid-check"],
+    ["tim", "dof"], ["tim", "scheme"], ["tim", "verify"], ["tim", "normalize"],
+]
+
+
+@pytest.mark.parametrize("argv", [[], ["tim"], *COMMANDS], ids=lambda argv: " ".join(argv) or "top")
+def test_help_matches_the_full_parser(monkeypatch, capsys, argv):
+    # main builds only the named command's sub-parser; --help must read the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_same_as_full_parser(capsys, [*argv, "--help"], 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["tim"],
+        ["tim", "bogus"],
+        ["tim", "scheme", "T6.json", "--kind", "bogus"],
+        ["certify"],
+        ["certify", "E1.json", "--bogus"],
+        ["tim", "dof", "T6.json", "extra"],
+    ],
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_usage_errors_match_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_same_as_full_parser(capsys, argv, 2)
+
+
+def assert_same_as_full_parser(capsys, argv, code):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert exit_info.value.code == code
+    assert main(argv) == code
+    assert capsys.readouterr() == expected
+    assert expected.out or expected.err
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    root = FIXTURES.parent
+    topology = str(FIXTURES / "T6.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankloss.cli", "tim", "dof", topology],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    _, expected = run(capsys, "tim", "dof", topology)
+    report.pop("timing_seconds")
+    expected.pop("timing_seconds")
+    assert report == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mc-rank", "E1.json", "--bits", "720"], "--bits 720 with --trials 20"),
+        (["mc-rank", "E1.json", "--trials", "500"], "--bits 31 with --trials 500"),
+        (["equiv", "E1.json", "--tau", "1", "--bits", "800"], "--bits 800 with --trials 20"),
+        (["tim", "verify", "T6.json", "SCHEME", "--bits", "800"], "--bits 800 with --trials 20"),
+        # (4 / 2**14287) ** 1 has a 4301-digit denominator, one past the limit.
+        (["mc-rank", "E1.json", "--trials", "1", "--bits", "14287"], "--bits 14287 with --trials 1"),
+        # (3 / 2) ** 9100 has a 4342-digit numerator.
+        (["mc-rank", "E3.json", "--bits", "1", "--trials", "9100"], "--bits 1 with --trials 9100"),
+        (["mc-rank", "E1.json", "--bits", "0"], "--bits must be >= 1, got 0"),
+        (["equiv", "E1.json", "--tau", "1", "--bits", "-3"], "--bits must be >= 1, got -3"),
+        (["tim", "verify", "T6.json", "SCHEME", "--trials", "0"], "--trials must be >= 1, got 0"),
+    ],
+)
+def test_sampling_flags_refused_before_sampling(tmp_path, monkeypatch, capsys, argv, message):
+    # The report prints the failure bound (n / 2**bits) ** trials exactly;
+    # flags it cannot print exit 4 at once instead of a traceback after sampling.
+    scheme = tmp_path / "scheme.json"
+    assert main(["tim", "scheme", str(FIXTURES / "T6.json"), "--scheme-out", str(scheme)]) == 0
     capsys.readouterr()
+
+    def no_sampling(self, trial):
+        raise AssertionError("sampled before the flags were checked")
+
+    monkeypatch.setattr(TrialConfig, "trial_rng", no_sampling)
+    argv = [str(scheme) if a == "SCHEME" else str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_longest_printable_failure_bound(capsys):
+    code, report = run(capsys, "mc-rank", str(FIXTURES / "E1.json"), "--trials", "1", "--bits", "14286")
+    assert code == 0
+    assert len(report["failure_probability_bound"]) == len("1/") + 4300
 
 
 def test_exit_code_internal_on_disagreement(monkeypatch, capsys):
