@@ -139,10 +139,6 @@ class IndexSet:
         self._check_universe(other)
         return IndexSet.of(self.universe, set(self.members) - set(other.members))
 
-    def issubset(self, other: "IndexSet") -> bool:
-        self._check_universe(other)
-        return set(self.members) <= set(other.members)
-
     def _check_universe(self, other: "IndexSet") -> None:
         if self.universe != other.universe:
             raise ShapeError(f"universe mismatch: {self.universe} vs {other.universe}")
@@ -192,11 +188,6 @@ class ExactMatrix:
                 raise ShapeError(f"ragged column: expected {n_rows} entries, got {len(col)}")
         return cls(tuple(tuple(col[i] for col in cols) for i in range(n_rows)), len(cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -218,9 +209,6 @@ class ExactMatrix:
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.n_cols)]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(self.column(j) for j in range(self.n_cols)), self.n_rows)
-
     def take_rows(self, rows: IndexSet) -> "ExactMatrix":
         if rows.universe != self.n_rows:
             raise ShapeError(f"row set over [{rows.universe}] applied to {self.n_rows}-row matrix")
@@ -230,10 +218,6 @@ class ExactMatrix:
         if cols.universe != self.n_cols:
             raise ShapeError(f"column set over [{cols.universe}] applied to {self.n_cols}-column matrix")
         return ExactMatrix(tuple(tuple(row[j - 1] for j in cols) for row in self.rows), len(cols))
-
-    def submatrix(self, rows: IndexSet, cols: IndexSet) -> "ExactMatrix":
-        """B_{X,Y}: keep rows in X and columns in Y, preserving relative order."""
-        return self.take_rows(rows).take_cols(cols)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.n_rows != self.n_rows:
@@ -251,16 +235,6 @@ class ExactMatrix:
             tuple(tuple(sum(a * c for a, c in zip(row, col)) for col in cols) for row in self.rows),
             other.n_cols,
         )
-
-    def scale_column(self, j: int, factor) -> "ExactMatrix":
-        f = parse_rational(factor)
-        return ExactMatrix(
-            tuple(tuple(v * f if k == j else v for k, v in enumerate(row)) for row in self.rows),
-            self.n_cols,
-        )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
 
 
 def _integer_columns(m: ExactMatrix) -> list[list[int]]:

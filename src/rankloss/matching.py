@@ -5,18 +5,21 @@ adjacent to every row where it has a nonzero entry.  Matching sizes on
 such graphs are the final reformulation of the rank-loss certificate, via
 the defect version of Hall's theorem: a bipartite graph G = (A u B, E)
 has a matching of size k iff |N(I)| >= |I| - |B| + k for every I in B.
+
+Every answer comes from one maximum matching, found by augmenting paths
+in polynomial time.  The defect max_I |I| - |N(I)| equals |B| minus the
+maximum matching size (Konig-Ore duality), and the Hall threshold holds
+exactly when that size is at least k, so no subset of B is ever scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError, ShapeError
 from .exactla import ExactMatrix, IndexSet, nullspace_basis, rank
-
-_EXHAUSTIVE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -36,12 +39,6 @@ class SupportGraph:
 
     def adjacency(self, right_index: int) -> int:
         return self.rights[right_index][2]
-
-    def neighborhood(self, right_subset: Iterable[int]) -> int:
-        mask = 0
-        for r in right_subset:
-            mask |= self.rights[r][2]
-        return mask
 
 
 def build_support_graph(columns: Sequence[tuple[int, Sequence]]) -> SupportGraph:
@@ -96,27 +93,8 @@ def max_matching(graph: SupportGraph) -> int:
 
 
 def defect(graph: SupportGraph) -> int:
-    """max over right subsets I of |I| - |N(I)|.
-
-    Exhaustive subset scan up to 16 right vertices; beyond that the exact
-    value comes from matching duality (defect = |right| - max matching).
-    """
-    m = graph.n_right
-    if m > _EXHAUSTIVE_LIMIT:
-        return m - max_matching(graph)
-    best = 0
-    adjs = [adj for _, _, adj in graph.rights]
-    for mask in range(1 << m):
-        nbhd = 0
-        size = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            nbhd |= adjs[low.bit_length() - 1]
-            size += 1
-            rest ^= low
-        best = max(best, size - nbhd.bit_count())
-    return best
+    """max over right subsets I of |I| - |N(I)|, by duality: |right| - max matching."""
+    return graph.n_right - max_matching(graph)
 
 
 def hall_threshold_check(graph: SupportGraph, k: int) -> bool:
@@ -128,7 +106,7 @@ def hall_threshold_check(graph: SupportGraph, k: int) -> bool:
         raise PreconditionError(
             f"k must lie in [0, {min(graph.n_left, graph.n_right)}], got {k}"
         )
-    return defect(graph) <= graph.n_right - k
+    return max_matching(graph) >= k
 
 
 def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:

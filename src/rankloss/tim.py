@@ -529,9 +529,19 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
         {t}), the scaled spans intersect almost surely and receiver k
         fails.
 
+    Both are decided exactly in polynomial time.  For (a) the pair has
+    m_1 + m_2 = n, so its one column choice is all columns, and the
+    largest sparse surplus over J is the pair's max_tau; by C2 <=> C6 it
+    reaches n/2 exactly when C6's generic rank of the pair is at most n/2.
+    For (b) a full-column-rank n x n/2 block keeps sparse dimension n/2
+    off slot t exactly when its row t is zero, so t is commonly avoidable
+    exactly when it lies in neither block's row support.
+
     A reported violation shows the scheme cannot satisfy decodability;
     both checks are exact and never flag a decodable design.
     """
+    if scheme.K != topology.K:
+        raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
     n = scheme.n
     if n % 2 != 0 or any(m != n // 2 for m in scheme.symbol_counts):
         raise PreconditionError("structure check applies to exact half-rate schemes (m_i = n/2)")
@@ -542,21 +552,12 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
         if len(members) < 2:
             continue
         for i1, i2 in itertools.combinations(members, 2):
-            pair = (scheme.beamformers[i1 - 1], scheme.beamformers[i2 - 1])
-            collapses = any(
-                sum(sparse_dim(b, IndexSet.from_mask(n, jmask)) for b in pair)
-                >= jmask.bit_count() + half
-                for jmask in range(1 << n)
-            )
-            checks.append(StructureCheck("alignment-collapse", (i1, i2), r, collapses))
+            pair = [scheme.beamformers[i1 - 1], scheme.beamformers[i2 - 1]]
+            checks.append(StructureCheck("alignment-collapse", (i1, i2), r, _generic_rank(pair) <= half))
     reduced = reduced_conflict_graph(topology)
     for i, k in sorted(reduced.edges):
-        b_i, b_k = scheme.beamformers[i - 1], scheme.beamformers[k - 1]
-        overlap = any(
-            sparse_dim(b_i, avoid) >= half and sparse_dim(b_k, avoid) >= half
-            for avoid in (IndexSet.of(n, set(range(1, n + 1)) - {t}) for t in range(1, n + 1))
-        )
-        checks.append(StructureCheck("conflict-overlap", (i, k), None, not overlap))
+        covered = row_support(scheme.beamformers[i - 1]).union(row_support(scheme.beamformers[k - 1]))
+        checks.append(StructureCheck("conflict-overlap", (i, k), None, len(covered) == n))
     return StructureReport(tuple(checks))
 
 

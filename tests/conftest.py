@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from rankloss.conditions import Ensemble
-from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, nullspace_basis, rank
-from rankloss.tim import Topology
+from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, nullspace_basis, rank, sparse_dim
+from rankloss.matching import SupportGraph
+from rankloss.tim import Scheme, StructureCheck, StructureReport, Topology, reduced_conflict_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,6 +56,35 @@ def t9b() -> Topology:
     return Topology.of({2, 3}, {7}, {4, 5}, {7}, {6, 1}, {7}, set(), set(), {7, 8})
 
 
+def identity_matrix(n: int) -> ExactMatrix:
+    return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n_cols=n)
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(tuple(m.column(j) for j in range(m.n_cols)), m.n_rows)
+
+
+def submatrix(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> ExactMatrix:
+    """B_{X,Y}: keep rows in X and columns in Y, preserving relative order."""
+    return m.take_rows(rows).take_cols(cols)
+
+
+def scale_column(m: ExactMatrix, j: int, factor) -> ExactMatrix:
+    f = Fraction(factor)
+    return ExactMatrix(
+        tuple(tuple(v * f if k == j else v for k, v in enumerate(row)) for row in m.rows),
+        m.n_cols,
+    )
+
+
+def is_zero(m: ExactMatrix) -> bool:
+    return all(v == 0 for row in m.rows for v in row)
+
+
+def issubset(a: IndexSet, b: IndexSet) -> bool:
+    return a.universe == b.universe and set(a.members) <= set(b.members)
+
+
 def cofactor_det(m: ExactMatrix) -> Fraction:
     """Determinant by Laplace expansion along the first row: independent of any elimination."""
     if m.n_rows == 0:
@@ -73,6 +104,70 @@ def sparse_intersection_basis(b: ExactMatrix, j: IndexSet) -> ExactMatrix:
     J^c row restriction spans the intersection.
     """
     return b.matmul(nullspace_basis(b.take_rows(j.complement())))
+
+
+def defect_scan(graph: SupportGraph) -> int:
+    """max over right subsets I of |I| - |N(I)|, by scanning all 2^|right| subsets.
+
+    The reference for the library's defect, which comes from matching duality.
+    """
+    best = 0
+    for mask in range(1 << graph.n_right):
+        members = [r for r in range(graph.n_right) if mask >> r & 1]
+        nbhd = 0
+        for r in members:
+            nbhd |= graph.adjacency(r)
+        best = max(best, len(members) - nbhd.bit_count())
+    return best
+
+
+def structure_report_scan(topology: Topology, scheme: Scheme) -> StructureReport:
+    """half_dof_structure_check by its definitions, for exact half-rate schemes.
+
+    Alignment collapse scans all 2^n row sets J for sparse surplus n/2;
+    conflict overlap asks, slot by slot, whether both users keep sparse
+    dimension n/2 off that slot.  The reference for the library's C6 and
+    row-support answers.
+    """
+    n = scheme.n
+    half = n // 2
+    checks = []
+    for r in range(1, topology.K + 1):
+        members = sorted(topology.interferers(r))
+        for i1, i2 in itertools.combinations(members, 2):
+            pair = (scheme.beamformers[i1 - 1], scheme.beamformers[i2 - 1])
+            collapses = any(
+                sum(sparse_dim(b, IndexSet.from_mask(n, jmask)) for b in pair)
+                >= jmask.bit_count() + half
+                for jmask in range(1 << n)
+            )
+            checks.append(StructureCheck("alignment-collapse", (i1, i2), r, collapses))
+    for i, k in sorted(reduced_conflict_graph(topology).edges):
+        b_i, b_k = scheme.beamformers[i - 1], scheme.beamformers[k - 1]
+        overlap = any(
+            sparse_dim(b_i, avoid) >= half and sparse_dim(b_k, avoid) >= half
+            for avoid in (IndexSet.of(n, set(range(1, n + 1)) - {t}) for t in range(1, n + 1))
+        )
+        checks.append(StructureCheck("conflict-overlap", (i, k), None, not overlap))
+    return StructureReport(tuple(checks))
+
+
+def two_slot_schemes(k: int):
+    """Every k-user scheme over two slots with one symbol per user: slot 1, slot 2 or both."""
+    columns = ([1, 0], [0, 1], [1, 1])
+    for combo in itertools.product(columns, repeat=k):
+        yield Scheme(2, tuple(ExactMatrix.from_columns([c]) for c in combo))
+
+
+def block_schemes(k: int):
+    """n = 4, m = 2 structured half-rate designs: slot-block or dense supports."""
+    shapes = (
+        [[1, 0], [2, 1], [0, 0], [0, 0]],
+        [[0, 0], [0, 0], [1, 0], [3, 1]],
+        [[1, 0], [0, 1], [2, 3], [1, 5]],
+    )
+    for combo in itertools.product(shapes, repeat=k):
+        yield Scheme(4, tuple(ExactMatrix.from_rows(rows) for rows in combo))
 
 
 def fraction_scaled_rank(blocks, diags) -> int:

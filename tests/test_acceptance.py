@@ -16,8 +16,8 @@ import pytest
 from rankloss.cli import main
 from rankloss.conditions import cross_validate, max_tau
 from rankloss.errors import PreconditionError
-from rankloss.exactla import ExactMatrix, IndexSet
-from rankloss.matching import SupportGraph, defect, hall_threshold_check, max_matching
+from rankloss.exactla import IndexSet
+from rankloss.matching import SupportGraph, hall_threshold_check, max_matching
 from rankloss.matroid import (
     dual,
     is_independent,
@@ -27,7 +27,6 @@ from rankloss.matroid import (
 )
 from rankloss.randrank import TrialConfig, sample_ranks
 from rankloss.tim import (
-    Scheme,
     Topology,
     chromatic_number,
     half_dof_structure_check,
@@ -40,7 +39,17 @@ from rankloss.tim import (
     verify_decodability,
 )
 
-from conftest import FIXTURES, random_block, random_ensemble, t6, t9a, t9b
+from conftest import (
+    FIXTURES,
+    block_schemes,
+    defect_scan,
+    random_block,
+    random_ensemble,
+    t6,
+    t9a,
+    t9b,
+    two_slot_schemes,
+)
 
 
 def report_line(number: int, name: str, ok: bool, elapsed: float) -> None:
@@ -242,10 +251,10 @@ def test_criterion_5_matching_duality(capsys):
             for r in range(n_right)
         )
         graph = SupportGraph(n_left, rights)
-        mm = max_matching(graph)
-        ok = ok and mm == graph.n_right - defect(graph)
+        scanned_defect = defect_scan(graph)
+        ok = ok and max_matching(graph) == graph.n_right - scanned_defect
         for k in range(min(n_left, n_right) + 1):
-            ok = ok and hall_threshold_check(graph, k) == (mm >= k)
+            ok = ok and hall_threshold_check(graph, k) == (scanned_defect <= graph.n_right - k)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 30.0
     with capsys.disabled():
@@ -309,23 +318,6 @@ def test_criterion_7_exclusive_achievability(capsys):
 # Criterion 8: converse-structure property on odd-cycle topologies
 # ---------------------------------------------------------------------------
 
-def _two_slot_family(k: int):
-    patterns = {(1,): [1, 0], (2,): [0, 1], (1, 2): [1, 1]}
-    for combo in itertools.product(patterns.values(), repeat=k):
-        yield Scheme(2, tuple(ExactMatrix.from_columns([c]) for c in combo))
-
-
-def _block_family(k: int):
-    # n = 4, m = 2 structured half-rate designs: slot-block or dense supports
-    shapes = {
-        "a": [[1, 0], [2, 1], [0, 0], [0, 0]],
-        "b": [[0, 0], [0, 0], [1, 0], [3, 1]],
-        "full": [[1, 0], [0, 1], [2, 3], [1, 5]],
-    }
-    for combo in itertools.product(shapes.values(), repeat=k):
-        yield Scheme(4, tuple(ExactMatrix.from_rows(rows) for rows in combo))
-
-
 def test_criterion_8_odd_cycle_structure(capsys):
     start = time.monotonic()
     triangle = Topology.of({2, 3}, {3, 1}, {1, 2})
@@ -334,9 +326,9 @@ def test_criterion_8_odd_cycle_structure(capsys):
     ok = True
     for topology in (triangle, ring5, embedded):
         assert not is_bipartite(reduced_conflict_graph(topology))[0]
-        for scheme in _two_slot_family(topology.K):
+        for scheme in two_slot_schemes(topology.K):
             ok = ok and not half_dof_structure_check(topology, scheme).ok
-    for scheme in _block_family(3):
+    for scheme in block_schemes(3):
         ok = ok and not half_dof_structure_check(triangle, scheme).ok
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0

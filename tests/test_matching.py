@@ -19,11 +19,11 @@ from rankloss.matching import (
     max_matching,
 )
 
-from conftest import e1, random_ensemble
+from conftest import defect_scan, e1, identity_matrix, random_ensemble
 
 
 def identity_graph(n: int) -> SupportGraph:
-    eye = ExactMatrix.identity(n)
+    eye = identity_matrix(n)
     return build_support_graph([(1, eye.column(j)) for j in range(n)])
 
 
@@ -93,7 +93,7 @@ def random_graph(rng: random.Random, max_side: int = 12) -> SupportGraph:
 def test_koenig_duality_random(rng):
     for _ in range(120):
         g = random_graph(rng)
-        assert max_matching(g) == g.n_right - defect(g)
+        assert max_matching(g) == g.n_right - defect_scan(g)
 
 
 def test_hall_iff_matching_random(rng):

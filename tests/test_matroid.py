@@ -20,7 +20,7 @@ from rankloss.matroid import (
     verify_axioms,
 )
 
-from conftest import e1, e3, random_block, random_ensemble
+from conftest import e1, e3, identity_matrix, random_block, random_ensemble
 
 B1 = ExactMatrix.from_rows([[1, 1], [1, 2], [1, 3], [0, 0]])
 
@@ -288,7 +288,7 @@ def test_union_deficiency_examples():
     x3 = IndexSet.full(3)
     ys3 = (IndexSet.full(1), IndexSet.full(2))
     assert union_deficiency(generic, x3, ys3) is False
-    single = ExactMatrix.identity(3)
+    single = identity_matrix(3)
     from rankloss.conditions import Ensemble
 
     assert union_deficiency(Ensemble((single,)), x3, (IndexSet.full(3),)) is False

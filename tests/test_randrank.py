@@ -9,7 +9,6 @@ import pytest
 
 from rankloss.conditions import Ensemble, check_C2
 from rankloss.errors import PreconditionError
-from rankloss.exactla import ExactMatrix
 from rankloss.randrank import (
     TrialConfig,
     _draw_diags,
@@ -19,7 +18,7 @@ from rankloss.randrank import (
     sample_ranks,
 )
 
-from conftest import e1, e3, fraction_scaled_rank, random_ensemble
+from conftest import e1, e3, fraction_scaled_rank, identity_matrix, random_ensemble
 
 
 def test_generic_rank_e1():
@@ -28,7 +27,7 @@ def test_generic_rank_e1():
 
 def test_generic_rank_identity():
     for n in (1, 2, 4):
-        e = Ensemble((ExactMatrix.identity(n),))
+        e = Ensemble((identity_matrix(n),))
         assert sample_generic_rank(e, TrialConfig(seed=2)) == n
 
 

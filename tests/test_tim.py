@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -12,13 +13,14 @@ import pytest
 import rankloss
 from rankloss import fileio
 from rankloss.conditions import Ensemble
-from rankloss.errors import PreconditionError
-from rankloss.exactla import ExactMatrix, IndexSet, sparse_dim
+from rankloss.errors import PreconditionError, ShapeError
+from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, sparse_dim
 from rankloss.randrank import TrialConfig
 from rankloss.tim import (
     ConflictGraph,
     Scheme,
     SparseAssignment,
+    StructureCheck,
     Topology,
     check_P1_P2,
     chromatic_number,
@@ -37,7 +39,18 @@ from rankloss.tim import (
     _prime_stream,
 )
 
-from conftest import FIXTURES, e1, fraction_scaled_rank, t6, t9a, t9b
+from conftest import (
+    ENTRY_POOL,
+    FIXTURES,
+    block_schemes,
+    e1,
+    fraction_scaled_rank,
+    structure_report_scan,
+    t6,
+    t9a,
+    t9b,
+    two_slot_schemes,
+)
 
 FAST = TrialConfig(trials=5, seed=17)
 
@@ -504,19 +517,88 @@ def test_structure_check_flags_all_dense_on_odd_cycle():
     assert all(c.kind == "alignment-collapse" for c in report.violations())
 
 
-def all_two_slot_schemes(k: int):
-    patterns = [(1,), (2,), (1, 2)]
-    columns = {(1,): [1, 0], (2,): [0, 1], (1, 2): [1, 1]}
-    for combo in itertools.product(patterns, repeat=k):
-        yield Scheme(2, tuple(ExactMatrix.from_columns([columns[p]]) for p in combo))
-
-
 def test_odd_cycle_always_violates_structure():
     # pigeonhole: three pairwise-disjoint half-size supports cannot exist
     top = odd_cycle_topology()
-    for scheme in all_two_slot_schemes(3):
+    for scheme in two_slot_schemes(3):
         report = half_dof_structure_check(top, scheme)
         assert not report.ok
+
+
+def test_structure_check_rejects_user_count_mismatch():
+    two_users = Scheme(2, (ExactMatrix.from_columns([[1, 0]]), ExactMatrix.from_columns([[0, 1]])))
+    with pytest.raises(ShapeError):
+        half_dof_structure_check(Topology.of(set(), set(), {1, 2}), two_users)
+    three_users = Scheme(2, two_users.beamformers + (ExactMatrix.from_columns([[1, 1]]),))
+    with pytest.raises(ShapeError):
+        half_dof_structure_check(Topology.of(set(), {1}), three_users)
+
+
+def half_rate_block(rng: random.Random, n: int, window: frozenset[int]) -> ExactMatrix:
+    """Full-column-rank n x n/2 block whose nonzero rows lie inside `window`."""
+    while True:
+        block = ExactMatrix.from_rows(
+            [[rng.choice(ENTRY_POOL) if i in window else 0 for _ in range(n // 2)] for i in range(1, n + 1)]
+        )
+        if is_full_column_rank(block):
+            return block
+
+
+def test_structure_check_matches_scan_on_generated_pairs():
+    # Collapse by C6 and overlap by row supports against the 2^n scan and
+    # the per-slot sparse-dimension test.  Half the pairs share one window,
+    # so some collapse; windows leave rows zero, so some overlap.  Few
+    # pairs are large because the scan doubles with each row.
+    rng = random.Random(1106)
+    top = Topology.of({2}, set(), {1, 2})  # alignment pair (1, 2); reduced edges (1,3), (2,1), (2,3)
+    kinds = Counter()
+    for n in [2] * 100 + [4] * 150 + [6] * 200 + [8] * 40 + [10] * 10:
+
+        def window() -> frozenset[int]:
+            return frozenset(rng.sample(range(1, n + 1), rng.randint(n // 2, n)))
+
+        shared = window()
+        w2 = shared if rng.random() < 0.5 else window()
+        scheme = Scheme(n, tuple(half_rate_block(rng, n, w) for w in (shared, w2, window())))
+        report = half_dof_structure_check(top, scheme)
+        assert report == structure_report_scan(top, scheme)
+        kinds.update((c.kind, c.ok) for c in report.checks)
+    assert kinds[("alignment-collapse", True)] and kinds[("alignment-collapse", False)]
+    assert kinds[("conflict-overlap", True)] and kinds[("conflict-overlap", False)]
+
+
+def test_structure_check_matches_scan_on_criterion_families():
+    # Every alignment pair and reduced edge in criterion 6 and criterion 8.
+    triangle = Topology.of({2, 3}, {3, 1}, {1, 2})
+    ring5 = Topology.of({2, 5}, {3, 1}, {4, 2}, {5, 3}, {1, 4})
+    embedded = Topology.of({2, 3}, {3, 1}, {1, 2}, set(), {4}, set())
+    cases = [(t6(), synth_half_dof_scheme(t6()))]
+    for top in (triangle, ring5, embedded):
+        cases.extend((top, s) for s in two_slot_schemes(top.K))
+    cases.extend((triangle, s) for s in block_schemes(3))
+    for top, scheme in cases:
+        assert half_dof_structure_check(top, scheme) == structure_report_scan(top, scheme)
+
+
+def test_structure_check_alignment_pair_at_n30_is_fast():
+    # The 2^n scan this replaces needed seconds at n = 14.
+    rng = random.Random(30)
+    n, h = 30, 15
+    top = Topology.of(set(), set(), {1, 2})
+
+    def dense(rows: range) -> ExactMatrix:
+        return ExactMatrix.from_rows(
+            [[rng.randint(-9, 9) if i in rows else 0 for _ in range(h)] for i in range(1, n + 1)]
+        )
+
+    window = range(1, h + 1)
+    shared = Scheme(n, (dense(window), dense(window), dense(range(1, n + 1))))
+    generic = Scheme(n, tuple(dense(range(1, n + 1)) for _ in range(3)))
+    for scheme, collapses in ((shared, True), (generic, False)):
+        start = time.monotonic()
+        report = half_dof_structure_check(top, scheme)
+        assert time.monotonic() - start < 1.0
+        assert report.checks[0] == StructureCheck("alignment-collapse", (1, 2), 3, collapses)
 
 
 def test_no_m5_design_in_synthesized_family_at_n9():
