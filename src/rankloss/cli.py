@@ -27,7 +27,7 @@ from .conditions import check_C2, cross_validate, max_tau
 from .errors import EquivalenceViolation, InternalInvariantError, LoadError, PreconditionError
 from .exactla import IndexSet, format_rational
 from .matroid import dual, scaled_linear_matroid, verify_axioms
-from .randrank import TrialConfig, failure_bound, sample_ranks
+from .randrank import TrialConfig, _prints, check_printable_bound, failure_bound, sample_ranks
 from .tim import (
     check_P1_P2,
     chromatic_number,
@@ -56,37 +56,32 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pretty", action="store_true", help="indent the report")
 
 
-def _prints(base: int, exponent: int) -> bool:
-    """Can str() convert base ** exponent under the interpreter's digit limit?"""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or base < 2:
-        return True
-    ceiling = 10**limit
-    # base ** exponent has at least (bit_length - 1) * exponent bits; past the
-    # ceiling's bit length it is too long, and short of it the power is cheap.
-    if (base.bit_length() - 1) * exponent >= ceiling.bit_length():
-        return False
-    return base**exponent < ceiling
-
-
 def _config(args, n: int) -> TrialConfig:
     """The sampling flags as a TrialConfig, checked before any sampling.
 
     Reports print the failure bound (n / 2**bits) ** trials as an exact
     fraction, so flags whose bound str() cannot convert are refused here
-    instead of failing after the sampling.
+    (`check_printable_bound`), with a message that names them, instead of
+    failing after the sampling.
     """
     if args.bits < 1:
         raise PreconditionError(f"--bits must be >= 1, got {args.bits}")
     if args.trials < 1:
         raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
-    twos = min((n & -n).bit_length() - 1, args.bits)
-    if not (_prints(2, (args.bits - twos) * args.trials) and _prints(n >> twos, args.trials)):
-        raise PreconditionError(
-            f"--bits {args.bits} with --trials {args.trials} gives a failure bound "
-            f"(n/2^bits)^trials too long to print; lower --bits or --trials"
-        )
-    return TrialConfig(trials=args.trials, entry_bound=2**args.bits, seed=args.seed)
+    refusal = (
+        f"--bits {args.bits} with --trials {args.trials} gives a failure bound "
+        f"(n/2^bits)^trials too long to print; lower --bits or --trials"
+    )
+    # The bound's denominator is a power of two above 2**(bits - n.bit_length()):
+    # one too long to print is refused before 2**bits is built.
+    if not _prints(2, max(args.bits - n.bit_length(), 0)):
+        raise PreconditionError(refusal)
+    cfg = TrialConfig(trials=args.trials, entry_bound=2**args.bits, seed=args.seed)
+    try:
+        check_printable_bound(n, cfg)
+    except PreconditionError:
+        raise PreconditionError(refusal) from None
+    return cfg
 
 
 def _indexset(text: str, universe: int, what: str) -> IndexSet:

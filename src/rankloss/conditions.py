@@ -16,11 +16,11 @@ verdicts agree.  All searches are exhaustive with canonical (lexicographic)
 enumeration so reported witnesses are deterministic.
 
 `max_tau` comes from a sixth route, C6: the generic rank of the scaled
-concatenation is the rank of the union of the blocks' row matroids,
-min over T of n - |T| + sum_i rank(B_i[T, :]), found by Edmonds' matroid
-partition in time polynomial in n, K and the column counts.  Its
-certificate (the partition and the set T) is checked with exact rank
-before the value is returned.
+concatenation (`generic_rank`) is the rank of the union of the blocks'
+row matroids, min over T of n - |T| + sum_i rank(B_i[T, :]), found by
+Edmonds' matroid partition in time polynomial in n, K and the column
+counts.  Its certificate (the partition and the set T) is checked with
+exact rank before the value is returned.
 
 Cost: C2 scans each column choice's 2^n row masks only until some J
 reaches the tau asked, and resumes there when a later call asks for a
@@ -28,7 +28,13 @@ higher tau; a tau the ensemble does not reach still scans the failing
 column choice to the end.  C3-C5 grow as 2^n times the number of column
 choices; they stop scanning a size |X| at its first violation, and every
 size up to the generic rank holds one, so they scan in full only the
-sizes above the generic rank.
+sizes above the generic rank.  C6 keeps each part's rows as one integer
+echelon basis, so the partition's question about a row and a part (does
+the row fit, and if not, which rows could it replace) costs one reduction
+of the row against that basis: its fundamental circuit is the support of
+the combination the reduction leaves.  A part that only gains a row
+extends its basis; one that an augmenting path changed otherwise is
+rebuilt.
 
 Every route reads each block's own cleared integer grid
 (`ExactMatrix._grid`).  The `Ensemble` owns everything else derived from
@@ -43,6 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from operator import mul
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
@@ -349,6 +356,98 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
 # C6: the union of the blocks' row matroids
 # ---------------------------------------------------------------------------
 
+class _RowBasis:
+    """Some rows of one block in fraction-free reduced echelon form, read for fundamental circuits.
+
+    Basis vector t has det at pivot column pivots[t] and 0 at the other
+    pivots; free[c][t] is its entry at non-pivot column c and comb[s][t]
+    its coefficient of rows[s].  det is the minor of the rows at the pivot
+    columns, so each vector is det times a row of the reduced echelon form
+    and every entry is a minor of the rows: Bareiss-Jordan elimination
+    divides exactly and the integers stay bounded.  Clearing a row's pivot
+    entries takes its own entries as multipliers, so a query multiplies
+    small integers into the basis and divides nothing.
+    """
+
+    def __init__(self, grid: list[list[int]], width: int):
+        self.grid = grid
+        self.rows: tuple[int, ...] = ()
+        self.key: tuple[int, ...] = ()  # the rows, sorted
+        self.pivots: list[int] = []
+        self.free: dict[int, list[int]] = {c: [] for c in range(width)}
+        self.comb: list[list[int]] = []
+        self.det = 1
+        self.last: tuple[int, list[int], list[int]] | None = None  # the last row found independent
+
+    def _multipliers(self, y: int) -> list[int]:
+        row = self.grid[y - 1]
+        return [row[p] for p in self.pivots]
+
+    def _reduce(self, y: int, fs: list[int]) -> list[int]:
+        # det * row y, less the basis vectors that clear its pivots, at the free columns.
+        row = self.grid[y - 1]
+        return [self.det * row[c] - sum(map(mul, fs, col)) for c, col in self.free.items()]
+
+    def _combination(self, fs: list[int]) -> list[int]:
+        # The reduced row's coefficients of the rows, apart from det on row y itself.
+        return [-sum(map(mul, fs, col)) for col in self.comb]
+
+    def circuit(self, y: int) -> list[int] | None:
+        """None when row y is independent of the rows, else the rows its combination uses."""
+        fs = self._multipliers(y)
+        w = self._reduce(y, fs)
+        if any(w):
+            self.last = (y, w, fs)
+            return None
+        return sorted(r for r, c in zip(self.rows, self._combination(fs)) if c)
+
+    def add(self, y: int) -> None:
+        """Extend the basis by row y, which must be independent of it."""
+        if self.last and self.last[0] == y:
+            w, fs = self.last[1:]
+        else:
+            fs = self._multipliers(y)
+            w = self._reduce(y, fs)
+        k = next(k for k, v in enumerate(w) if v)
+        cols = [*self.free.values(), *self.comb]
+        u = w + self._combination(fs)
+        det, new_det, old_q = self.det, u[k], cols[k][:]
+        for col, uc in zip(cols, u):
+            col[:] = [(new_det * v - g * uc) // det for v, g in zip(col, old_q)]
+            col.append(uc)
+        q = list(self.free)[k]
+        del self.free[q]
+        self.comb.append([-g for g in old_q] + [det])
+        self.pivots.append(q)
+        self.det = new_det
+        self.rows += (y,)
+        self.key = tuple(sorted(self.rows))
+        self.last = None
+
+
+def _row_circuits(ensemble: Ensemble) -> Callable[[int, tuple[int, ...], int], list[int] | None]:
+    """C6's circuit oracle: one `_RowBasis` per part, each row reduced once per query.
+
+    A part that gained one row since the last query extends its basis;
+    any other change (an augmenting path moved rows out) rebuilds it.
+    """
+    grids, widths = ensemble._grids, ensemble.column_counts
+    bases = [_RowBasis(grid, width) for grid, width in zip(grids, widths)]
+
+    def circuit(i: int, part: tuple[int, ...], y: int) -> list[int] | None:
+        basis = bases[i]
+        if basis.key != part:
+            added = set(part).difference(basis.rows)
+            if len(added) != 1 or len(part) != len(basis.rows) + 1:
+                basis = bases[i] = _RowBasis(grids[i], widths[i])
+                added = part
+            for row in sorted(added):
+                basis.add(row)
+        return basis.circuit(y)
+
+    return circuit
+
+
 @_per_ensemble
 def _row_union(ensemble: Ensemble) -> Partition:
     """A maximum partition of the rows into sets I_i independent in B_i, checked.
@@ -364,9 +463,7 @@ def _row_union(ensemble: Ensemble) -> Partition:
     def row_rank(i: int, rows: Sequence[int]) -> int:
         return _bareiss([grids[i][r - 1][:] for r in rows], widths[i])
 
-    cert = matroid_partition(
-        range(1, ensemble.n + 1), ensemble.K, lambda i, rows: row_rank(i, rows) == len(rows)
-    )
+    cert = matroid_partition(range(1, ensemble.n + 1), ensemble.K, _row_circuits(ensemble))
     if any(row_rank(i, part) != len(part) for i, part in enumerate(cert.parts)):
         raise InternalInvariantError("C6: a part of the row partition is dependent")
     bound = ensemble.n - len(cert.T) + sum(row_rank(i, cert.T) for i in range(ensemble.K))
@@ -375,13 +472,18 @@ def _row_union(ensemble: Ensemble) -> Partition:
     return cert
 
 
+def generic_rank(ensemble: Ensemble) -> int:
+    """Almost-sure rank of the row-scaled concatenation, exact, from C6's checked partition."""
+    return _row_union(ensemble).size
+
+
 def max_tau(ensemble: Ensemble) -> int:
     """Largest tau such that the ensemble almost surely loses rank by tau.
 
     tau = 0 holds vacuously; the value equals R minus the generic rank of
     the scaled concatenation, which C6 computes in polynomial time.
     """
-    return ensemble.R - _row_union(ensemble).size
+    return ensemble.R - generic_rank(ensemble)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ class SupportGraph:
     n_left: int
     rights: tuple[tuple[int, int, int], ...]
 
+    def __post_init__(self):
+        for block, label, mask in self.rights:
+            if mask < 0 or mask >> self.n_left:
+                raise ShapeError(
+                    f"column {label} of block {block}: adjacency {mask} outside rows 1..{self.n_left}"
+                )
+
     @property
     def n_right(self) -> int:
         return len(self.rights)

@@ -1,9 +1,13 @@
 """Rank-oracle matroids: the scaled-row linear matroid, duals, and unions.
 
 A matroid here is a ground set plus a rank evaluator; duals and unions
-compose oracles without enumerating independent sets, and union ranks
-come from Edmonds' matroid partition over an independence oracle, the
-routine C6 also runs on the blocks' row matroids.  The scaled-linear
+compose oracles without enumerating independent sets.  Union ranks come
+from Edmonds' matroid partition, the one routine C6 also runs on the
+blocks' row matroids.  It asks a circuit oracle, once per element and
+part it searches, for the element's fundamental circuit in the part,
+which holds every exchange the element can make there: `union_rank`
+builds that oracle from independence queries, and C6 reads circuits off
+one integer echelon basis per part.  The scaled-linear
 construction puts a matroid on a row set X whose independent sets are the
 J with dim(S_{J u X^c} & colspan B_{*,Y}) = 0, with rank function
 |J| - dim(S_{J u X^c} & colspan B_{*,Y}); it is defined only when the
@@ -13,6 +17,7 @@ column span meets the sparse subspace of X^c trivially.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -116,19 +121,25 @@ class Partition:
 
 
 def matroid_partition(
-    elements: Sequence[int], k: int, independent: Callable[[int, tuple[int, ...]], bool]
+    elements: Sequence[int],
+    k: int,
+    circuit: Callable[[int, tuple[int, ...], int], Sequence[int] | None],
 ) -> Partition:
     """Edmonds' matroid partition: the most elements coverable by k independent sets.
 
-    `independent(i, S)` says whether the sorted tuple S is independent in
-    matroid i.  Elements are added in ascending order.  Each searches,
-    breadth first, for a shortest augmenting path in the exchange graph,
-    where y -> z when parts[i] - z + y is independent and y is a sink when
-    parts[i] + y is, so an element that fits a part outright goes to the
-    first such part.  Shortest paths keep every part independent, and an
-    element that finds no path never will, since the covered set only
-    grows.  Parts and exchanges are tried in ascending order too, so the
-    result is deterministic.  O(|E|^2 k r) oracle calls, r the largest part.
+    `circuit(i, part, y)` answers for the sorted tuple `part`, independent
+    in matroid i, and an element y outside it: None when part + y is
+    independent, and otherwise y's fundamental circuit in part, the members
+    z for which part - z + y is independent.  Elements are added in
+    ascending order.  Each searches, breadth first, for a shortest
+    augmenting path in the exchange graph, where y -> z when z is in y's
+    circuit in parts[i] and y is a sink when parts[i] + y is independent,
+    so an element that fits a part outright goes to the first such part.
+    Shortest paths keep every part independent, and an element that finds
+    no path never will, since the covered set only grows.  Parts and
+    exchanges are tried in ascending order too, so the result is
+    deterministic.  The oracle is asked once per (element, part) an
+    element is searched from: O(|E|^2 k) calls in all.
     """
     parts: list[list[int]] = [[] for _ in range(k)]
     owner: dict[int, int] = {}
@@ -138,16 +149,20 @@ def matroid_partition(
         parent: dict[int, tuple[int, int] | None] = {s: None for s in sources}
         queue = list(sources)
         for y in queue:
-            others = [i for i in range(k) if owner.get(y) != i]
-            sink = next((i for i in others if independent(i, tuple(sorted(parts[i] + [y])))), None)
-            if sink is not None:
-                path = [(y, sink)]
-                while parent[path[-1][0]] is not None:
-                    path.append(parent[path[-1][0]])
-                return path, queue
-            for i in others:
-                for z in sorted(parts[i]):
-                    if z not in parent and independent(i, tuple(sorted([v for v in parts[i] if v != z] + [y]))):
+            circuits = []
+            for i in range(k):
+                if owner.get(y) == i:
+                    continue
+                members = circuit(i, tuple(parts[i]), y)
+                if members is None:
+                    path = [(y, i)]
+                    while parent[path[-1][0]] is not None:
+                        path.append(parent[path[-1][0]])
+                    return path, queue
+                circuits.append((i, members))
+            for i, members in circuits:
+                for z in sorted(members):
+                    if z not in parent:
                         parent[z] = (y, i)
                         queue.append(z)
         return None, queue
@@ -161,12 +176,29 @@ def matroid_partition(
         for y, i in path:
             if y in owner:
                 parts[owner[y]].remove(y)
-            parts[i].append(y)
+            insort(parts[i], y)
             owner[y] = i
     path, reach = search(left)
     if path is not None:
         raise InternalInvariantError("matroid partition left an augmentable element uncovered")
-    return Partition(tuple(tuple(sorted(p)) for p in parts), tuple(sorted(reach)))
+    return Partition(tuple(tuple(p) for p in parts), tuple(sorted(reach)))
+
+
+def independence_circuits(
+    independent: Callable[[int, tuple[int, ...]], bool],
+) -> Callable[[int, tuple[int, ...], int], list[int] | None]:
+    """A `matroid_partition` circuit oracle from an independence test on sorted tuples.
+
+    It asks whether part + y is independent, then, if not, part - z + y
+    for each z of part in ascending order: at most |part| + 1 queries per answer.
+    """
+
+    def circuit(i: int, part: tuple[int, ...], y: int) -> list[int] | None:
+        if independent(i, tuple(sorted(part + (y,)))):
+            return None
+        return [z for z in part if independent(i, tuple(sorted([v for v in part if v != z] + [y])))]
+
+    return circuit
 
 
 def union_rank(matroids: Sequence[RankOracleMatroid], U: Iterable[int]) -> int:
@@ -184,7 +216,8 @@ def union_rank(matroids: Sequence[RankOracleMatroid], U: Iterable[int]) -> int:
     u = sorted(frozenset(U))
     if not frozenset(u) <= ground:
         raise PreconditionError(f"{sorted(frozenset(u) - ground)} not in ground set")
-    return matroid_partition(u, len(matroids), lambda i, s: is_independent(matroids[i], s)).size
+    circuit = independence_circuits(lambda i, s: is_independent(matroids[i], s))
+    return matroid_partition(u, len(matroids), circuit).size
 
 
 def union_matroid(matroids: Sequence[RankOracleMatroid]) -> RankOracleMatroid:

@@ -9,12 +9,16 @@ equals the generic rank except with probability at most
 (n / entry_bound) ** trials.
 
 Sampling reads each block's own cleared grid, and C1 memoizes sampled
-ranks on the ensemble, one entry per `TrialConfig`.
+ranks on the ensemble, one entry per `TrialConfig`.  Reports print the
+failure bound as an exact fraction, so every route that reports it
+refuses, before its first draw, a configuration whose bound is too long
+to print (`check_printable_bound`).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -44,6 +48,31 @@ class TrialConfig:
         # Distinct (seed, trial) pairs give distinct strings, and a string
         # seed is hashed with SHA-512, the same in every interpreter.
         return random.Random(f"{self.seed}:{trial}")
+
+
+def _prints(base: int, exponent: int) -> bool:
+    """Can str() convert base ** exponent under the interpreter's digit limit?"""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or base < 2:
+        return True
+    # 2**((b - 1) e) <= base**e < 2**(b e) for b = base.bit_length(), and
+    # 8**limit < 10**limit < 16**limit: only between those bounds are the
+    # powers built, and there they have fewer than 8 * limit bits.
+    if base.bit_length() * exponent <= 3 * limit:
+        return True
+    if (base.bit_length() - 1) * exponent >= 4 * limit:
+        return False
+    return base**exponent < 10**limit
+
+
+def check_printable_bound(n: int, cfg: TrialConfig) -> None:
+    """Refuse a cfg whose failure bound (n / entry_bound) ** trials str() cannot convert."""
+    bound = Fraction(n, cfg.entry_bound)
+    if not (_prints(bound.numerator, cfg.trials) and _prints(bound.denominator, cfg.trials)):
+        raise PreconditionError(
+            f"failure bound (n/entry_bound)^trials with n = {n}, a {cfg.entry_bound.bit_length()}-bit "
+            f"entry_bound and {cfg.trials} trials is too long to print; lower entry_bound or trials"
+        )
 
 
 def _draw_diags(cfg: TrialConfig, stream: int, n: int, count: int) -> list[list[int]]:
@@ -142,6 +171,7 @@ def check_C1(ensemble: "Ensemble", tau: int, cfg: TrialConfig | None = None) -> 
     """Does rank([D_1 B_1 ... D_K B_K]) <= R - tau at every sample point?"""
     _check_tau(ensemble, tau)
     cfg = cfg or TrialConfig()
+    check_printable_bound(ensemble.n, cfg)
     ranks = _cached_ranks(ensemble, cfg)
     threshold = ensemble.R - tau
     if max(ranks) > threshold:

@@ -6,11 +6,12 @@ floor.  The analyzer characterizes when half symmetric DoF is achievable
 symmetric DoF formula for exclusive-alignment topologies, synthesizes the
 corresponding beamforming schemes, and verifies decodability by sampled
 exact rank computations on scalings drawn by `randrank`: one elimination
-per receiver trial gives both the combined and the interference rank.
-Synthesized exclusive-alignment schemes are checked exactly, with generic
-ranks from C6.  Each beamformer's cleared grid and rank live on its
-`ExactMatrix`, so synthesis, `Scheme` and verification clear and rank-check
-it once.
+per receiver trial gives both the combined and the interference rank, and
+a receiver that hears no interferer needs none.  Synthesized
+exclusive-alignment schemes are checked exactly, with generic ranks from
+C6 (`conditions.generic_rank`).  Each beamformer's cleared grid and rank
+live on its `ExactMatrix`, so synthesis, `Scheme` and verification clear
+and rank-check it once.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
-from .conditions import Ensemble, max_tau
+from .conditions import Ensemble, generic_rank
 from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
 from .exactla import ExactMatrix, IndexSet, _bareiss, is_full_column_rank, row_support, sparse_dim
 from .matching import adapted_basis
-from .randrank import TrialConfig, _draw_diags, _scaled_rank, _scaled_rows
+from .randrank import TrialConfig, _draw_diags, _scaled_rank, _scaled_rows, check_printable_bound
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
@@ -321,14 +321,21 @@ def ldof_sym(topology: Topology) -> Fraction:
 
 
 def _prime_stream(skip: int = 0) -> Iterator[int]:
+    """The primes in ascending order, less the first `skip`, by an incremental sieve."""
+    marks: dict[int, int] = {}  # next composite to cross out -> the prime crossing it
     count = 0
-    candidate = 2
-    while True:
-        if all(candidate % p for p in range(2, isqrt(candidate) + 1)):
+    for candidate in itertools.count(2):
+        p = marks.pop(candidate, None)
+        if p is None:
+            marks[candidate * candidate] = candidate
             count += 1
             if count > skip:
                 yield candidate
-        candidate += 1
+        else:
+            nxt = candidate + p
+            while nxt in marks:
+                nxt += p
+            marks[nxt] = p
 
 
 def _alignment_conflict_edges(topology: Topology) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
@@ -426,17 +433,13 @@ def _exclusive_postconditions(
             if sparse_dim(beamformers[i - 1], window) != tau:
                 return False
     for j in range(1, topology.K + 1):
-        interference = [beamformers[i - 1] for i in sorted(topology.interferers(j))]
+        interference = tuple(beamformers[i - 1] for i in sorted(topology.interferers(j)))
+        if not interference:
+            continue
         own = beamformers[j - 1]
-        if interference and _generic_rank(interference + [own]) != own.n_cols + _generic_rank(interference):
+        if generic_rank(Ensemble(interference + (own,))) != own.n_cols + generic_rank(Ensemble(interference)):
             return False
     return True
-
-
-def _generic_rank(blocks: list[ExactMatrix]) -> int:
-    # The almost-sure rank of the row-scaled concatenation, exact, from C6.
-    ensemble = Ensemble(tuple(blocks))
-    return ensemble.R - max_tau(ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +467,15 @@ class DecodabilityReport:
 
 
 def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | None = None) -> DecodabilityReport:
-    """Sampled exact check of the projection decodability condition."""
+    """Sampled exact check of the projection decodability condition.
+
+    Refuses, before any draw, a cfg whose failure bound cannot be printed.
+    """
     cfg = cfg or TrialConfig()
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
     n = scheme.n
+    check_printable_bound(n, cfg)
     grids = [b._grid for b in scheme.beamformers]
     per_receiver = []
     details = []
@@ -477,6 +484,11 @@ def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | N
         interferers = sorted(topology.interferers(j))
         interference = [grids[i - 1] for i in interferers]
         width = sum(scheme.beamformers[i - 1].n_cols for i in interferers)
+        if not interference:
+            # B_j has full column rank, so every draw would give rank m_j: draw none.
+            per_receiver.append(True)
+            details.append(((m_j, 0),) * cfg.trials)
+            continue
         ranks = []
         for trial in range(cfg.trials):
             # stream trial * K + j: the desired block draws first, then the interferers
@@ -552,8 +564,8 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
         if len(members) < 2:
             continue
         for i1, i2 in itertools.combinations(members, 2):
-            pair = [scheme.beamformers[i1 - 1], scheme.beamformers[i2 - 1]]
-            checks.append(StructureCheck("alignment-collapse", (i1, i2), r, _generic_rank(pair) <= half))
+            pair = Ensemble((scheme.beamformers[i1 - 1], scheme.beamformers[i2 - 1]))
+            checks.append(StructureCheck("alignment-collapse", (i1, i2), r, generic_rank(pair) <= half))
     reduced = reduced_conflict_graph(topology)
     for i, k in sorted(reduced.edges):
         covered = row_support(scheme.beamformers[i - 1]).union(row_support(scheme.beamformers[k - 1]))

@@ -8,12 +8,14 @@ import itertools
 import json
 import pkgutil
 import random
+import time
 import weakref
 from fractions import Fraction
 
 import pytest
 
 import rankloss
+from rankloss import conditions
 from rankloss.cli import main
 from rankloss.conditions import (
     CheckResult,
@@ -29,7 +31,7 @@ from rankloss.conditions import (
     lex_subset_masks,
     max_tau,
 )
-from rankloss.errors import PreconditionError
+from rankloss.errors import InternalInvariantError, PreconditionError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, rank, sparse_dim
 from rankloss.fileio import emit_ensemble
 from rankloss.randrank import TrialConfig
@@ -363,6 +365,51 @@ def test_c6_certificate_shape(rng):
         assert set(range(1, e.n + 1)) - set(covered) <= set(cert.T)
         assert cert.size == e.n - len(cert.T) + sum(rank(b.take_rows(rows_t)) for b in e.blocks)
         assert max_tau(e) == e.R - cert.size
+
+
+def test_c6_needs_an_augmenting_path():
+    # Row 1 fills B_1's one column, so row 2 (zero in B_2) must take it and
+    # push row 1 over to B_2: an augmenting path of length 2.
+    e = Ensemble.of([[1], [1]], [[1], [0]])
+    assert _row_union(e).parts == ((2,), (1,))
+    assert max_tau(e) == 0
+
+
+def test_c6_certificate_catches_a_wrong_circuit(monkeypatch):
+    # Dropping the largest member of every circuit loses the exchange the
+    # augmenting path above needs; the exact re-check refuses the result.
+    real = conditions._row_circuits
+
+    def dropping(ensemble):
+        circuit = real(ensemble)
+
+        def mutated(i, part, y):
+            members = circuit(i, part, y)
+            return members if members is None else sorted(members)[:-1]
+
+        return mutated
+
+    monkeypatch.setattr(conditions, "_row_circuits", dropping)
+    with pytest.raises(InternalInvariantError):
+        max_tau(Ensemble.of([[1], [1]], [[1], [0]]))
+
+
+def _dense_ensemble(n: int, k: int, seed: int) -> Ensemble:
+    # k dense n x n/k blocks with entries in [-9, 9] and row 1 zero in all.
+    rng = random.Random(seed)
+    return Ensemble(
+        tuple(
+            ExactMatrix.from_rows([[rng.randint(-9, 9) if r else 0 for _ in range(n // k)] for r in range(n)])
+            for _ in range(k)
+        )
+    )
+
+
+def test_max_tau_at_n128_within_budget():
+    e = _dense_ensemble(128, 2, 0)
+    start = time.monotonic()
+    assert max_tau(e) == 1
+    assert time.monotonic() - start < 2.0
 
 
 def _wide_ensemble(seed: int, zero_rows=()) -> Ensemble:

@@ -53,6 +53,13 @@ def test_length_mismatch():
         build_support_graph([(1, (1, 0)), (2, (1, 0, 0))])
 
 
+@pytest.mark.parametrize("n_left, mask", [(1, 0b10), (2, -1)])
+def test_adjacency_outside_the_rows_refused(n_left, mask):
+    # Such masks used to read a wrong max_matching or defect.
+    with pytest.raises(ShapeError):
+        SupportGraph(n_left, ((1, 1, mask),))
+
+
 def test_pigeonhole_three_on_two_rows():
     g = build_support_graph([(1, (1, 1)), (1, (2, 1)), (2, (1, 3))])
     assert max_matching(g) == 2

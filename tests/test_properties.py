@@ -6,26 +6,32 @@ the row structure up to the random scaling, so `max_tau` and every
 permutation, rescaling one row of one block, and a change of basis of
 one block's columns.  `cross_validate` raises when C1-C5 disagree, so
 each example also checks the five routes against one another; `max_tau`
-comes from C6, and C2 must hold exactly at the taus up to it.
+comes from C6, and C2 must hold exactly at the taus up to it.  C6's
+partition must also be the one `matroid_partition` finds with circuits
+read off plain independence queries.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankloss.conditions import Ensemble, check_C2, cross_validate, max_tau
-from rankloss.exactla import ExactMatrix, is_full_column_rank
+from rankloss.conditions import Ensemble, _row_union, check_C2, cross_validate, max_tau
+from rankloss.exactla import ExactMatrix, _bareiss, is_full_column_rank
+from rankloss.matroid import independence_circuits, matroid_partition
 
 from conftest import cofactor_det
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
 entries = st.sampled_from([1, 0, -1, 2])
+sparse_entries = st.sampled_from([0, 1, 0, -1, 2, 0])
 
 
-def _matrix(draw, n_rows: int, n_cols: int) -> list[list[int]]:
-    return draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+def _matrix(draw, n_rows: int, n_cols: int, pool=entries) -> list[list[int]]:
+    return draw(st.lists(st.lists(pool, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
 
 
 @st.composite
@@ -96,3 +102,32 @@ def test_c2_holds_exactly_up_to_c6_max_tau(e):
     # C6 (matroid partition) and C2 (exhaustive J scans) agree at every tau.
     tau_star = max_tau(e)
     assert [check_C2(e, tau).holds for tau in range(1, e.R + 1)] == [tau <= tau_star for tau in range(1, e.R + 1)]
+
+
+@st.composite
+def wider_ensembles(draw) -> Ensemble:
+    # Up to 7 rows and 4 blocks, fractional entries, and in some a row
+    # zero in every block; sparse entries make augmenting paths likely.
+    n = draw(st.integers(1, 7))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n > 1 else set()
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, max(1, min(4, n - len(zero_rows)))))
+        rows = _matrix(draw, n, width, sparse_entries)
+        for r in range(n):
+            rows[r] = [0] * width if r in zero_rows else [Fraction(v, draw(st.sampled_from([1, 3]))) for v in rows[r]]
+        block = ExactMatrix.from_rows(rows)
+        assume(is_full_column_rank(block))
+        blocks.append(block)
+    return Ensemble(tuple(blocks))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(wider_ensembles())
+def test_c6_partition_matches_independence_queries(e):
+    grids, widths = e._grids, e.column_counts
+
+    def independent(i, rows):
+        return _bareiss([grids[i][r - 1][:] for r in rows], widths[i]) == len(rows)
+
+    assert _row_union(e) == matroid_partition(range(1, e.n + 1), e.K, independence_circuits(independent))

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from rankloss.conditions import Ensemble, check_C2
+import rankloss
+from rankloss.conditions import Ensemble, check_C2, cross_validate
 from rankloss.errors import PreconditionError
+from rankloss.fileio import load_ensemble
 from rankloss.randrank import (
     TrialConfig,
     _draw_diags,
@@ -18,7 +20,7 @@ from rankloss.randrank import (
     sample_ranks,
 )
 
-from conftest import e1, e3, fraction_scaled_rank, identity_matrix, random_ensemble
+from conftest import FIXTURES, e1, e3, fraction_scaled_rank, identity_matrix, random_ensemble
 
 
 def test_generic_rank_e1():
@@ -154,3 +156,14 @@ def test_trial_config_validation():
         TrialConfig(trials=0)
     with pytest.raises(PreconditionError):
         TrialConfig(entry_bound=1)
+
+
+def test_unprintable_bound_refused_before_sampling(monkeypatch):
+    # (4 / 2**31) ** 500 has a 4365-digit denominator: the report could
+    # not print it, so no draw is made.
+    draws = []
+    real = rankloss.randrank._draw_diags
+    monkeypatch.setattr(rankloss.randrank, "_draw_diags", lambda *a: draws.append(a) or real(*a))
+    with pytest.raises(PreconditionError, match="too long to print"):
+        cross_validate(load_ensemble(FIXTURES / "E1.json"), 1, TrialConfig(trials=500))
+    assert draws == []

@@ -307,7 +307,9 @@ def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
 
 
 def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
-    # Both ranks of a trial come from one elimination of [interference | B_j].
+    # Both ranks of a trial come from one elimination of [interference | B_j];
+    # a receiver that hears no interferer has rank m_j at every draw and
+    # is not eliminated at all.
     calls = []
     bareiss = rankloss.exactla._bareiss
 
@@ -320,8 +322,21 @@ def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
         monkeypatch.setattr(module, "_bareiss", counting_bareiss)
     for topology, scheme in cases:
         calls.clear()
-        verify_decodability(topology, scheme, FAST)
-        assert len(calls) == topology.K * FAST.trials
+        report = verify_decodability(topology, scheme, FAST)
+        heard = [j for j in range(1, topology.K + 1) if topology.interferers(j)]
+        assert len(calls) == len(heard) * FAST.trials
+        for j in range(1, topology.K + 1):
+            if j not in heard:
+                assert report.trial_ranks[j - 1] == ((scheme.beamformers[j - 1].n_cols, 0),) * FAST.trials
+
+
+def test_verify_refuses_unprintable_bound_before_sampling(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before the bound was checked")
+
+    monkeypatch.setattr(rankloss.tim, "_draw_diags", no_draws)
+    with pytest.raises(PreconditionError, match="too long to print"):
+        verify_decodability(t6(), synth_half_dof_scheme(t6()), TrialConfig(trials=1, entry_bound=2**14287))
 
 
 def test_exclusive_scheme_requires_p1p2():
