@@ -125,7 +125,7 @@ def _cmd_mc_rank(args) -> dict:
         "sampled_ranks": list(ranks),
         "generic_rank": max(ranks),
         "rank_loss": ensemble.R - max(ranks),
-        "failure_probability_bound": str(failure_bound(ensemble, cfg)),
+        "failure_probability_bound": str(failure_bound(ensemble.n, cfg)),
     }
 
 

@@ -29,9 +29,10 @@ column choice to the end.  C3-C5 grow as 2^n times the number of column
 choices; they stop scanning a size |X| at its first violation, and every
 size up to the generic rank holds one, so they scan in full only the
 sizes above the generic rank.  C6 keeps each part's rows as one integer
-echelon basis, so the partition's question about a row and a part (does
-the row fit, and if not, which rows could it replace) costs one reduction
-of the row against that basis: its fundamental circuit is the support of
+echelon basis (`exactla._RowBasis`, the package's one reduced echelon
+routine), so the partition's question about a row and a part (does the
+row fit, and if not, which rows could it replace) costs one reduction of
+the row against that basis: its fundamental circuit is the support of
 the combination the reduction leaves.  A part that only gains a row
 extends its basis; one that an augmenting path changed otherwise is
 rebuilt.
@@ -49,11 +50,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from operator import mul
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss
+from .exactla import ExactMatrix, IndexSet, _bareiss, _rows_rank, _RowBasis
 from .matroid import Partition, matroid_partition
 from .randrank import C1Verdict, TrialConfig, _check_tau, check_C1
 
@@ -356,75 +356,6 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
 # C6: the union of the blocks' row matroids
 # ---------------------------------------------------------------------------
 
-class _RowBasis:
-    """Some rows of one block in fraction-free reduced echelon form, read for fundamental circuits.
-
-    Basis vector t has det at pivot column pivots[t] and 0 at the other
-    pivots; free[c][t] is its entry at non-pivot column c and comb[s][t]
-    its coefficient of rows[s].  det is the minor of the rows at the pivot
-    columns, so each vector is det times a row of the reduced echelon form
-    and every entry is a minor of the rows: Bareiss-Jordan elimination
-    divides exactly and the integers stay bounded.  Clearing a row's pivot
-    entries takes its own entries as multipliers, so a query multiplies
-    small integers into the basis and divides nothing.
-    """
-
-    def __init__(self, grid: list[list[int]], width: int):
-        self.grid = grid
-        self.rows: tuple[int, ...] = ()
-        self.key: tuple[int, ...] = ()  # the rows, sorted
-        self.pivots: list[int] = []
-        self.free: dict[int, list[int]] = {c: [] for c in range(width)}
-        self.comb: list[list[int]] = []
-        self.det = 1
-        self.last: tuple[int, list[int], list[int]] | None = None  # the last row found independent
-
-    def _multipliers(self, y: int) -> list[int]:
-        row = self.grid[y - 1]
-        return [row[p] for p in self.pivots]
-
-    def _reduce(self, y: int, fs: list[int]) -> list[int]:
-        # det * row y, less the basis vectors that clear its pivots, at the free columns.
-        row = self.grid[y - 1]
-        return [self.det * row[c] - sum(map(mul, fs, col)) for c, col in self.free.items()]
-
-    def _combination(self, fs: list[int]) -> list[int]:
-        # The reduced row's coefficients of the rows, apart from det on row y itself.
-        return [-sum(map(mul, fs, col)) for col in self.comb]
-
-    def circuit(self, y: int) -> list[int] | None:
-        """None when row y is independent of the rows, else the rows its combination uses."""
-        fs = self._multipliers(y)
-        w = self._reduce(y, fs)
-        if any(w):
-            self.last = (y, w, fs)
-            return None
-        return sorted(r for r, c in zip(self.rows, self._combination(fs)) if c)
-
-    def add(self, y: int) -> None:
-        """Extend the basis by row y, which must be independent of it."""
-        if self.last and self.last[0] == y:
-            w, fs = self.last[1:]
-        else:
-            fs = self._multipliers(y)
-            w = self._reduce(y, fs)
-        k = next(k for k, v in enumerate(w) if v)
-        cols = [*self.free.values(), *self.comb]
-        u = w + self._combination(fs)
-        det, new_det, old_q = self.det, u[k], cols[k][:]
-        for col, uc in zip(cols, u):
-            col[:] = [(new_det * v - g * uc) // det for v, g in zip(col, old_q)]
-            col.append(uc)
-        q = list(self.free)[k]
-        del self.free[q]
-        self.comb.append([-g for g in old_q] + [det])
-        self.pivots.append(q)
-        self.det = new_det
-        self.rows += (y,)
-        self.key = tuple(sorted(self.rows))
-        self.last = None
-
-
 def _row_circuits(ensemble: Ensemble) -> Callable[[int, tuple[int, ...], int], list[int] | None]:
     """C6's circuit oracle: one `_RowBasis` per part, each row reduced once per query.
 
@@ -457,16 +388,11 @@ def _row_union(ensemble: Ensemble) -> Partition:
     I_i of each B_i are independent, and sum |I_i| = n - |T| + sum_i
     rank(B_i[T, :]), which bounds every partition from above.
     """
-    grids = ensemble._grids
-    widths = ensemble.column_counts
-
-    def row_rank(i: int, rows: Sequence[int]) -> int:
-        return _bareiss([grids[i][r - 1][:] for r in rows], widths[i])
-
+    blocks = list(zip(ensemble._grids, ensemble.column_counts))
     cert = matroid_partition(range(1, ensemble.n + 1), ensemble.K, _row_circuits(ensemble))
-    if any(row_rank(i, part) != len(part) for i, part in enumerate(cert.parts)):
+    if any(_rows_rank(grid, part, width) != len(part) for (grid, width), part in zip(blocks, cert.parts)):
         raise InternalInvariantError("C6: a part of the row partition is dependent")
-    bound = ensemble.n - len(cert.T) + sum(row_rank(i, cert.T) for i in range(ensemble.K))
+    bound = ensemble.n - len(cert.T) + sum(_rows_rank(grid, cert.T, width) for grid, width in blocks)
     if cert.size != bound:
         raise InternalInvariantError(f"C6: partition of {cert.size} rows, but T bounds it by {bound}")
     return cert

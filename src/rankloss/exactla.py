@@ -8,6 +8,9 @@ intermediate value is ever rounded.  Each matrix owns its column-cleared
 integer grid and its rank, computed at most once and freed with it, so a
 block read by several routes is cleared and eliminated once.
 
+C6's fundamental circuits, the nullspace and adapted bases all read one
+fraction-free reduced echelon basis of some rows of a grid (`_RowBasis`).
+
 Index sets are 1-based externally, matching the usual [n] convention of
 the combinatorial statements they feed.
 """
@@ -19,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ShapeError
+from .errors import PreconditionError, ShapeError
 
 Rational = Fraction
 
@@ -206,14 +210,6 @@ class ExactMatrix:
         """Column with 0-based index j, as a tuple."""
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.n_cols)]
-
-    def take_rows(self, rows: IndexSet) -> "ExactMatrix":
-        if rows.universe != self.n_rows:
-            raise ShapeError(f"row set over [{rows.universe}] applied to {self.n_rows}-row matrix")
-        return ExactMatrix(tuple(self.rows[i - 1] for i in rows), self.n_cols)
-
     def take_cols(self, cols: IndexSet) -> "ExactMatrix":
         if cols.universe != self.n_cols:
             raise ShapeError(f"column set over [{cols.universe}] applied to {self.n_cols}-column matrix")
@@ -227,14 +223,10 @@ class ExactMatrix:
             self.n_cols + other.n_cols,
         )
 
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.n_cols != other.n_rows:
-            raise ShapeError(f"inner dimension mismatch: {self.n_cols} vs {other.n_rows}")
-        cols = other.columns()
-        return ExactMatrix(
-            tuple(tuple(sum(a * c for a, c in zip(row, col)) for col in cols) for row in self.rows),
-            other.n_cols,
-        )
+
+def _column_scales(m: ExactMatrix) -> list[int]:
+    """The lcm of each column's denominators."""
+    return [lcm(*(row[j].denominator for row in m.rows)) for j in range(m.n_cols)]
 
 
 def _integer_columns(m: ExactMatrix) -> list[list[int]]:
@@ -243,7 +235,7 @@ def _integer_columns(m: ExactMatrix) -> list[list[int]]:
     Column scaling preserves the rank of m and of any matrix built from m
     by scaling its rows or placing other columns beside it.
     """
-    scales = [lcm(*(row[j].denominator for row in m.rows)) for j in range(m.n_cols)]
+    scales = _column_scales(m)
     return [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in m.rows]
 
 
@@ -276,28 +268,87 @@ def rank(m: ExactMatrix) -> int:
     return m._rank
 
 
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the 0-based pivot columns."""
-    a = [list(row) for row in m.rows]
-    n_rows, n_cols = len(a), m.n_cols
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return ExactMatrix(tuple(tuple(row) for row in a), n_cols), tuple(pivots)
+class _RowBasis:
+    """Some rows of an integer grid in fraction-free reduced echelon form.
+
+    Basis vector t has det at pivot column pivots[t] and 0 at the other
+    pivots; free[c][t] is its entry at non-pivot column c and comb[s][t]
+    its coefficient of rows[s].  det is the minor of the rows at the pivot
+    columns, so each vector is det times a row of the reduced echelon form
+    and every entry is a minor of the rows: Bareiss-Jordan elimination
+    divides exactly and the integers stay bounded.  Clearing a row's pivot
+    entries takes its own entries as multipliers, so a query multiplies
+    small integers into the basis and divides nothing.  C6 reads
+    fundamental circuits off it; the nullspace and adapted bases read its
+    pivots and free entries.
+    """
+
+    def __init__(self, grid: list[list[int]], width: int):
+        self.grid = grid
+        self.rows: tuple[int, ...] = ()
+        self.key: tuple[int, ...] = ()  # the rows, sorted
+        self.pivots: list[int] = []
+        self.free: dict[int, list[int]] = {c: [] for c in range(width)}
+        self.comb: list[list[int]] = []
+        self.det = 1
+        self.last: tuple[int, list[int], list[int]] | None = None  # the last row found independent
+
+    def _multipliers(self, y: int) -> list[int]:
+        row = self.grid[y - 1]
+        return [row[p] for p in self.pivots]
+
+    def _reduce(self, y: int, fs: list[int]) -> list[int]:
+        # det * row y, less the basis vectors that clear its pivots, at the free columns.
+        row = self.grid[y - 1]
+        return [self.det * row[c] - sum(map(mul, fs, col)) for c, col in self.free.items()]
+
+    def _combination(self, fs: list[int]) -> list[int]:
+        # The reduced row's coefficients of the rows, apart from det on row y itself.
+        return [-sum(map(mul, fs, col)) for col in self.comb]
+
+    def circuit(self, y: int) -> list[int] | None:
+        """None when row y is independent of the rows, else the rows its combination uses."""
+        fs = self._multipliers(y)
+        w = self._reduce(y, fs)
+        if any(w):
+            self.last = (y, w, fs)
+            return None
+        return sorted(r for r, c in zip(self.rows, self._combination(fs)) if c)
+
+    def add(self, y: int) -> None:
+        """Extend the basis by row y, which must be independent of it."""
+        if self.last and self.last[0] == y:
+            w, fs = self.last[1:]
+        else:
+            fs = self._multipliers(y)
+            w = self._reduce(y, fs)
+        k = next(k for k, v in enumerate(w) if v)
+        cols = [*self.free.values(), *self.comb]
+        u = w + self._combination(fs)
+        det, new_det, old_q = self.det, u[k], cols[k][:]
+        for col, uc in zip(cols, u):
+            col[:] = [(new_det * v - g * uc) // det for v, g in zip(col, old_q)]
+            col.append(uc)
+        q = list(self.free)[k]
+        del self.free[q]
+        self.comb.append([-g for g in old_q] + [det])
+        self.pivots.append(q)
+        self.det = new_det
+        self.rows += (y,)
+        self.key = tuple(sorted(self.rows))
+        self.last = None
+
+    def extend(self, rows: Iterable[int]) -> "_RowBasis":
+        """Extend the basis by each of the rows that is independent of it, in order."""
+        for y in rows:
+            if self.circuit(y) is None:
+                self.add(y)
+        return self
+
+
+def _rows_rank(grid: list[list[int]], rows: Iterable[int], width: int) -> int:
+    """Rank of the 1-based rows of an integer grid, eliminated on copies."""
+    return _bareiss([grid[r - 1][:] for r in rows], width)
 
 
 def nullspace_basis(m: ExactMatrix) -> ExactMatrix:
@@ -305,17 +356,51 @@ def nullspace_basis(m: ExactMatrix) -> ExactMatrix:
 
     Columns are produced in increasing order of their free variable, each
     normalized to have a 1 in that coordinate, so the result is canonical.
+    Each pivot of the echelon basis leads a vector of the row space, so the
+    pivots are the reduced echelon form's, and its entries are the basis's
+    over det with m's column scales undone.
     """
-    reduced, pivots = rref(m)
-    free = [j for j in range(m.n_cols) if j not in pivots]
+    basis = _RowBasis(m._grid, m.n_cols).extend(range(1, m.n_rows + 1))
+    scales = _column_scales(m)
     cols = []
-    for f in free:
+    for f, entries in basis.free.items():
         vec = [Fraction(0)] * m.n_cols
         vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced.rows[r][f]
+        for p, v in zip(basis.pivots, entries):
+            vec[p] = Fraction(-scales[p] * v, basis.det * scales[f])
         cols.append(vec)
     return ExactMatrix.from_columns(cols, n_rows=m.n_cols)
+
+
+def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:
+    """Basis of colspan(B_{*,Y}) whose leading columns span S_J & colspan(B_{*,Y}).
+
+    B_{*,Y} must have full column rank, so it is injective.  With A its
+    rows outside J, the basis is B_{*,Y} times nullspace_basis(A), then the
+    columns of B_{*,Y} at A's pivots: e_j extends null(A) and the earlier
+    e's exactly when column j of A is independent of A's earlier columns.
+    One echelon basis of A's rows gives both, and the rows in J extend it
+    to the rank.  Over the cleared grid G with column scales s, the
+    nullspace vector of free column f maps to
+    (det G[:, f] - sum_t free[f][t] G[:, pivots[t]]) / (det s_f).
+    """
+    restricted = block.take_cols(Y)
+    if J.universe != block.n_rows:
+        raise ShapeError(f"J over [{J.universe}] against {block.n_rows}-row matrix")
+    grid, width = restricted._grid, restricted.n_cols
+    basis = _RowBasis(grid, width).extend(J.complement())
+    pivots, det, scales = basis.pivots, basis.det, _column_scales(restricted)
+    cols = [
+        [
+            Fraction(det * row[f] - sum(row[p] * v for p, v in zip(pivots, entries)), det * scales[f])
+            for row in grid
+        ]
+        for f, entries in basis.free.items()
+    ]
+    cols += [restricted.column(p) for p in sorted(pivots)]
+    if len(basis.extend(J).rows) != width:
+        raise PreconditionError(f"adapted_basis needs B[:, Y] of full column rank {width}")
+    return ExactMatrix.from_columns(cols, n_rows=block.n_rows)
 
 
 def sparse_dim(b: ExactMatrix, j: IndexSet) -> int:
@@ -327,7 +412,7 @@ def sparse_dim(b: ExactMatrix, j: IndexSet) -> int:
     """
     if j.universe != b.n_rows:
         raise ShapeError(f"index set over [{j.universe}] against {b.n_rows}-row matrix")
-    return rank(b) - rank(b.take_rows(j.complement()))
+    return rank(b) - _rows_rank(b._grid, j.complement(), b.n_cols)
 
 
 def intersect_dim(a: ExactMatrix, b: ExactMatrix) -> int:

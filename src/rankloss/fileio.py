@@ -62,7 +62,7 @@ def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
         if not isinstance(col, list) or len(col) != n:
             raise LoadError(f"{where}, column {c}: expected {n} entries")
         cols.append([_parse_literal(v, f"{where}, column {c}, row {r}") for r, v in enumerate(col, start=1)])
-    return ExactMatrix.from_columns(cols, n_rows=n)
+    return ExactMatrix(tuple(zip(*cols)), len(cols))
 
 
 def parse_ensemble_data(data, where: str = "ensemble") -> Ensemble:

@@ -10,6 +10,9 @@ Every answer comes from one maximum matching, found by augmenting paths
 in polynomial time.  The defect max_I |I| - |N(I)| equals |B| minus the
 maximum matching size (Konig-Ore duality), and the Hall threshold holds
 exactly when that size is at least k, so no subset of B is ever scanned.
+
+The adapted bases whose supports these graphs are built from come from
+`exactla.adapted_basis`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, nullspace_basis, rank
+from .exactla import IndexSet
 
 
 @dataclass(frozen=True)
@@ -114,27 +117,3 @@ def hall_threshold_check(graph: SupportGraph, k: int) -> bool:
             f"k must lie in [0, {min(graph.n_left, graph.n_right)}], got {k}"
         )
     return max_matching(graph) >= k
-
-
-def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:
-    """Basis of colspan(B_{*,Y}) whose leading columns span S_J & colspan(B_{*,Y}).
-
-    The inner part comes from the nullspace of the J-complement row
-    restriction; the extension picks original columns greedily until the
-    full column-span rank is reached.
-    """
-    restricted = block.take_cols(Y)
-    if J.universe != block.n_rows:
-        raise ShapeError(f"J over [{J.universe}] against {block.n_rows}-row matrix")
-    inner = restricted.matmul(nullspace_basis(restricted.take_rows(J.complement())))
-    target = rank(restricted)
-    basis = inner
-    current = rank(basis)
-    for j in range(restricted.n_cols):
-        if current == target:
-            break
-        candidate = basis.hstack(ExactMatrix.from_columns([restricted.column(j)]))
-        if rank(candidate) > current:
-            basis = candidate
-            current += 1
-    return basis

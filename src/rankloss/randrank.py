@@ -136,15 +136,15 @@ def sample_generic_rank(ensemble: "Ensemble", cfg: TrialConfig | None = None) ->
     """Maximum sampled rank: a certain lower bound on the generic rank.
 
     Equals the generic rank except with probability at most
-    failure_bound(ensemble, cfg).
+    failure_bound(ensemble.n, cfg).
     """
     cfg = cfg or TrialConfig()
     return max(_cached_ranks(ensemble, cfg))
 
 
-def failure_bound(ensemble: "Ensemble", cfg: TrialConfig) -> Fraction:
-    """Zippel-Schwartz bound on all trials undershooting the generic rank."""
-    return Fraction(ensemble.n, cfg.entry_bound) ** cfg.trials
+def failure_bound(n: int, cfg: TrialConfig) -> Fraction:
+    """Zippel-Schwartz bound on all trials undershooting a generic rank over n rows."""
+    return Fraction(n, cfg.entry_bound) ** cfg.trials
 
 
 @dataclass(frozen=True)
@@ -176,4 +176,4 @@ def check_C1(ensemble: "Ensemble", tau: int, cfg: TrialConfig | None = None) -> 
     threshold = ensemble.R - tau
     if max(ranks) > threshold:
         return C1Verdict(False, True, tau, ranks, Fraction(0))
-    return C1Verdict(True, False, tau, ranks, failure_bound(ensemble, cfg))
+    return C1Verdict(True, False, tau, ranks, failure_bound(ensemble.n, cfg))

@@ -23,9 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .conditions import Ensemble, generic_rank
 from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss, is_full_column_rank, row_support, sparse_dim
-from .matching import adapted_basis
-from .randrank import TrialConfig, _draw_diags, _scaled_rank, _scaled_rows, check_printable_bound
+from .exactla import ExactMatrix, IndexSet, _bareiss, adapted_basis, is_full_column_rank, row_support, sparse_dim
+from .randrank import TrialConfig, _draw_diags, _scaled_rank, _scaled_rows, check_printable_bound, failure_bound
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
@@ -501,9 +500,7 @@ def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | N
             ranks.append((combined_rank, interference_rank))
         per_receiver.append(all(c == m_j + i for c, i in ranks))
         details.append(tuple(ranks))
-    return DecodabilityReport(
-        tuple(per_receiver), tuple(details), Fraction(n, cfg.entry_bound) ** cfg.trials
-    )
+    return DecodabilityReport(tuple(per_receiver), tuple(details), failure_bound(n, cfg))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rankloss.conditions import Ensemble
+from rankloss.errors import ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, nullspace_basis, rank, sparse_dim
 from rankloss.matching import SupportGraph
 from rankloss.tim import Scheme, StructureCheck, StructureReport, Topology, reduced_conflict_graph
@@ -64,9 +65,26 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(tuple(m.column(j) for j in range(m.n_cols)), m.n_rows)
 
 
+def take_rows(m: ExactMatrix, rows: IndexSet) -> ExactMatrix:
+    """B_{X,*}: keep the rows in X, preserving their order."""
+    if rows.universe != m.n_rows:
+        raise ShapeError(f"row set over [{rows.universe}] applied to {m.n_rows}-row matrix")
+    return ExactMatrix(tuple(m.rows[i - 1] for i in rows), m.n_cols)
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product AB over Fraction."""
+    if a.n_cols != b.n_rows:
+        raise ShapeError(f"inner dimension mismatch: {a.n_cols} vs {b.n_rows}")
+    cols = [b.column(j) for j in range(b.n_cols)]
+    return ExactMatrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows), b.n_cols
+    )
+
+
 def submatrix(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> ExactMatrix:
     """B_{X,Y}: keep rows in X and columns in Y, preserving relative order."""
-    return m.take_rows(rows).take_cols(cols)
+    return take_rows(m, rows).take_cols(cols)
 
 
 def scale_column(m: ExactMatrix, j: int, factor) -> ExactMatrix:
@@ -103,7 +121,64 @@ def sparse_intersection_basis(b: ExactMatrix, j: IndexSet) -> ExactMatrix:
     image Bc is supported inside J, so B times a nullspace basis of the
     J^c row restriction spans the intersection.
     """
-    return b.matmul(nullspace_basis(b.take_rows(j.complement())))
+    return matmul(b, nullspace_basis(take_rows(b, j.complement())))
+
+
+def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the 0-based pivot columns, by Gauss-Jordan over Fraction.
+
+    The reference for the library's integer echelon basis.
+    """
+    a = [list(row) for row in m.rows]
+    n_rows, n_cols = len(a), m.n_cols
+    pivots: list[int] = []
+    r = 0
+    for col in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return ExactMatrix(tuple(tuple(row) for row in a), n_cols), tuple(pivots)
+
+
+def nullspace_rref(m: ExactMatrix) -> ExactMatrix:
+    """nullspace_basis read off `rref`: one column per free variable, 1 there."""
+    reduced, pivots = rref(m)
+    cols = []
+    for f in (j for j in range(m.n_cols) if j not in pivots):
+        vec = [Fraction(0)] * m.n_cols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced.rows[r][f]
+        cols.append(vec)
+    return ExactMatrix.from_columns(cols, n_rows=m.n_cols)
+
+
+def adapted_basis_greedy(block: ExactMatrix, y: IndexSet, j: IndexSet) -> ExactMatrix:
+    """adapted_basis by its definition: the sparse part, then columns of B_{*,Y} greedily by rank.
+
+    The reference for the library's, which reads both parts off one echelon basis.
+    """
+    restricted = block.take_cols(y)
+    basis = matmul(restricted, nullspace_rref(take_rows(restricted, j.complement())))
+    target, current = rank(restricted), rank(basis)
+    for c in range(restricted.n_cols):
+        if current == target:
+            break
+        candidate = basis.hstack(ExactMatrix.from_columns([restricted.column(c)]))
+        if rank(candidate) > current:
+            basis, current = candidate, current + 1
+    return basis
 
 
 def defect_scan(graph: SupportGraph) -> int:

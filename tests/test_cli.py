@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import rankloss.exactla
 from rankloss import fileio
 from rankloss.cli import build_parser, main
 from rankloss.errors import LoadError
@@ -136,6 +137,22 @@ def test_scheme_round_trip(tmp_path):
     assert again == scheme
     assert again_assignment == assignment
     assert assignment.get(1) == IndexSet.of(7, [1, 2])
+
+
+def test_scheme_load_parses_each_entry_once(monkeypatch):
+    parsed = []
+    parse = rankloss.exactla.parse_rational
+
+    def counting_parse(literal):
+        parsed.append(literal)
+        return parse(literal)
+
+    monkeypatch.setattr(rankloss.exactla, "parse_rational", counting_parse)
+    monkeypatch.setattr(fileio, "parse_rational", counting_parse)
+    path = FIXTURES / "T9b_scheme.json"
+    scheme, _ = fileio.load_scheme(str(path))
+    entries = sum(len(col) for block in json.loads(path.read_text())["beamformers"] for col in block)
+    assert len(parsed) == entries == sum(b.n_rows * b.n_cols for b in scheme.beamformers)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from conftest import (
     random_ensemble,
     scale_column,
     submatrix,
+    take_rows,
 )
 
 
@@ -337,7 +338,7 @@ def _varied_ensemble(rng, max_n=6, max_k=4):
 def _min_t_bound(e) -> int:
     # rank(B_D) = min over T of n - |T| + sum_i rank(B_i[T, :]), exhaustively.
     return min(
-        e.n - len(t) + sum(rank(b.take_rows(IndexSet(e.n, t))) for b in e.blocks)
+        e.n - len(t) + sum(rank(take_rows(b, IndexSet(e.n, t))) for b in e.blocks)
         for size in range(e.n + 1)
         for t in itertools.combinations(range(1, e.n + 1), size)
     )
@@ -360,10 +361,10 @@ def test_c6_certificate_shape(rng):
         covered = [r for part in cert.parts for r in part]
         assert len(covered) == len(set(covered))
         for block, part in zip(e.blocks, cert.parts):
-            assert rank(block.take_rows(IndexSet(e.n, part))) == len(part)
+            assert rank(take_rows(block, IndexSet(e.n, part))) == len(part)
         rows_t = IndexSet(e.n, cert.T)
         assert set(range(1, e.n + 1)) - set(covered) <= set(cert.T)
-        assert cert.size == e.n - len(cert.T) + sum(rank(b.take_rows(rows_t)) for b in e.blocks)
+        assert cert.size == e.n - len(cert.T) + sum(rank(take_rows(b, rows_t)) for b in e.blocks)
         assert max_tau(e) == e.R - cert.size
 
 

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import rankloss.exactla
-from rankloss.errors import ShapeError
+from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import (
     ExactMatrix,
     IndexSet,
+    adapted_basis,
     format_rational,
     intersect_dim,
     is_full_column_rank,
@@ -24,7 +25,17 @@ from rankloss.exactla import (
     sparse_dim,
 )
 
-from conftest import identity_matrix, is_zero, sparse_intersection_basis, submatrix, transpose
+from conftest import (
+    adapted_basis_greedy,
+    identity_matrix,
+    is_zero,
+    matmul,
+    nullspace_rref,
+    sparse_intersection_basis,
+    submatrix,
+    take_rows,
+    transpose,
+)
 
 B1 = ExactMatrix.from_rows([[1, 1], [1, 2], [1, 3], [0, 0]])
 
@@ -136,7 +147,55 @@ def test_nullspace_dimension_count():
         basis = nullspace_basis(mat)
         assert basis.n_cols == m - rank(mat)
         if basis.n_cols:
-            assert is_zero(mat.matmul(basis))
+            assert is_zero(matmul(mat, basis))
+
+
+# Fractions, zeros and repeats, so generated matrices carry zero rows and lose rank.
+REDUCTION_POOL = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+def _reduction_matrix(rng: random.Random, n: int, m: int) -> ExactMatrix:
+    rows = [[rng.choice(REDUCTION_POOL) for _ in range(m)] for _ in range(n)]
+    if n >= 2 and rng.random() < 0.3:
+        # a row that is a combination of two others
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice(REDUCTION_POOL)
+        rows[rng.randrange(n)] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return ExactMatrix(tuple(tuple(Fraction(v) for v in row) for row in rows), m)
+
+
+def test_nullspace_basis_matches_rref_reference():
+    rng = random.Random(13)
+    shapes = [(0, m) for m in range(4)] + [(n, 0) for n in range(1, 4)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(2000)]
+    deficient = 0
+    for n, m in shapes:
+        mat = _reduction_matrix(rng, n, m)
+        basis = nullspace_basis(mat)
+        assert basis == nullspace_rref(mat)
+        assert (basis.n_rows, basis.n_cols) == (m, m - rank(mat))
+        deficient += rank(mat) < min(n, m)
+    assert deficient >= 150
+
+
+def test_adapted_basis_matches_greedy_reference():
+    rng = random.Random(17)
+    for _ in range(2000):
+        n, k = rng.randint(1, 6), rng.randint(0, 3)
+        block = _reduction_matrix(rng, n, min(k, n))
+        while not is_full_column_rank(block):
+            block = _reduction_matrix(rng, n, block.n_cols)
+        y = IndexSet.of(block.n_cols, [c for c in range(1, block.n_cols + 1) if rng.random() < 0.7])
+        j = IndexSet.of(n, [v for v in range(1, n + 1) if rng.random() < rng.choice((0.0, 0.5, 1.0))])
+        assert adapted_basis(block, y, j) == adapted_basis_greedy(block, y, j)
+
+
+def test_adapted_basis_refuses_rank_deficient_columns():
+    deficient = ExactMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
+    with pytest.raises(PreconditionError):
+        adapted_basis(deficient, IndexSet.full(2), IndexSet.of(3, [3]))
+    # its first column alone has full column rank
+    assert adapted_basis(deficient, IndexSet.of(2, [1]), IndexSet.of(3, [3])).rows == ((1,), (2,), (0,))
 
 
 def test_submatrix_full_and_empty():
@@ -153,7 +212,7 @@ def test_submatrix_out_of_range():
     with pytest.raises(ShapeError):
         IndexSet.of(4, [5])
     with pytest.raises(ShapeError):
-        B1.take_rows(IndexSet.of(3, [1]))
+        take_rows(B1, IndexSet.of(3, [1]))
 
 
 def test_sparse_dim_fixture():

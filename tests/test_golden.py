@@ -2,8 +2,10 @@
 
 Each case runs one command through `cli.main` from the repository root and
 compares its JSON report, minus `timing_seconds`, with the file of the
-same name in tests/golden/.  Re-record only when a change to the reports
-is intended, and say so in the change:
+same name in tests/golden/.  A case may read an input that another command
+writes (`tim normalize` reads a synthesized scheme); the recorder writes
+those inputs first, into tests/golden/ beside the reports.  Re-record only
+when a change to the reports is intended, and say so in the change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,6 +35,12 @@ CASES = {
         for tau in range(1, r + 1)
     },
     "tim-scheme-exclusive-T9a": ("tim", "scheme", "fixtures/T9a.json", "--kind", "exclusive"),
+    "tim-normalize-T9a": ("tim", "normalize", "fixtures/T9a.json", "tests/golden/T9a_exclusive_scheme.json"),
+}
+
+# Inputs the cases read, as path -> the command that writes it with --scheme-out.
+INPUTS = {
+    "tests/golden/T9a_exclusive_scheme.json": ("tim", "scheme", "fixtures/T9a.json", "--kind", "exclusive"),
 }
 
 
@@ -59,6 +67,8 @@ def test_report_matches_golden(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    for path, argv in INPUTS.items():
+        report_text((*argv, "--scheme-out", path))
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.json").write_text(report_text(argv))
     sys.exit(0)

@@ -8,10 +8,9 @@ import pytest
 
 from rankloss.conditions import check_C2, column_choices, max_tau
 from rankloss.errors import PreconditionError, ShapeError
-from rankloss.exactla import ExactMatrix, IndexSet, rank, sparse_dim
+from rankloss.exactla import ExactMatrix, IndexSet, adapted_basis, rank, sparse_dim
 from rankloss.matching import (
     SupportGraph,
-    adapted_basis,
     build_support_graph,
     defect,
     ensemble_support_graph,

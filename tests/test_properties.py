@@ -22,7 +22,7 @@ from rankloss.conditions import Ensemble, _row_union, check_C2, cross_validate, 
 from rankloss.exactla import ExactMatrix, _bareiss, is_full_column_rank
 from rankloss.matroid import independence_circuits, matroid_partition
 
-from conftest import cofactor_det
+from conftest import cofactor_det, matmul
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -92,7 +92,7 @@ def test_column_change_of_basis(e, data):
     m = e.blocks[i].n_cols
     g = ExactMatrix.from_rows(_matrix(data.draw, m, m))
     assume(cofactor_det(g) != 0)
-    changed = e.blocks[:i] + (e.blocks[i].matmul(g),) + e.blocks[i + 1 :]
+    changed = e.blocks[:i] + (matmul(e.blocks[i], g),) + e.blocks[i + 1 :]
     assert outcome(Ensemble(changed)) == outcome(e)
 
 

@@ -41,7 +41,7 @@ def test_check_c1_verdicts():
     cfg = TrialConfig(seed=4)
     v1 = check_C1(e1(), 1, cfg)
     assert v1.holds and not v1.certain
-    assert v1.bound == failure_bound(e1(), cfg)
+    assert v1.bound == failure_bound(e1().n, cfg)
     v2 = check_C1(e1(), 2, cfg)
     assert not v2.holds and v2.certain
     v3 = check_C1(e3(), 1, cfg)
@@ -57,7 +57,7 @@ def test_check_c1_requires_positive_tau():
 
 def test_failure_bound_formula():
     cfg = TrialConfig(trials=3, entry_bound=8, seed=0)
-    assert failure_bound(e1(), cfg) == Fraction(4, 8) ** 3
+    assert failure_bound(e1().n, cfg) == Fraction(4, 8) ** 3
 
 
 def test_reproducibility_bitwise():
