@@ -11,6 +11,14 @@ block read by several routes is cleared and eliminated once.
 C6's fundamental circuits, the nullspace and adapted bases all read one
 fraction-free reduced echelon basis of some rows of a grid (`_RowBasis`).
 
+`_bareiss` is the one exact elimination.  `_rank_mod` eliminates residues
+modulo one fixed prime q and only ever proves a lower bound: for an
+integer matrix, rank mod q <= rank over Q <= the term rank of its support
+(a nonzero minor mod q is nonzero over Z, and a nonzero minor needs a
+matching of its rows to its columns in the support).  A caller whose
+modular rank reaches the term rank has the exact rank; any other falls
+back to `_bareiss`.
+
 Index sets are 1-based externally, matching the usual [n] convention of
 the combinatorial statements they feed.
 """
@@ -263,6 +271,44 @@ def _bareiss(a: list[list[int]], n_cols: int) -> int:
     return r
 
 
+# The prime of `_rank_mod`, below 2**30, so a product of two residues fits in two 30-bit digits.
+_MODULUS = 2**30 - 35
+
+
+def _rank_mod(a: list[list[int]], n_cols: int, width: int) -> tuple[int, int]:
+    """Rank over GF(_MODULUS) of a grid of residues, in place, and its pivots among the first `width` columns.
+
+    Elimination runs column by column, so the second count is the rank of
+    the first `width` columns.  A minor that is nonzero mod q is nonzero
+    over the integers, so each count is at most the rank over the
+    rationals of the integer grid the residues reduce: a lower bound only,
+    never a replacement for `_bareiss`.  Unlike Bareiss, a row with a zero
+    in the pivot column is left as it is.
+    """
+    q = _MODULUS
+    n_rows = len(a)
+    r = lead = 0
+    for col in range(n_cols):
+        for piv in range(r, n_rows):
+            if a[piv][col]:
+                break
+        else:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        row_r = a[r]
+        p = row_r[col]
+        for i in range(r + 1, n_rows):
+            f = a[i][col]
+            if f:
+                a[i] = [(p * v - f * w) % q for v, w in zip(a[i], row_r)]
+        r += 1
+        if col < width:
+            lead += 1
+        if r == n_rows:
+            break
+    return r, lead
+
+
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals, by fraction-free (Bareiss) elimination, once per matrix."""
     return m._rank
@@ -384,7 +430,7 @@ def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:
     nullspace vector of free column f maps to
     (det G[:, f] - sum_t free[f][t] G[:, pivots[t]]) / (det s_f).
     """
-    restricted = block.take_cols(Y)
+    restricted = block if Y == IndexSet.full(block.n_cols) else block.take_cols(Y)
     if J.universe != block.n_rows:
         raise ShapeError(f"J over [{J.universe}] against {block.n_rows}-row matrix")
     grid, width = restricted._grid, restricted.n_cols

@@ -9,10 +9,15 @@ equals the generic rank except with probability at most
 (n / entry_bound) ** trials.
 
 Sampling reads each block's own cleared grid, and C1 memoizes sampled
-ranks on the ensemble, one entry per `TrialConfig`.  Reports print the
-failure bound as an exact fraction, so every route that reports it
-refuses, before its first draw, a configuration whose bound is too long
-to print (`check_printable_bound`).
+ranks on the ensemble, one entry per `TrialConfig`.  C1 eliminates the
+scaled rows over Z.  `tim verify` builds the same rows reduced modulo
+`exactla`'s prime q (`_scaled_residues`): rank mod q <= rank over Q <=
+the term rank of the rows' support, which scaling by nonzero integers
+leaves unchanged, so a modular rank that reaches the term rank is exact.
+
+Reports print the failure bound as an exact fraction, so every route that
+reports it refuses, before its first draw, a configuration whose bound is
+too long to print (`check_printable_bound`).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from . import exactla
 from .errors import PreconditionError
 from .exactla import _bareiss
 
@@ -101,6 +107,15 @@ def _scaled_rows(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]
     """The rows of [D_1 G_1 | ... | D_k G_k] over integer grids with n rows (none for no grids)."""
     return [
         [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
+        for grid_rows, ds in zip(zip(*grids), zip(*diags))
+    ]
+
+
+def _scaled_residues(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of `_scaled_rows`, each entry reduced mod `exactla._MODULUS`, for `exactla._rank_mod`."""
+    q = exactla._MODULUS
+    return [
+        [d * v % q for grid_row, d in zip(grid_rows, ds) for v in grid_row]
         for grid_rows, ds in zip(zip(*grids), zip(*diags))
     ]
 

@@ -7,7 +7,12 @@ symmetric DoF formula for exclusive-alignment topologies, synthesizes the
 corresponding beamforming schemes, and verifies decodability by sampled
 exact rank computations on scalings drawn by `randrank`: one elimination
 per receiver trial gives both the combined and the interference rank, and
-a receiver that hears no interferer needs none.  Synthesized
+a receiver that hears no interferer needs none.  That elimination runs
+modulo a prime q, and rank mod q <= rank over Q <= term rank of the
+support, which no row scaling changes.  So a trial whose two modular
+ranks reach the term ranks of [interference | B_j] and [interference]
+(one maximum matching each per receiver) has its exact ranks; any other
+trial is eliminated again over Z by Bareiss.  Synthesized
 exclusive-alignment schemes are checked exactly, with generic ranks from
 C6 (`conditions.generic_rank`).  Each beamformer's cleared grid and rank
 live on its `ExactMatrix`, so synthesis, `Scheme` and verification clear
@@ -23,8 +28,26 @@ from typing import Iterable, Iterator, Sequence
 
 from .conditions import Ensemble, generic_rank
 from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss, adapted_basis, is_full_column_rank, row_support, sparse_dim
-from .randrank import TrialConfig, _draw_diags, _scaled_rank, _scaled_rows, check_printable_bound, failure_bound
+from .exactla import (
+    ExactMatrix,
+    IndexSet,
+    _bareiss,
+    _rank_mod,
+    adapted_basis,
+    is_full_column_rank,
+    row_support,
+    sparse_dim,
+)
+from .matching import SupportGraph, max_matching
+from .randrank import (
+    TrialConfig,
+    _draw_diags,
+    _scaled_rank,
+    _scaled_residues,
+    _scaled_rows,
+    check_printable_bound,
+    failure_bound,
+)
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
@@ -465,6 +488,16 @@ class DecodabilityReport:
         return all(self.per_receiver)
 
 
+def _term_rank(blocks: Sequence[ExactMatrix]) -> int:
+    """Term rank of [B_1 | ... | B_k]: its rank under any row scaling is at most this."""
+    rights = tuple(
+        (i, c + 1, sum(1 << r for r, row in enumerate(block._grid) if row[c]))
+        for i, block in enumerate(blocks, start=1)
+        for c in range(block.n_cols)
+    )
+    return max_matching(SupportGraph(blocks[0].n_rows, rights))
+
+
 def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | None = None) -> DecodabilityReport:
     """Sampled exact check of the projection decodability condition.
 
@@ -479,25 +512,31 @@ def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | N
     per_receiver = []
     details = []
     for j in range(1, topology.K + 1):
-        m_j = scheme.beamformers[j - 1].n_cols
+        own = scheme.beamformers[j - 1]
+        m_j = own.n_cols
         interferers = sorted(topology.interferers(j))
         interference = [grids[i - 1] for i in interferers]
-        width = sum(scheme.beamformers[i - 1].n_cols for i in interferers)
         if not interference:
             # B_j has full column rank, so every draw would give rank m_j: draw none.
             per_receiver.append(True)
             details.append(((m_j, 0),) * cfg.trials)
             continue
+        blocks = [scheme.beamformers[i - 1] for i in interferers]
+        width = sum(b.n_cols for b in blocks)
+        term_ranks = (_term_rank(blocks + [own]), _term_rank(blocks))
         ranks = []
         for trial in range(cfg.trials):
             # stream trial * K + j: the desired block draws first, then the interferers
             desired_diag, *diags = _draw_diags(cfg, trial * topology.K + j, n, 1 + len(interference))
-            rows = _scaled_rows(interference + [grids[j - 1]], diags + [desired_diag])
-            combined_rank = _bareiss(rows, width + m_j)
-            # Elimination runs column by column, so the rows left with a pivot
-            # among the first `width` columns count the interference's rank.
-            interference_rank = sum(1 for row in rows if any(row[:width]))
-            ranks.append((combined_rank, interference_rank))
+            scaled = (interference + [grids[j - 1]], diags + [desired_diag])
+            pair = _rank_mod(_scaled_residues(*scaled), width + m_j, width)
+            if pair != term_ranks:
+                # Below the term ranks the modular ranks may undercount: eliminate over Z.
+                rows = _scaled_rows(*scaled)
+                # Elimination runs column by column, so the rows left with a pivot
+                # among the first `width` columns count the interference's rank.
+                pair = (_bareiss(rows, width + m_j), sum(1 for row in rows if any(row[:width])))
+            ranks.append(pair)
         per_receiver.append(all(c == m_j + i for c, i in ranks))
         details.append(tuple(ranks))
     return DecodabilityReport(tuple(per_receiver), tuple(details), failure_bound(n, cfg))

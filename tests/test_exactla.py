@@ -14,6 +14,8 @@ from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import (
     ExactMatrix,
     IndexSet,
+    _bareiss,
+    _rank_mod,
     adapted_basis,
     format_rational,
     intersect_dim,
@@ -84,6 +86,28 @@ def test_matrix_memos_are_freed_with_the_matrix():
     del m
     gc.collect()
     assert ref() is None
+
+
+def test_modular_rank_is_a_lower_bound(monkeypatch):
+    # With entries in [-3, 3] every minor of at most 6 rows has absolute
+    # value at most (3 sqrt 6)^6 < q, so mod the package's prime both counts
+    # are exact; mod 3 they may only fall below the ranks over the rationals.
+    rng = random.Random(29)
+    below = 0
+    for q in (rankloss.exactla._MODULUS, 3):
+        monkeypatch.setattr(rankloss.exactla, "_MODULUS", q)
+        for _ in range(500):
+            n, m = rng.randint(1, 6), rng.randint(1, 7)
+            width = rng.randint(0, m)
+            grid = [[rng.choice((0, 0, 0, -3, -1, 1, 2, 3)) for _ in range(m)] for _ in range(n)]
+            exact = (_bareiss([row[:] for row in grid], m), _bareiss([row[:width] for row in grid], width))
+            modular = _rank_mod([[v % q for v in row] for row in grid], m, width)
+            if q == 3:
+                assert modular[0] <= exact[0] and modular[1] <= exact[1]
+                below += modular != exact
+            else:
+                assert modular == exact
+    assert below >= 20
 
 
 def test_rank_identity():
@@ -188,6 +212,23 @@ def test_adapted_basis_matches_greedy_reference():
         y = IndexSet.of(block.n_cols, [c for c in range(1, block.n_cols + 1) if rng.random() < 0.7])
         j = IndexSet.of(n, [v for v in range(1, n + 1) if rng.random() < rng.choice((0.0, 0.5, 1.0))])
         assert adapted_basis(block, y, j) == adapted_basis_greedy(block, y, j)
+
+
+def test_adapted_basis_over_every_column_reads_the_blocks_grid(monkeypatch):
+    block = ExactMatrix.from_rows([[Fraction(1, 2), 1], [0, 1], [1, Fraction(1, 3)]])
+    j, every, second = IndexSet.of(3, [3]), IndexSet.full(2), IndexSet.of(2, [2])
+    expected = [adapted_basis_greedy(block, y, j) for y in (every, second)]
+    assert sparse_dim(block, j) == 0  # clears the block's own grid
+    cleared = []
+    clear = rankloss.exactla._integer_columns
+
+    def counting_clear(m):
+        cleared.append(m.n_cols)
+        return clear(m)
+
+    monkeypatch.setattr(rankloss.exactla, "_integer_columns", counting_clear)
+    assert adapted_basis(block, every, j) == expected[0] and cleared == []
+    assert adapted_basis(block, second, j) == expected[1] and cleared == [1]
 
 
 def test_adapted_basis_refuses_rank_deficient_columns():

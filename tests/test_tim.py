@@ -12,7 +12,7 @@ import pytest
 
 import rankloss
 from rankloss import fileio
-from rankloss.conditions import Ensemble
+from rankloss.conditions import Ensemble, generic_rank
 from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, sparse_dim
 from rankloss.randrank import TrialConfig
@@ -37,6 +37,7 @@ from rankloss.tim import (
     verify_decodability,
     _color_alignment_sets,
     _prime_stream,
+    _term_rank,
 )
 
 from conftest import (
@@ -307,24 +308,32 @@ def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
 
 
 def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
-    # Both ranks of a trial come from one elimination of [interference | B_j];
-    # a receiver that hears no interferer has rank m_j at every draw and
-    # is not eliminated at all.
-    calls = []
-    bareiss = rankloss.exactla._bareiss
+    # Both ranks of a trial come from one modular elimination of
+    # [interference | B_j], and on these schemes every trial reaches the
+    # term ranks, so none is eliminated again over the integers; a receiver
+    # that hears no interferer has rank m_j at every draw and is not
+    # eliminated at all.
+    calls = Counter()
 
-    def counting_bareiss(a, n_cols):
-        calls.append(n_cols)
-        return bareiss(a, n_cols)
+    def counting(name, eliminate):
+        def counted(*args):
+            calls[name] += 1
+            return eliminate(*args)
+
+        return counted
 
     cases = [(t9a(), synth_exclusive_scheme(t9a())[0]), (t6(), synth_half_dof_scheme(t6()))]
+    bareiss = counting("bareiss", rankloss.exactla._bareiss)
     for module in (rankloss.exactla, rankloss.randrank, rankloss.conditions, rankloss.tim):
-        monkeypatch.setattr(module, "_bareiss", counting_bareiss)
+        monkeypatch.setattr(module, "_bareiss", bareiss)
+    rank_mod = counting("rank_mod", rankloss.exactla._rank_mod)
+    for module in (rankloss.exactla, rankloss.tim):
+        monkeypatch.setattr(module, "_rank_mod", rank_mod)
     for topology, scheme in cases:
         calls.clear()
         report = verify_decodability(topology, scheme, FAST)
         heard = [j for j in range(1, topology.K + 1) if topology.interferers(j)]
-        assert len(calls) == len(heard) * FAST.trials
+        assert calls == {"rank_mod": len(heard) * FAST.trials}
         for j in range(1, topology.K + 1):
             if j not in heard:
                 assert report.trial_ranks[j - 1] == ((scheme.beamformers[j - 1].n_cols, 0),) * FAST.trials
@@ -481,6 +490,91 @@ def test_decodability_matches_fraction_route():
     assert verify_decodability(*mixed, FAST).per_receiver == (True, True, False, True)
     assert verify_decodability(*mixed, configs[1]).per_receiver == (False, True, False, True)
     assert verify_decodability(*dense, FAST).per_receiver == (False, False, False)
+
+
+def generated_exclusive_cases(rng: random.Random, count: int) -> list[tuple[Topology, Scheme]]:
+    """`count` generated P1/P2 topologies with interference, each with its synthesized scheme."""
+    cases = []
+    while len(cases) < count:
+        top = random_p1p2_topology(rng)
+        if check_P1_P2(top)[0] and top.has_interference():
+            cases.append((top, synth_exclusive_scheme(top)[0]))
+    return cases
+
+
+def test_verify_falls_back_to_bareiss_below_the_term_ranks(monkeypatch, rng):
+    # Over GF(3) most scaled entries and minors vanish, so many trials fall
+    # short of the term ranks and are eliminated again over the integers.
+    monkeypatch.setattr(rankloss.exactla, "_MODULUS", 3)
+    fallbacks = []
+    bareiss = rankloss.tim._bareiss
+
+    def counting_bareiss(a, n_cols):
+        fallbacks.append(n_cols)
+        return bareiss(a, n_cols)
+
+    monkeypatch.setattr(rankloss.tim, "_bareiss", counting_bareiss)
+    t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    cases = [
+        (t6(), synth_half_dof_scheme(t6())),
+        (t9a(), synth_exclusive_scheme(t9a())[0]),
+        (t9b(), t9b_scheme),
+        *generated_exclusive_cases(rng, 20),
+    ]
+    for topology, scheme in cases:
+        report = verify_decodability(topology, scheme, FAST)
+        assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(topology, scheme, FAST)
+    trials = sum(FAST.trials for top, _ in cases for j in range(1, top.K + 1) if top.interferers(j))
+    assert 0 < len(fallbacks) < trials
+
+
+def test_verify_falls_back_when_the_rank_is_below_the_term_rank(monkeypatch):
+    # Rows 1 and 2 of B_1 are equal, and B_2 is zero there, so the
+    # interference at receiver 3 has rank 2 under every scaling while its
+    # support has term rank 3: every trial of receiver 3 falls back.
+    # Receiver 1's [B_3 | B_1] reaches its term ranks and never does.
+    topology = Topology.of({3}, set(), {1, 2})
+    scheme = Scheme(
+        3,
+        (
+            ExactMatrix.from_rows([[1, 1], [1, 1], [1, 2]]),
+            ExactMatrix.from_columns([[0, 0, 1]]),
+            ExactMatrix.from_columns([[1, 0, 0]]),
+        ),
+    )
+    fallbacks = []
+    bareiss = rankloss.tim._bareiss
+
+    def counting_bareiss(a, n_cols):
+        fallbacks.append(n_cols)
+        return bareiss(a, n_cols)
+
+    monkeypatch.setattr(rankloss.tim, "_bareiss", counting_bareiss)
+    assert _term_rank(scheme.beamformers[:2]) == 3
+    assert generic_rank(Ensemble(scheme.beamformers[:2])) == 2
+    report = verify_decodability(topology, scheme, FAST)
+    assert fallbacks == [4] * FAST.trials
+    assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(topology, scheme, FAST)
+    assert report.trial_ranks[2] == ((3, 2),) * FAST.trials
+
+
+def test_term_ranks_equal_generic_ranks_on_synthesized_schemes(rng):
+    # Why fallbacks are rare: on these schemes the term rank of the
+    # interference, and of it beside the desired block, is C6's generic rank.
+    t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    cases = [
+        (t6(), synth_half_dof_scheme(t6())),
+        (t9a(), synth_exclusive_scheme(t9a())[0]),
+        (t9b(), t9b_scheme),
+        *generated_exclusive_cases(rng, 100),
+    ]
+    for topology, scheme in cases:
+        for j in range(1, topology.K + 1):
+            interference = tuple(scheme.beamformers[i - 1] for i in sorted(topology.interferers(j)))
+            if not interference:
+                continue
+            for blocks in (interference, interference + (scheme.beamformers[j - 1],)):
+                assert _term_rank(blocks) == generic_rank(Ensemble(blocks)), (topology, j)
 
 
 def test_structure_check_t6_passes():
