@@ -502,25 +502,35 @@ def generated_exclusive_cases(rng: random.Random, count: int) -> list[tuple[Topo
     return cases
 
 
-def test_verify_falls_back_to_bareiss_below_the_term_ranks(monkeypatch, rng):
-    # Over GF(3) most scaled entries and minors vanish, so many trials fall
-    # short of the term ranks and are eliminated again over the integers.
-    monkeypatch.setattr(rankloss.exactla, "_MODULUS", 3)
-    fallbacks = []
-    bareiss = rankloss.tim._bareiss
-
-    def counting_bareiss(a, n_cols):
-        fallbacks.append(n_cols)
-        return bareiss(a, n_cols)
-
-    monkeypatch.setattr(rankloss.tim, "_bareiss", counting_bareiss)
+def fixture_cases() -> list[tuple[Topology, Scheme]]:
+    """T6 with its half-DoF scheme, T9a with its exclusive scheme, T9b with its fixture scheme."""
     t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
-    cases = [
+    return [
         (t6(), synth_half_dof_scheme(t6())),
         (t9a(), synth_exclusive_scheme(t9a())[0]),
         (t9b(), t9b_scheme),
-        *generated_exclusive_cases(rng, 20),
     ]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list[int]:
+    """The column count of each trial `verify_decodability` eliminates again by Bareiss."""
+    calls = []
+    bareiss = rankloss.tim._bareiss
+
+    def counting_bareiss(a, n_cols):
+        calls.append(n_cols)
+        return bareiss(a, n_cols)
+
+    monkeypatch.setattr(rankloss.tim, "_bareiss", counting_bareiss)
+    return calls
+
+
+def test_verify_falls_back_to_bareiss_below_the_term_ranks(monkeypatch, rng, fallbacks):
+    # Over GF(3) most scaled entries and minors vanish, so many trials fall
+    # short of the term ranks and are eliminated again over the integers.
+    monkeypatch.setattr(rankloss.exactla, "_MODULUS", 3)
+    cases = fixture_cases() + generated_exclusive_cases(rng, 20)
     for topology, scheme in cases:
         report = verify_decodability(topology, scheme, FAST)
         assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(topology, scheme, FAST)
@@ -528,7 +538,7 @@ def test_verify_falls_back_to_bareiss_below_the_term_ranks(monkeypatch, rng):
     assert 0 < len(fallbacks) < trials
 
 
-def test_verify_falls_back_when_the_rank_is_below_the_term_rank(monkeypatch):
+def test_verify_falls_back_when_the_rank_is_below_the_term_rank(fallbacks):
     # Rows 1 and 2 of B_1 are equal, and B_2 is zero there, so the
     # interference at receiver 3 has rank 2 under every scaling while its
     # support has term rank 3: every trial of receiver 3 falls back.
@@ -542,14 +552,6 @@ def test_verify_falls_back_when_the_rank_is_below_the_term_rank(monkeypatch):
             ExactMatrix.from_columns([[1, 0, 0]]),
         ),
     )
-    fallbacks = []
-    bareiss = rankloss.tim._bareiss
-
-    def counting_bareiss(a, n_cols):
-        fallbacks.append(n_cols)
-        return bareiss(a, n_cols)
-
-    monkeypatch.setattr(rankloss.tim, "_bareiss", counting_bareiss)
     assert _term_rank(scheme.beamformers[:2]) == 3
     assert generic_rank(Ensemble(scheme.beamformers[:2])) == 2
     report = verify_decodability(topology, scheme, FAST)
@@ -561,14 +563,7 @@ def test_verify_falls_back_when_the_rank_is_below_the_term_rank(monkeypatch):
 def test_term_ranks_equal_generic_ranks_on_synthesized_schemes(rng):
     # Why fallbacks are rare: on these schemes the term rank of the
     # interference, and of it beside the desired block, is C6's generic rank.
-    t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
-    cases = [
-        (t6(), synth_half_dof_scheme(t6())),
-        (t9a(), synth_exclusive_scheme(t9a())[0]),
-        (t9b(), t9b_scheme),
-        *generated_exclusive_cases(rng, 100),
-    ]
-    for topology, scheme in cases:
+    for topology, scheme in fixture_cases() + generated_exclusive_cases(rng, 100):
         for j in range(1, topology.K + 1):
             interference = tuple(scheme.beamformers[i - 1] for i in sorted(topology.interferers(j)))
             if not interference:
