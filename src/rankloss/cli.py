@@ -7,7 +7,7 @@ Subcommands:
   matroid-check  rank tables and axiom verification for one block's matroid
   tim dof        conflict-graph analysis and the symmetric DoF formula
   tim scheme     beamformer synthesis (writes a scheme file)
-  tim verify     sampled decodability check of a scheme against a topology
+  tim verify     almost-sure decodability check of a scheme against a topology
   tim normalize  tighten an aligned design's sparse windows
 
 Exit codes: 0 verdict computed, 2 usage, 3 load or write failure, 4
@@ -320,7 +320,7 @@ def _tim_normalize_args(parser: argparse.ArgumentParser) -> None:
 _TIM_COMMANDS = {
     "dof": ("conflict graphs, feasibility, and the DoF formula", _tim_dof_args, _cmd_tim_dof),
     "scheme": ("synthesize a beamforming scheme", _tim_scheme_args, _cmd_tim_scheme),
-    "verify": ("sampled decodability of a scheme", _tim_verify_args, _cmd_tim_verify),
+    "verify": ("almost-sure decodability of a scheme", _tim_verify_args, _cmd_tim_verify),
     "normalize": ("tighten an aligned design's sparse windows", _tim_normalize_args, _cmd_tim_normalize),
 }
 

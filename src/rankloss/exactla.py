@@ -16,8 +16,8 @@ modulo one fixed prime q and only ever proves a lower bound: for an
 integer matrix, rank mod q <= rank over Q <= the term rank of its support
 (a nonzero minor mod q is nonzero over Z, and a nonzero minor needs a
 matching of its rows to its columns in the support).  A caller whose
-modular rank reaches the term rank has the exact rank; any other falls
-back to `_bareiss`.
+modular rank reaches the term rank has the exact rank; `tim` decides any
+other receiver by C6.
 
 Index sets are 1-based externally, matching the usual [n] convention of
 the combinatorial statements they feed.

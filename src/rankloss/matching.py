@@ -12,8 +12,8 @@ maximum matching size (Konig-Ore duality), and the Hall threshold holds
 exactly when that size is at least k, so no subset of B is ever scanned.
 
 The adapted bases whose supports these graphs are built from come from
-`exactla.adapted_basis`.  `tim verify` reads one maximum matching as the
-term rank of a receiver's columns: no row scaling lifts their rank above it.
+`exactla.adapted_basis`.  `tim` reads one maximum matching as the term
+rank of a receiver's columns: no row scaling lifts their rank above it.
 """
 
 from __future__ import annotations

@@ -2,18 +2,20 @@
 
 Scaling coefficients are sampled as uniform integers in [1, entry_bound],
 by rejection sampling on a seeded stream's random bits, and the scaled
-concatenation's rank is computed exactly; C1 and `tim`'s sampled checks
-all draw here.  Any single evaluation point gives a certain lower bound
-on the generic rank; by the Zippel-Schwartz lemma the maximum over trials
-equals the generic rank except with probability at most
-(n / entry_bound) ** trials.
+concatenation's rank is computed exactly; C1 and `tim` draw here.  Any
+single evaluation point gives a certain lower bound on the generic rank;
+by the Zippel-Schwartz lemma the maximum over trials equals the generic
+rank except with probability at most (n / entry_bound) ** trials.
 
 Sampling reads each block's own cleared grid, and C1 memoizes sampled
 ranks on the ensemble, one entry per `TrialConfig`.  C1 eliminates the
-scaled rows over Z.  `tim verify` builds the same rows reduced modulo
-`exactla`'s prime q (`_scaled_residues`): rank mod q <= rank over Q <=
-the term rank of the rows' support, which scaling by nonzero integers
-leaves unchanged, so a modular rank that reaches the term rank is exact.
+scaled rows over Z (`_scaled_rows`).  `tim` draws one scaling per
+receiver and builds the rows reduced modulo `exactla`'s prime q
+(`_scaled_residues`): rank mod q <= rank over Q <= generic rank <= the
+term rank of the rows' support, which scaling by nonzero integers leaves
+unchanged, so a modular rank that reaches the term rank is the generic
+rank, and any other draw is left to C6.  Its verdicts do not depend on
+the seed.
 
 Reports print the failure bound as an exact fraction, so every route that
 reports it refuses, before its first draw, a configuration whose bound is

@@ -4,19 +4,18 @@ A topology lists, per receiver, the transmitters heard above the noise
 floor.  The analyzer characterizes when half symmetric DoF is achievable
 (bipartiteness of the reduced conflict graph), evaluates the linear
 symmetric DoF formula for exclusive-alignment topologies, synthesizes the
-corresponding beamforming schemes, and verifies decodability by sampled
-exact rank computations on scalings drawn by `randrank`: one elimination
-per receiver trial gives both the combined and the interference rank, and
-a receiver that hears no interferer needs none.  That elimination runs
-modulo a prime q, and rank mod q <= rank over Q <= term rank of the
-support, which no row scaling changes.  So a trial whose two modular
-ranks reach the term ranks of [interference | B_j] and [interference]
-(one maximum matching each per receiver) has its exact ranks; any other
-trial is eliminated again over Z by Bareiss.  Synthesized
-exclusive-alignment schemes are checked exactly, with generic ranks from
-C6 (`conditions.generic_rank`).  Each beamformer's cleared grid and rank
-live on its `ExactMatrix`, so synthesis, `Scheme` and verification clear
-and rank-check it once.
+corresponding beamforming schemes, and decides decodability exactly for
+generic row scalings.  Each receiver that hears interference needs the
+generic ranks of [interference | B_j] and [interference]: one scaling
+drawn by `randrank` and one elimination modulo a prime q give both, and
+rank mod q <= rank over Q <= generic rank <= term rank of the support
+(Edmonds 1967).  So a trial that reaches both term ranks (one maximum
+matching each) has the generic ranks; on a miss C6
+(`conditions.generic_rank`) decides, so no verdict depends on the seed.
+`tim verify` and the postconditions of synthesized exclusive-alignment
+schemes share this primitive (`_generic_pair`).  Each beamformer's cleared
+grid and rank live on its `ExactMatrix`, so synthesis, `Scheme` and
+verification clear and rank-check it once.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import CapacityError, InternalInvariantError, PreconditionError, Sh
 from .exactla import (
     ExactMatrix,
     IndexSet,
-    _bareiss,
     _rank_mod,
     adapted_basis,
     is_full_column_rank,
@@ -44,7 +42,6 @@ from .randrank import (
     _draw_diags,
     _scaled_rank,
     _scaled_residues,
-    _scaled_rows,
     check_printable_bound,
     failure_bound,
 )
@@ -394,7 +391,8 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
     by the next block of primes unless it passes the exact postconditions:
     the window structure, and at every receiver with interferers generic
     decodability, rank([interference | B_j]) = m_j + rank(interference)
-    with each generic rank from C6.  After FILL_ATTEMPTS failed fills it
+    with each generic pair from `_generic_pair` (one certified trial at
+    the default `TrialConfig`, C6 on a miss).  After FILL_ATTEMPTS failed fills it
     raises InternalInvariantError.
     """
     ok, violations = check_P1_P2(topology)
@@ -454,12 +452,14 @@ def _exclusive_postconditions(
         for i in topology.interferers(r):
             if sparse_dim(beamformers[i - 1], window) != tau:
                 return False
+    cfg = TrialConfig()
     for j in range(1, topology.K + 1):
-        interference = tuple(beamformers[i - 1] for i in sorted(topology.interferers(j)))
+        interference = [beamformers[i - 1] for i in sorted(topology.interferers(j))]
         if not interference:
             continue
         own = beamformers[j - 1]
-        if generic_rank(Ensemble(interference + (own,))) != own.n_cols + generic_rank(Ensemble(interference)):
+        (combined, interfering), _ = _generic_pair(interference, own, cfg, j)
+        if combined != own.n_cols + interfering:
             return False
     return True
 
@@ -470,17 +470,24 @@ def _exclusive_postconditions(
 
 @dataclass(frozen=True)
 class DecodabilityReport:
-    """Per-receiver sampled decodability verdicts.
+    """Per-receiver almost-sure decodability verdicts, exact at every seed.
 
-    A receiver passes a trial when the desired block contributes its full
-    symbol count on top of the interference:
-    rank([D_jj B_j | interference]) = m_j + rank(interference).
-    Passing every trial certifies decodability up to the one-sided
-    sampling guarantee; `bound` is the per-receiver failure probability.
+    A receiver decodes when the desired block almost surely contributes
+    its full symbol count on top of the interference:
+    rank([interference | D_jj B_j]) = m_j + rank(interference) for generic
+    row scalings.  `ranks[j-1]` is receiver j's exact generic pair
+    (combined, interference); `certified[j-1]` is True when one modular
+    trial reached the support's term ranks and False when C6 decided.  A
+    receiver that hears no interferer has the pair (m_j, 0), certified by
+    its block's full column rank, with no draw.  `bound`,
+    (n / entry_bound) ** trials, is the failure probability a sampled
+    check at the same settings would carry: still a valid upper bound on
+    an exact verdict's, and a loose one.
     """
 
     per_receiver: tuple[bool, ...]
-    trial_ranks: tuple[tuple[tuple[int, int], ...], ...]
+    ranks: tuple[tuple[int, int], ...]
+    certified: tuple[bool, ...]
     bound: Fraction
 
     @property
@@ -498,48 +505,54 @@ def _term_rank(blocks: Sequence[ExactMatrix]) -> int:
     return max_matching(SupportGraph(blocks[0].n_rows, rights))
 
 
-def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | None = None) -> DecodabilityReport:
-    """Sampled exact check of the projection decodability condition.
+def _generic_pair(
+    blocks: list[ExactMatrix], own: ExactMatrix, cfg: TrialConfig, stream: int
+) -> tuple[tuple[int, int], bool]:
+    """Generic ranks of [B_1 | ... | B_k | own] and [B_1 | ... | B_k], and whether one trial certified them.
 
-    Refuses, before any draw, a cfg whose failure bound cannot be printed.
+    One draw from `stream` scales own first, then the blocks, and one
+    elimination mod q ranks [blocks | own] and, by its pivots among the
+    blocks' columns, [blocks].  rank mod q <= rank over Q at that scaling
+    <= generic rank <= term rank, so a pair that reaches the term ranks is
+    the generic pair.  Otherwise C6 (`generic_rank`) decides both.
+    """
+    term_ranks = (_term_rank(blocks + [own]), _term_rank(blocks))
+    width = sum(b.n_cols for b in blocks)
+    own_diag, *diags = _draw_diags(cfg, stream, own.n_rows, 1 + len(blocks))
+    grids = [b._grid for b in blocks] + [own._grid]
+    pair = _rank_mod(_scaled_residues(grids, diags + [own_diag]), width + own.n_cols, width)
+    if pair == term_ranks:
+        return pair, True
+    return (generic_rank(Ensemble((*blocks, own))), generic_rank(Ensemble(tuple(blocks)))), False
+
+
+def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | None = None) -> DecodabilityReport:
+    """Exact check of the projection decodability condition for generic row scalings.
+
+    Receiver j draws stream j of cfg once (`_generic_pair`), so the
+    verdicts and ranks are the same at every seed; cfg chooses only that
+    draw and the printed bound.  Refuses, before any draw, a cfg whose
+    failure bound cannot be printed.
     """
     cfg = cfg or TrialConfig()
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
     n = scheme.n
     check_printable_bound(n, cfg)
-    grids = [b._grid for b in scheme.beamformers]
-    per_receiver = []
-    details = []
+    ranks = []
+    certified = []
     for j in range(1, topology.K + 1):
         own = scheme.beamformers[j - 1]
-        m_j = own.n_cols
-        interferers = sorted(topology.interferers(j))
-        interference = [grids[i - 1] for i in interferers]
-        if not interference:
-            # B_j has full column rank, so every draw would give rank m_j: draw none.
-            per_receiver.append(True)
-            details.append(((m_j, 0),) * cfg.trials)
-            continue
-        blocks = [scheme.beamformers[i - 1] for i in interferers]
-        width = sum(b.n_cols for b in blocks)
-        term_ranks = (_term_rank(blocks + [own]), _term_rank(blocks))
-        ranks = []
-        for trial in range(cfg.trials):
-            # stream trial * K + j: the desired block draws first, then the interferers
-            desired_diag, *diags = _draw_diags(cfg, trial * topology.K + j, n, 1 + len(interference))
-            scaled = (interference + [grids[j - 1]], diags + [desired_diag])
-            pair = _rank_mod(_scaled_residues(*scaled), width + m_j, width)
-            if pair != term_ranks:
-                # Below the term ranks the modular ranks may undercount: eliminate over Z.
-                rows = _scaled_rows(*scaled)
-                # Elimination runs column by column, so the rows left with a pivot
-                # among the first `width` columns count the interference's rank.
-                pair = (_bareiss(rows, width + m_j), sum(1 for row in rows if any(row[:width])))
-            ranks.append(pair)
-        per_receiver.append(all(c == m_j + i for c, i in ranks))
-        details.append(tuple(ranks))
-    return DecodabilityReport(tuple(per_receiver), tuple(details), failure_bound(n, cfg))
+        blocks = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
+        if blocks:
+            pair, by_trial = _generic_pair(blocks, own, cfg, j)
+        else:
+            # B_j has full column rank, so its rank is m_j at every scaling: draw none.
+            pair, by_trial = (own.n_cols, 0), True
+        ranks.append(pair)
+        certified.append(by_trial)
+    per_receiver = tuple(c == b.n_cols + i for (c, i), b in zip(ranks, scheme.beamformers))
+    return DecodabilityReport(per_receiver, tuple(ranks), tuple(certified), failure_bound(n, cfg))
 
 
 @dataclass(frozen=True)

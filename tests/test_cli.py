@@ -249,6 +249,18 @@ def test_tim_verify_t9b_design(capsys):
     assert report["per_receiver"] == [True] * 9
 
 
+def test_tim_verify_verdict_is_the_same_at_every_seed(tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.json"
+    assert run(capsys, "tim", "scheme", str(FIXTURES / "T6.json"), "--scheme-out", str(scheme_path))[0] == 0
+    for topology, scheme in ((FIXTURES / "T6.json", scheme_path), (FIXTURES / "T9b.json", FIXTURES / "T9b_scheme.json")):
+        verdicts = []
+        for seed in ("0", "3"):
+            code, report = run(capsys, "tim", "verify", str(topology), str(scheme), "--seed", seed)
+            assert code == 0
+            verdicts.append(report["per_receiver"])
+        assert verdicts[0] == verdicts[1]
+
+
 def test_tim_normalize(tmp_path, capsys):
     scheme_path = tmp_path / "scheme.json"
     code, _ = run(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -307,12 +309,12 @@ def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
         assert all(times[id(b)] == 1 for b in scheme.beamformers)
 
 
-def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
-    # Both ranks of a trial come from one modular elimination of
-    # [interference | B_j], and on these schemes every trial reaches the
-    # term ranks, so none is eliminated again over the integers; a receiver
-    # that hears no interferer has rank m_j at every draw and is not
-    # eliminated at all.
+def test_verify_eliminates_once_per_receiver_trial(monkeypatch, c6_calls):
+    # Both ranks of a receiver come from one modular elimination of
+    # [interference | B_j] at one draw, and on these schemes every trial
+    # reaches the term ranks, so nothing is eliminated over the integers
+    # and C6 never runs; a receiver that hears no interferer has rank m_j
+    # at every draw and is not eliminated at all.
     calls = Counter()
 
     def counting(name, eliminate):
@@ -324,7 +326,7 @@ def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
 
     cases = [(t9a(), synth_exclusive_scheme(t9a())[0]), (t6(), synth_half_dof_scheme(t6()))]
     bareiss = counting("bareiss", rankloss.exactla._bareiss)
-    for module in (rankloss.exactla, rankloss.randrank, rankloss.conditions, rankloss.tim):
+    for module in (rankloss.exactla, rankloss.randrank, rankloss.conditions):
         monkeypatch.setattr(module, "_bareiss", bareiss)
     rank_mod = counting("rank_mod", rankloss.exactla._rank_mod)
     for module in (rankloss.exactla, rankloss.tim):
@@ -333,10 +335,12 @@ def test_verify_eliminates_once_per_receiver_trial(monkeypatch):
         calls.clear()
         report = verify_decodability(topology, scheme, FAST)
         heard = [j for j in range(1, topology.K + 1) if topology.interferers(j)]
-        assert calls == {"rank_mod": len(heard) * FAST.trials}
+        assert calls == {"rank_mod": len(heard)}
+        assert c6_calls == []
+        assert report.certified == (True,) * topology.K
         for j in range(1, topology.K + 1):
             if j not in heard:
-                assert report.trial_ranks[j - 1] == ((scheme.beamformers[j - 1].n_cols, 0),) * FAST.trials
+                assert report.ranks[j - 1] == (scheme.beamformers[j - 1].n_cols, 0)
 
 
 def test_verify_refuses_unprintable_bound_before_sampling(monkeypatch):
@@ -427,36 +431,51 @@ def test_decodability_shape_error():
         verify_decodability(t6(), scheme, FAST)
 
 
-def fraction_route_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig):
-    """verify_decodability's verdicts and rank pairs, rebuilt over Fraction from the same draws."""
-    per_receiver, details = [], []
+def c6_decodability(topology: Topology, scheme: Scheme):
+    """verify_decodability's verdicts and rank pairs, each generic rank from C6."""
+    ranks = []
     for j in range(1, topology.K + 1):
         desired = scheme.beamformers[j - 1]
-        interference = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
-        ranks = []
-        for trial in range(cfg.trials):
-            rng = cfg.trial_rng(trial * topology.K + j)
-            # the desired block draws first, then the interferers in ascending order
-            diags = [
-                [rng.randint(1, cfg.entry_bound) for _ in range(scheme.n)]
-                for _ in range(1 + len(interference))
-            ]
-            ranks.append(
-                (
-                    fraction_scaled_rank(interference + [desired], diags[1:] + diags[:1]),
-                    fraction_scaled_rank(interference, diags[1:]),
-                )
-            )
-        per_receiver.append(all(c == desired.n_cols + i for c, i in ranks))
-        details.append(tuple(ranks))
-    return tuple(per_receiver), tuple(details)
+        interference = tuple(scheme.beamformers[i - 1] for i in sorted(topology.interferers(j)))
+        if interference:
+            ranks.append((generic_rank(Ensemble(interference + (desired,))), generic_rank(Ensemble(interference))))
+        else:
+            ranks.append((desired.n_cols, 0))
+    per_receiver = tuple(c == b.n_cols + i for (c, i), b in zip(ranks, scheme.beamformers))
+    return per_receiver, tuple(ranks)
 
 
-def test_decodability_matches_fraction_route():
-    # Fractional entries with mixed denominators inside a column; receiver 2
-    # hears no one, receiver 3 cannot decode, and with scalings in {1, 2}
-    # det [D b_2 | D' b_1] = d_1 d'_2 - d_2 d'_1 / 2 vanishes at some draws.
-    mixed = (
+def fraction_route_pair(topology: Topology, scheme: Scheme, cfg: TrialConfig, j: int) -> tuple[int, int]:
+    """Receiver j's rank pair at its one draw, rebuilt over Fraction."""
+    desired = scheme.beamformers[j - 1]
+    interference = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
+    rng = cfg.trial_rng(j)
+    # stream j: the desired block draws first, then the interferers in ascending order
+    diags = [[rng.randint(1, cfg.entry_bound) for _ in range(scheme.n)] for _ in range(1 + len(interference))]
+    return (
+        fraction_scaled_rank(interference + [desired], diags[1:] + diags[:1]),
+        fraction_scaled_rank(interference, diags[1:]),
+    )
+
+
+def assert_matches_c6(topology: Topology, scheme: Scheme, cfg: TrialConfig):
+    """The report equals C6's; a certified pair is also the exact pair at its draw."""
+    report = verify_decodability(topology, scheme, cfg)
+    assert (report.per_receiver, report.ranks) == c6_decodability(topology, scheme)
+    for j in range(1, topology.K + 1):
+        if report.certified[j - 1] and topology.interferers(j):
+            assert report.ranks[j - 1] == fraction_route_pair(topology, scheme, cfg, j)
+    return report
+
+
+def mixed_case() -> tuple[Topology, Scheme]:
+    """Fractional entries with mixed denominators inside a column.
+
+    Receiver 2 hears no one and receiver 3 cannot decode.  With scalings
+    in {1, 2}, det [D b_2 | D' b_1] = d_1 d'_2 - d_2 d'_1 / 2 vanishes at
+    some draws, though receiver 1 decodes almost surely.
+    """
+    return (
         Topology.of({2}, set(), {1, 4}, {1}),
         Scheme(
             3,
@@ -470,25 +489,26 @@ def test_decodability_matches_fraction_route():
             ),
         ),
     )
-    t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
-    # every user repeating in both slots of a triangle: no receiver decodes
-    dense = (odd_cycle_topology(), Scheme(2, tuple(ExactMatrix.from_columns([[1, 1]]) for _ in range(3))))
-    cases = [
-        mixed,
-        dense,
-        (t9b(), t9b_scheme),
-        (t6(), synth_half_dof_scheme(t6())),
-        (t9a(), synth_exclusive_scheme(t9a())[0]),
-    ]
+
+
+def dense_case() -> tuple[Topology, Scheme]:
+    """Every user repeating in both slots of a triangle: no receiver decodes."""
+    return odd_cycle_topology(), Scheme(2, tuple(ExactMatrix.from_columns([[1, 1]]) for _ in range(3)))
+
+
+def test_decodability_matches_c6():
+    mixed, dense = mixed_case(), dense_case()
+    cases = [mixed, dense, *fixture_cases()]
     configs = (FAST, TrialConfig(trials=20, entry_bound=2, seed=2))
     for topology, scheme in cases:
         for cfg in configs:
-            report = verify_decodability(topology, scheme, cfg)
-            assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(
-                topology, scheme, cfg
-            )
+            assert_matches_c6(topology, scheme, cfg)
     assert verify_decodability(*mixed, FAST).per_receiver == (True, True, False, True)
-    assert verify_decodability(*mixed, configs[1]).per_receiver == (False, True, False, True)
+    # Sampled draws at scalings in {1, 2} can hit receiver 1's vanishing
+    # determinant and call it undecodable.  Its one draw here does, so the
+    # trial misses the term ranks and C6 decides receiver 1.
+    report = verify_decodability(*mixed, configs[1])
+    assert (report.per_receiver, report.certified) == ((True, True, False, True), (False, True, True, True))
     assert verify_decodability(*dense, FAST).per_receiver == (False, False, False)
 
 
@@ -513,36 +533,39 @@ def fixture_cases() -> list[tuple[Topology, Scheme]]:
 
 
 @pytest.fixture
-def fallbacks(monkeypatch) -> list[int]:
-    """The column count of each trial `verify_decodability` eliminates again by Bareiss."""
+def c6_calls(monkeypatch) -> list[int]:
+    """The column count of each ensemble `tim` hands to C6 (`generic_rank`)."""
     calls = []
-    bareiss = rankloss.tim._bareiss
+    c6 = rankloss.tim.generic_rank
 
-    def counting_bareiss(a, n_cols):
-        calls.append(n_cols)
-        return bareiss(a, n_cols)
+    def counting_c6(ensemble):
+        calls.append(sum(b.n_cols for b in ensemble.blocks))
+        return c6(ensemble)
 
-    monkeypatch.setattr(rankloss.tim, "_bareiss", counting_bareiss)
+    monkeypatch.setattr(rankloss.tim, "generic_rank", counting_c6)
     return calls
 
 
-def test_verify_falls_back_to_bareiss_below_the_term_ranks(monkeypatch, rng, fallbacks):
+def test_verify_falls_back_to_c6_below_the_term_ranks(monkeypatch, rng, c6_calls):
     # Over GF(3) most scaled entries and minors vanish, so many trials fall
-    # short of the term ranks and are eliminated again over the integers.
-    monkeypatch.setattr(rankloss.exactla, "_MODULUS", 3)
+    # short of the term ranks and C6 decides those receivers.
     cases = fixture_cases() + generated_exclusive_cases(rng, 20)
+    monkeypatch.setattr(rankloss.exactla, "_MODULUS", 3)
+    c6_calls.clear()
+    misses = heard = 0
     for topology, scheme in cases:
-        report = verify_decodability(topology, scheme, FAST)
-        assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(topology, scheme, FAST)
-    trials = sum(FAST.trials for top, _ in cases for j in range(1, top.K + 1) if top.interferers(j))
-    assert 0 < len(fallbacks) < trials
+        report = assert_matches_c6(topology, scheme, FAST)
+        misses += report.certified.count(False)
+        heard += sum(1 for j in range(1, topology.K + 1) if topology.interferers(j))
+    assert 0 < misses < heard
+    assert len(c6_calls) == 2 * misses
 
 
-def test_verify_falls_back_when_the_rank_is_below_the_term_rank(fallbacks):
+def test_verify_falls_back_when_the_rank_is_below_the_term_rank(c6_calls):
     # Rows 1 and 2 of B_1 are equal, and B_2 is zero there, so the
     # interference at receiver 3 has rank 2 under every scaling while its
-    # support has term rank 3: every trial of receiver 3 falls back.
-    # Receiver 1's [B_3 | B_1] reaches its term ranks and never does.
+    # support has term rank 3: receiver 3's trial misses and C6 decides it.
+    # Receiver 1's [B_3 | B_1] reaches its term ranks.
     topology = Topology.of({3}, set(), {1, 2})
     scheme = Scheme(
         3,
@@ -554,10 +577,47 @@ def test_verify_falls_back_when_the_rank_is_below_the_term_rank(fallbacks):
     )
     assert _term_rank(scheme.beamformers[:2]) == 3
     assert generic_rank(Ensemble(scheme.beamformers[:2])) == 2
-    report = verify_decodability(topology, scheme, FAST)
-    assert fallbacks == [4] * FAST.trials
-    assert (report.per_receiver, report.trial_ranks) == fraction_route_decodability(topology, scheme, FAST)
-    assert report.trial_ranks[2] == ((3, 2),) * FAST.trials
+    c6_calls.clear()
+    report = assert_matches_c6(topology, scheme, FAST)
+    assert c6_calls == [4, 3]
+    assert report.ranks[2] == (3, 2)
+    assert report.certified == (True, True, False)
+
+
+def test_verify_verdicts_do_not_depend_on_the_seed(rng):
+    # At scalings in {1, 2} single draws are often non-generic, so the
+    # certified trial misses at some seeds; C6 gives the same answer.
+    cases = [mixed_case(), dense_case(), *fixture_cases(), *generated_exclusive_cases(rng, 20)]
+    configs = [TrialConfig(entry_bound=bound, seed=s) for bound in (2**31, 2) for s in range(5)]
+    misses = 0
+    for topology, scheme in cases:
+        reports = [verify_decodability(topology, scheme, cfg) for cfg in configs]
+        assert len({(r.per_receiver, r.ranks) for r in reports}) == 1, topology
+        misses += sum(r.certified.count(False) for r in reports)
+    assert misses > 0
+
+
+def test_exclusive_synthesis_is_unchanged_by_the_certified_trial(monkeypatch, c6_calls):
+    # The postconditions still reject the singular first fill of this
+    # topology, T9a still takes its recorded scheme, and synthesizing T9a
+    # needs no C6 call: every receiver's trial reaches its term ranks.
+    accepted = []
+    postconditions = rankloss.tim._exclusive_postconditions
+
+    def recording(*args):
+        accepted.append(postconditions(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(rankloss.tim, "_exclusive_postconditions", recording)
+    synth_exclusive_scheme(Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6]))
+    assert accepted == [False, True]
+    accepted.clear()
+    c6_calls.clear()
+    scheme, assignment = synth_exclusive_scheme(t9a())
+    assert accepted == [True]
+    assert c6_calls == []
+    golden = json.loads((Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json").read_text())
+    assert fileio.emit_scheme(scheme, assignment) == golden
 
 
 def test_term_ranks_equal_generic_ranks_on_synthesized_schemes(rng):
