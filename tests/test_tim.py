@@ -621,7 +621,7 @@ def test_exclusive_synthesis_is_unchanged_by_the_certified_trial(monkeypatch, c6
 
 
 def test_term_ranks_equal_generic_ranks_on_synthesized_schemes(rng):
-    # Why fallbacks are rare: on these schemes the term rank of the
+    # Why certified-trial misses are rare: on these schemes the term rank of the
     # interference, and of it beside the desired block, is C6's generic rank.
     for topology, scheme in fixture_cases() + generated_exclusive_cases(rng, 100):
         for j in range(1, topology.K + 1):
