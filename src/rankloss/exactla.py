@@ -1,12 +1,15 @@
 """Exact rational linear algebra.
 
 Every dimension computed anywhere in this package (rank certificates,
-matroid oracles, decodability checks) bottoms out here.  Matrices are
-immutable grids of `fractions.Fraction`; ranks are computed by
-fraction-free (Bareiss) elimination on denominator-cleared columns, so no
-intermediate value is ever rounded.  Each matrix owns its column-cleared
-integer grid and its rank, computed at most once and freed with it, so a
-block read by several routes is cleared and eliminated once.
+matroid oracles, decodability checks) bottoms out here.  A matrix is held
+as its cleared integer grid: each column is integers over one positive
+scale, the lcm of the column's denominators, sharing no factor with it.
+That state is canonical, so equality and hashing read it, and Fraction
+rows are built only when `rows` or `column` is read.  Literals, Fraction
+rows and every matrix this package derives go straight into that grid.
+Ranks are computed by fraction-free (Bareiss) elimination on the grid, so
+no intermediate value is ever rounded; each matrix keeps its rank and its
+column supports, computed at most once and freed with it.
 
 C6's fundamental circuits, the nullspace and adapted bases all read one
 fraction-free reduced echelon basis of some rows of a grid (`_RowBasis`).
@@ -29,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +58,39 @@ def _quoted(literal) -> str:
     return head if size <= _QUOTE_CHARS else f"{head}... ({size} characters)"
 
 
+def _rational_pair(literal) -> tuple[int, int]:
+    """A rational literal's (numerator, denominator) ints, the denominator positive but not reduced.
+
+    The one reading of the literal grammar behind `parse_rational`, the
+    matrix constructors and the file loaders; it raises ValueError with
+    `parse_rational`'s messages.
+    """
+    if isinstance(literal, str):
+        if literal.isascii() and literal.isdigit():
+            # Plain ASCII digits, the common case: the grammar reads them as they are.
+            num, den = literal, None
+        else:
+            match = _RATIONAL_LITERAL.fullmatch(literal)
+            if match is None:
+                raise ValueError(f"bad rational literal {_quoted(literal)}: expected an integer or p/q")
+            num, den = match.groups()
+        try:
+            pair = int(num), int(den or 1)
+        except ValueError:
+            # The digits matched, so int() refused them for CPython's digit limit.
+            raise ValueError(f"bad rational literal {_quoted(literal)}: too many digits") from None
+        if pair[1] == 0:
+            raise ValueError(f"bad rational literal {_quoted(literal)}: Fraction({pair[0]}, 0)")
+        return pair
+    if isinstance(literal, bool):
+        raise ValueError(f"not a rational literal: {_quoted(literal)}")
+    if isinstance(literal, int):
+        return literal, 1
+    if isinstance(literal, Fraction):
+        return literal.numerator, literal.denominator
+    raise ValueError(f"not a rational literal: {_quoted(literal)}")
+
+
 def parse_rational(literal) -> Fraction:
     """Parse a rational literal: a decimal integer or a "p/q" string.
 
@@ -65,32 +101,21 @@ def parse_rational(literal) -> Fraction:
     digits before any check could see it.  An error message quotes only a
     short prefix of the literal and its length, so a huge one stays one short line.
     """
-    if isinstance(literal, bool):
-        raise ValueError(f"not a rational literal: {_quoted(literal)}")
-    if isinstance(literal, int):
-        return Fraction(literal)
     if isinstance(literal, Fraction):
         return literal
-    if isinstance(literal, str):
-        match = _RATIONAL_LITERAL.fullmatch(literal)
-        if match is None:
-            raise ValueError(f"bad rational literal {_quoted(literal)}: expected an integer or p/q")
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad rational literal {_quoted(literal)}: {exc}") from None
-        except ValueError:
-            # The digits matched, so int() refused them for CPython's digit limit.
-            raise ValueError(f"bad rational literal {_quoted(literal)}: too many digits") from None
-    raise ValueError(f"not a rational literal: {_quoted(literal)}")
+    num, den = _rational_pair(literal)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
     """Inverse of parse_rational: "p" for integers, else "p/q"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _literal(value.numerator, value.denominator)
+
+
+def _literal(num: int, den: int) -> str:
+    """format_rational of num/den, den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 @dataclass(frozen=True)
@@ -165,86 +190,146 @@ class IndexSet:
         return v in self.members
 
 
-@dataclass(frozen=True)
+def _reduced(col: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
+    """The column col / scale (scale nonzero) as integers over a positive scale coprime to them."""
+    g = gcd(scale, *col)
+    if scale < 0:
+        g = -g
+    if g == 1:
+        return tuple(col), scale
+    return tuple(v // g for v in col), scale // g
+
+
+def _cleared(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """A column of (numerator, denominator) pairs as canonical integers over the lcm of its denominators."""
+    nums, dens = zip(*pairs) if pairs else ((), ())
+    scale = lcm(*dens)
+    if scale == 1:
+        return nums, 1
+    return _reduced([p * (scale // d) for p, d in pairs], scale)
+
+
+def _by_columns(cols: Sequence[tuple[tuple[int, ...], int]], n_rows: int):
+    """The grid and scales of the n_rows-row matrix of canonical (entries, scale) columns."""
+    grid = [list(row) for row in zip(*(c for c, _ in cols))] if cols else [[] for _ in range(n_rows)]
+    return grid, tuple(s for _, s in cols)
+
+
 class ExactMatrix:
-    """Immutable dense matrix of rationals; zero-row and zero-column shapes allowed."""
+    """Immutable dense matrix of rationals; zero-row and zero-column shapes allowed.
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    n_cols: int
+    Held as `_grid`, rows of ints (copy them before eliminating), and
+    `_scales`, one positive int per column: entry (i, j) is
+    `_grid[i][j] / _scales[j]`, and no column's entries share a factor with
+    its scale, so equal matrices hold equal grids.  Column scaling keeps
+    every rank and minor singularity the routes read off the grid.  `rows`
+    and `column` build Fractions on demand.
+    """
 
-    def __post_init__(self):
-        if self.n_cols < 0:
+    def __init__(self, rows: Iterable[Iterable], n_cols: int):
+        pairs = [[_rational_pair(v) for v in row] for row in rows]
+        self._take_rows(pairs, n_cols)
+
+    def _take_rows(self, pairs: list[list[tuple[int, int]]], n_cols: int) -> None:
+        if n_cols < 0:
             raise ShapeError("negative column count")
-        for row in self.rows:
-            if len(row) != self.n_cols:
-                raise ShapeError(f"ragged row: expected {self.n_cols} entries, got {len(row)}")
+        for row in pairs:
+            if len(row) != n_cols:
+                raise ShapeError(f"ragged row: expected {n_cols} entries, got {len(row)}")
+        cols = [_cleared(col) for col in zip(*pairs)] if pairs else [((), 1)] * n_cols
+        self._set(*_by_columns(cols, len(pairs)))
+
+    def _set(self, grid: list[list[int]], scales: tuple[int, ...]) -> None:
+        self.__dict__.update(_grid=grid, _scales=scales, n_cols=len(scales))
+
+    @classmethod
+    def _of(cls, grid: list[list[int]], scales: tuple[int, ...]) -> "ExactMatrix":
+        """The matrix of a canonical integer grid and its column scales, taken as they are."""
+        m = cls.__new__(cls)
+        m._set(grid, scales)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], n_cols: int | None = None) -> "ExactMatrix":
-        grid = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+        pairs = [[_rational_pair(v) for v in row] for row in rows]
         if n_cols is None:
-            if not grid:
+            if not pairs:
                 raise ShapeError("column count required for a matrix with no rows")
-            n_cols = len(grid[0])
-        return cls(grid, n_cols)
+            n_cols = len(pairs[0])
+        m = cls.__new__(cls)
+        m._take_rows(pairs, n_cols)
+        return m
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], n_rows: int | None = None) -> "ExactMatrix":
-        cols = [tuple(parse_rational(v) for v in col) for col in cols]
+        pairs = [[_rational_pair(v) for v in col] for col in cols]
         if n_rows is None:
-            if not cols:
+            if not pairs:
                 raise ShapeError("row count required for a matrix with no columns")
-            n_rows = len(cols[0])
-        for col in cols:
+            n_rows = len(pairs[0])
+        for col in pairs:
             if len(col) != n_rows:
                 raise ShapeError(f"ragged column: expected {n_rows} entries, got {len(col)}")
-        return cls(tuple(tuple(col[i] for col in cols) for i in range(n_rows)), len(cols))
+        return cls._of(*_by_columns([_cleared(col) for col in pairs], n_rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactMatrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExactMatrix is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self.n_cols == other.n_cols and self._scales == other._scales and self._grid == other._grid
+
+    def __hash__(self) -> int:
+        return hash((self.n_cols, self._scales, tuple(map(tuple, self._grid))))
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(rows={self.rows!r}, n_cols={self.n_cols!r})"
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._grid)
 
     @cached_property
-    def _grid(self) -> list[list[int]]:
-        """The rows with each column's denominators cleared; copy rows before eliminating."""
-        return _integer_columns(self)
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on first read."""
+        scales = self._scales
+        return tuple(tuple(Fraction(v, s) for v, s in zip(row, scales)) for row in self._grid)
 
     @cached_property
     def _rank(self) -> int:
         """Rank of the matrix, eliminated once on a copy of `_grid`."""
         return _bareiss([row[:] for row in self._grid], self.n_cols)
 
+    @cached_property
+    def _supports(self) -> tuple[int, ...]:
+        """Per column, the mask of its nonzero rows: bit i set when row i + 1 is."""
+        if not self._grid:
+            return (0,) * self.n_cols
+        return tuple(sum(1 << i for i, v in enumerate(col) if v) for col in zip(*self._grid))
+
     def column(self, j: int) -> tuple[Fraction, ...]:
         """Column with 0-based index j, as a tuple."""
-        return tuple(row[j] for row in self.rows)
+        s = self._scales[j]
+        return tuple(Fraction(row[j], s) for row in self._grid)
 
     def take_cols(self, cols: IndexSet) -> "ExactMatrix":
         if cols.universe != self.n_cols:
             raise ShapeError(f"column set over [{cols.universe}] applied to {self.n_cols}-column matrix")
-        return ExactMatrix(tuple(tuple(row[j - 1] for j in cols) for row in self.rows), len(cols))
+        picked = [j - 1 for j in cols]
+        return ExactMatrix._of(
+            [[row[j] for j in picked] for row in self._grid], tuple(self._scales[j] for j in picked)
+        )
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.n_rows != self.n_rows:
             raise ShapeError(f"row count mismatch: {self.n_rows} vs {other.n_rows}")
-        return ExactMatrix(
-            tuple(a + b for a, b in zip(self.rows, other.rows)),
-            self.n_cols + other.n_cols,
+        return ExactMatrix._of(
+            [a + b for a, b in zip(self._grid, other._grid)], self._scales + other._scales
         )
-
-
-def _column_scales(m: ExactMatrix) -> list[int]:
-    """The lcm of each column's denominators."""
-    return [lcm(*(row[j].denominator for row in m.rows)) for j in range(m.n_cols)]
-
-
-def _integer_columns(m: ExactMatrix) -> list[list[int]]:
-    """The rows of m after each column is multiplied by the lcm of its denominators.
-
-    Column scaling preserves the rank of m and of any matrix built from m
-    by scaling its rows or placing other columns beside it.
-    """
-    scales = _column_scales(m)
-    return [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in m.rows]
 
 
 def _bareiss(a: list[list[int]], n_cols: int) -> int:
@@ -404,18 +489,20 @@ def nullspace_basis(m: ExactMatrix) -> ExactMatrix:
     normalized to have a 1 in that coordinate, so the result is canonical.
     Each pivot of the echelon basis leads a vector of the row space, so the
     pivots are the reduced echelon form's, and its entries are the basis's
-    over det with m's column scales undone.
+    over det with m's column scales undone: the vector of free column f is
+    s_f det at f and -s_p free[f][t] at pivots[t] = p, over s_f det.
     """
     basis = _RowBasis(m._grid, m.n_cols).extend(range(1, m.n_rows + 1))
-    scales = _column_scales(m)
+    scales = m._scales
     cols = []
     for f, entries in basis.free.items():
-        vec = [Fraction(0)] * m.n_cols
-        vec[f] = Fraction(1)
+        scale = basis.det * scales[f]
+        vec = [0] * m.n_cols
+        vec[f] = scale
         for p, v in zip(basis.pivots, entries):
-            vec[p] = Fraction(-scales[p] * v, basis.det * scales[f])
-        cols.append(vec)
-    return ExactMatrix.from_columns(cols, n_rows=m.n_cols)
+            vec[p] = -scales[p] * v
+        cols.append(_reduced(vec, scale))
+    return ExactMatrix._of(*_by_columns(cols, m.n_cols))
 
 
 def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:
@@ -435,18 +522,18 @@ def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:
         raise ShapeError(f"J over [{J.universe}] against {block.n_rows}-row matrix")
     grid, width = restricted._grid, restricted.n_cols
     basis = _RowBasis(grid, width).extend(J.complement())
-    pivots, det, scales = basis.pivots, basis.det, _column_scales(restricted)
+    pivots, det, scales = basis.pivots, basis.det, restricted._scales
     cols = [
-        [
-            Fraction(det * row[f] - sum(row[p] * v for p, v in zip(pivots, entries)), det * scales[f])
-            for row in grid
-        ]
+        _reduced(
+            [det * row[f] - sum(row[p] * v for p, v in zip(pivots, entries)) for row in grid],
+            det * scales[f],
+        )
         for f, entries in basis.free.items()
     ]
-    cols += [restricted.column(p) for p in sorted(pivots)]
+    cols += [(tuple(row[p] for row in grid), scales[p]) for p in sorted(pivots)]
     if len(basis.extend(J).rows) != width:
         raise PreconditionError(f"adapted_basis needs B[:, Y] of full column rank {width}")
-    return ExactMatrix.from_columns(cols, n_rows=block.n_rows)
+    return ExactMatrix._of(*_by_columns(cols, block.n_rows))
 
 
 def sparse_dim(b: ExactMatrix, j: IndexSet) -> int:
@@ -470,9 +557,7 @@ def intersect_dim(a: ExactMatrix, b: ExactMatrix) -> int:
 
 def row_support(m: ExactMatrix) -> IndexSet:
     """Rows carrying at least one nonzero entry (1-based)."""
-    return IndexSet.of(
-        m.n_rows, (i + 1 for i, row in enumerate(m.rows) if any(v != 0 for v in row))
-    )
+    return IndexSet.of(m.n_rows, (i + 1 for i, row in enumerate(m._grid) if any(row)))
 
 
 def is_full_column_rank(m: ExactMatrix) -> bool:

@@ -2,18 +2,19 @@
 
 Rationals are serialized as strings ("3", "-7/2") so no float ever enters
 the pipeline; indices are 1-based externally.  Loaders raise LoadError
-with enough location detail to find the offending entry.
+with enough location detail to find the offending entry.  A block's
+literals are read as integer pairs straight into its cleared grid, and an
+emitter prints the grid back, so no entry becomes a Fraction on the way.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .conditions import Ensemble
 from .errors import LoadError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, format_rational, parse_rational
+from .exactla import ExactMatrix, IndexSet, _by_columns, _cleared, _literal, _rational_pair
 from .tim import Scheme, SparseAssignment, Topology
 
 
@@ -45,13 +46,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_literal(value, where: str) -> Fraction:
-    if isinstance(value, float):
-        raise LoadError(f"{where}: float literals are not accepted, got {value!r}")
+def _parse_column(col: list, where: str, c: int) -> tuple[tuple[int, ...], int]:
+    """Column c of a block as its canonical ints and scale; the first bad literal is a LoadError."""
     try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+        return _cleared([_rational_pair(v) for v in col])
+    except ValueError:
+        for r, v in enumerate(col, start=1):
+            at = f"{where}, column {c}, row {r}"
+            if isinstance(v, float):
+                raise LoadError(f"{at}: float literals are not accepted, got {v!r}") from None
+            try:
+                _rational_pair(v)
+            except ValueError as exc:
+                raise LoadError(f"{at}: {exc}") from None
+        raise
 
 
 def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
@@ -61,8 +69,16 @@ def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
     for c, col in enumerate(block_data, start=1):
         if not isinstance(col, list) or len(col) != n:
             raise LoadError(f"{where}, column {c}: expected {n} entries")
-        cols.append([_parse_literal(v, f"{where}, column {c}, row {r}") for r, v in enumerate(col, start=1)])
-    return ExactMatrix(tuple(zip(*cols)), len(cols))
+        cols.append(_parse_column(col, where, c))
+    return ExactMatrix._of(*_by_columns(cols, n))
+
+
+def _emit_block(block: ExactMatrix) -> list[list[str]]:
+    """Each column's literals; an integer column prints its ints as they are."""
+    return [
+        [str(v) for v in col] if s == 1 else [_literal(v, s) for v in col]
+        for col, s in zip(zip(*block._grid), block._scales)
+    ]
 
 
 def parse_ensemble_data(data, where: str = "ensemble") -> Ensemble:
@@ -88,10 +104,7 @@ def load_ensemble(path: str) -> Ensemble:
 def emit_ensemble(ensemble: Ensemble) -> dict:
     return {
         "n": ensemble.n,
-        "matrices": [
-            [[format_rational(v) for v in block.column(j)] for j in range(block.n_cols)]
-            for block in ensemble.blocks
-        ],
+        "matrices": [_emit_block(block) for block in ensemble.blocks],
     }
 
 
@@ -163,10 +176,7 @@ def load_scheme(path: str) -> tuple[Scheme, SparseAssignment | None]:
 def emit_scheme(scheme: Scheme, assignment: SparseAssignment | None = None) -> dict:
     out = {
         "n": scheme.n,
-        "beamformers": [
-            [[format_rational(v) for v in b.column(j)] for j in range(b.n_cols)]
-            for b in scheme.beamformers
-        ],
+        "beamformers": [_emit_block(b) for b in scheme.beamformers],
     }
     if assignment is not None:
         out["sparse_assignment"] = [

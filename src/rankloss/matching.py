@@ -82,25 +82,43 @@ def ensemble_support_graph(ensemble, Ys: Sequence[IndexSet] | None = None) -> Su
     return build_support_graph(cols)
 
 
-def max_matching(graph: SupportGraph) -> int:
-    """Maximum matching size via augmenting paths."""
-    match_of_row = [-1] * graph.n_left  # row index -> right vertex or -1
+def matching_sizes(graph: SupportGraph, cuts: Sequence[int]) -> tuple[int, ...]:
+    """Maximum matching size among the first c right vertices, for each c in ascending cuts.
 
-    def try_augment(r: int, visited: list[bool]) -> bool:
+    One augmenting-path pass over the right vertices in order: a path from
+    right vertex r only passes through rows matched to earlier ones, so
+    after the first c the matching is a maximum one of those c (Kuhn's
+    algorithm run on them alone).
+    """
+    match_of_row = [-1] * graph.n_left  # row index -> right vertex or -1
+    visited = 0  # rows visited by the current search, as a mask
+
+    def try_augment(r: int) -> bool:
+        nonlocal visited
         adj = graph.adjacency(r)
-        for row in range(graph.n_left):
-            if adj >> row & 1 and not visited[row]:
-                visited[row] = True
-                if match_of_row[row] == -1 or try_augment(match_of_row[row], visited):
-                    match_of_row[row] = r
-                    return True
+        while free := adj & ~visited:
+            bit = free & -free
+            visited |= bit
+            row = bit.bit_length() - 1
+            if match_of_row[row] == -1 or try_augment(match_of_row[row]):
+                match_of_row[row] = r
+                return True
         return False
 
-    size = 0
-    for r in range(graph.n_right):
-        if try_augment(r, [False] * graph.n_left):
-            size += 1
-    return size
+    sizes = []
+    size = done = 0
+    for cut in cuts:
+        for r in range(done, cut):
+            visited = 0
+            size += try_augment(r)
+        done = cut
+        sizes.append(size)
+    return tuple(sizes)
+
+
+def max_matching(graph: SupportGraph) -> int:
+    """Maximum matching size via augmenting paths."""
+    return matching_sizes(graph, (graph.n_right,))[0]
 
 
 def defect(graph: SupportGraph) -> int:

@@ -9,13 +9,15 @@ generic row scalings.  Each receiver that hears interference needs the
 generic ranks of [interference | B_j] and [interference]: one scaling
 drawn by `randrank` and one elimination modulo a prime q give both, and
 rank mod q <= rank over Q <= generic rank <= term rank of the support
-(Edmonds 1967).  So a trial that reaches both term ranks (one maximum
-matching each) has the generic ranks; on a miss C6
-(`conditions.generic_rank`) decides, so no verdict depends on the seed.
+(Edmonds 1967).  So a trial that reaches both term ranks (one matching
+pass over the columns' support masks gives both) has the generic ranks;
+on a miss C6 (`conditions.generic_rank`) decides, so no verdict depends
+on the seed.
 `tim verify` and the postconditions of synthesized exclusive-alignment
-schemes share this primitive (`_generic_pair`).  Each beamformer's cleared
-grid and rank live on its `ExactMatrix`, so synthesis, `Scheme` and
-verification clear and rank-check it once.
+schemes share this primitive (`_generic_pair`).  Each beamformer is its
+`ExactMatrix`'s integer grid, built once by synthesis or the loader, and
+its rank and support masks live on it, so `Scheme` and verification
+rank-check it once and no entry becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .exactla import (
     row_support,
     sparse_dim,
 )
-from .matching import SupportGraph, max_matching
+from .matching import SupportGraph, matching_sizes
 from .randrank import (
     TrialConfig,
     _draw_diags,
@@ -272,10 +274,10 @@ class SparseAssignment:
         return self.sets[receiver - 1]
 
 
-def _slot_column(n: int, slot: int) -> list[Fraction]:
+def _slot_column(n: int, slot: int) -> list[int]:
     if slot == BOTH_SLOTS:
-        return [Fraction(1)] * n
-    return [Fraction(1) if i + 1 == slot else Fraction(0) for i in range(n)]
+        return [1] * n
+    return [int(i + 1 == slot) for i in range(n)]
 
 
 def synth_half_dof_scheme(topology: Topology) -> Scheme:
@@ -418,17 +420,18 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
         beamformers = []
         for user in range(1, topology.K + 1):
             window = member_window.get(user)
-            cols: list[list[Fraction]] = []
+            cols: list[list[int]] = []
             if window is not None:
                 for _ in range(tau):
-                    col = [Fraction(0)] * n
+                    col = [0] * n
                     for row in window:
-                        col[row - 1] = Fraction(next(primes))
+                        col[row - 1] = next(primes)
                     cols.append(col)
             generic = m - len(cols)
             for _ in range(generic):
-                cols.append([Fraction(next(primes)) for _ in range(n)])
-            beamformers.append(ExactMatrix.from_columns(cols, n_rows=n))
+                cols.append([next(primes) for _ in range(n)])
+            # Integer columns are canonical at scale 1.
+            beamformers.append(ExactMatrix._of([list(row) for row in zip(*cols)], (1,) * m))
         if _exclusive_postconditions(topology, beamformers, windows, tau):
             scheme = Scheme(n, tuple(beamformers))
             sets = tuple(windows.get(r) for r in range(1, topology.K + 1))
@@ -495,14 +498,21 @@ class DecodabilityReport:
         return all(self.per_receiver)
 
 
-def _term_rank(blocks: Sequence[ExactMatrix]) -> int:
-    """Term rank of [B_1 | ... | B_k]: its rank under any row scaling is at most this."""
+def _term_ranks(blocks: Sequence[ExactMatrix], own: ExactMatrix) -> tuple[int, int]:
+    """Term ranks of [B_1 | ... | B_k | own] and [B_1 | ... | B_k].
+
+    No row scaling lifts a rank above its term rank.  One matching pass
+    over the columns' support masks gives both, read after the blocks'
+    columns and after own's.
+    """
     rights = tuple(
-        (i, c + 1, sum(1 << r for r, row in enumerate(block._grid) if row[c]))
-        for i, block in enumerate(blocks, start=1)
-        for c in range(block.n_cols)
+        (i, c, mask)
+        for i, block in enumerate((*blocks, own), start=1)
+        for c, mask in enumerate(block._supports, start=1)
     )
-    return max_matching(SupportGraph(blocks[0].n_rows, rights))
+    width = len(rights) - own.n_cols
+    interfering, combined = matching_sizes(SupportGraph(own.n_rows, rights), (width, len(rights)))
+    return combined, interfering
 
 
 def _generic_pair(
@@ -516,12 +526,11 @@ def _generic_pair(
     <= generic rank <= term rank, so a pair that reaches the term ranks is
     the generic pair.  Otherwise C6 (`generic_rank`) decides both.
     """
-    term_ranks = (_term_rank(blocks + [own]), _term_rank(blocks))
     width = sum(b.n_cols for b in blocks)
     own_diag, *diags = _draw_diags(cfg, stream, own.n_rows, 1 + len(blocks))
     grids = [b._grid for b in blocks] + [own._grid]
     pair = _rank_mod(_scaled_residues(grids, diags + [own_diag]), width + own.n_cols, width)
-    if pair == term_ranks:
+    if pair == _term_ranks(blocks, own):
         return pair, True
     return (generic_rank(Ensemble((*blocks, own))), generic_rank(Ensemble(tuple(blocks)))), False
 
@@ -722,13 +731,13 @@ def normalize_alignment(
         spare = [v for v in j_prime.members if v not in j_new.members]
         for i, d in zip(members, dims):
             base = adapted_basis(scheme.beamformers[i - 1], IndexSet.full(m), j_prime)
-            kept = [base.column(c) for c in range(d, base.n_cols)]
+            kept = base.take_cols(IndexSet.of(m, range(d + 1, m + 1)))
             fresh_rows = list(j_new.members) + spare[: d - tau]
-            fresh = [
-                [Fraction(1) if row == target else Fraction(0) for row in range(1, n + 1)]
-                for target in fresh_rows
-            ]
-            new_beamformers[i - 1] = ExactMatrix.from_columns(fresh + kept, n_rows=n)
+            fresh = ExactMatrix._of(
+                [[int(row == target) for target in fresh_rows] for row in range(1, n + 1)],
+                (1,) * len(fresh_rows),
+            )
+            new_beamformers[i - 1] = fresh.hstack(kept)
         new_sets[r - 1] = j_new
 
     result = Scheme(n, tuple(new_beamformers))

@@ -6,14 +6,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankloss.exactla
 from rankloss import fileio
 from rankloss.cli import build_parser, main
+from rankloss.conditions import Ensemble
 from rankloss.errors import LoadError
-from rankloss.exactla import IndexSet
+from rankloss.exactla import ExactMatrix, IndexSet, parse_rational
+from rankloss.tim import Scheme, SparseAssignment
 from rankloss.randrank import TrialConfig
 
 from conftest import FIXTURES, e1, t6
@@ -140,19 +145,100 @@ def test_scheme_round_trip(tmp_path):
 
 
 def test_scheme_load_parses_each_entry_once(monkeypatch):
+    # Every entry is validated once, as an integer pair read straight into
+    # its column's grid: an integer scheme builds no Fraction rows.
     parsed = []
-    parse = rankloss.exactla.parse_rational
+    pair = rankloss.exactla._rational_pair
 
-    def counting_parse(literal):
+    def counting_pair(literal):
         parsed.append(literal)
-        return parse(literal)
+        return pair(literal)
 
-    monkeypatch.setattr(rankloss.exactla, "parse_rational", counting_parse)
-    monkeypatch.setattr(fileio, "parse_rational", counting_parse)
+    monkeypatch.setattr(fileio, "_rational_pair", counting_pair)
     path = FIXTURES / "T9b_scheme.json"
     scheme, _ = fileio.load_scheme(str(path))
-    entries = sum(len(col) for block in json.loads(path.read_text())["beamformers"] for col in block)
-    assert len(parsed) == entries == sum(b.n_rows * b.n_cols for b in scheme.beamformers)
+    entries = [v for block in json.loads(path.read_text())["beamformers"] for col in block for v in col]
+    assert parsed == entries
+    assert len(entries) == sum(b.n_rows * b.n_cols for b in scheme.beamformers)
+    for b in scheme.beamformers:
+        assert set(b._scales) == {1} and "rows" not in vars(b)
+
+
+def _fractional_scheme() -> tuple[Scheme, SparseAssignment]:
+    """Three users over 3 slots, with mixed denominators inside a column."""
+    return (
+        Scheme(
+            3,
+            (
+                ExactMatrix.from_columns([["2/4", "1", "0"], ["-1/3", "5/6", "7"]]),
+                ExactMatrix.from_columns([["0", "-10/4", "3/9"]]),
+                ExactMatrix.from_columns([["1", "0", "0"], ["0", "-1/7", "2/21"]]),
+            ),
+        ),
+        SparseAssignment(3, (IndexSet.of(3, [2, 3]), None, None)),
+    )
+
+
+def test_fractional_files_survive_emit_load_emit_byte_for_byte(tmp_path):
+    ensemble = Ensemble.of(
+        [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 6)], [1, Fraction(7, 4)]],
+        [["4/6"], ["0"], ["-9/12"]],
+    )
+    scheme, assignment = _fractional_scheme()
+    cases = [
+        (ensemble, fileio.emit_ensemble, fileio.load_ensemble),
+        ((scheme, assignment), lambda s: fileio.emit_scheme(*s), fileio.load_scheme),
+    ]
+    for value, emit, load in cases:
+        for pretty in (False, True):
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            fileio.write_json(emit(value), str(first), pretty=pretty)
+            fileio.write_json(emit(load(str(first))), str(second), pretty=pretty)
+            assert first.read_bytes() == second.read_bytes()
+            assert "/" in first.read_text() and "2/4" not in first.read_text()
+    assert fileio.emit_scheme(scheme)["beamformers"][0] == [["1/2", "1", "0"], ["-1/3", "5/6", "7"]]
+
+
+# Literals the grammar accepts, near misses it refuses, and other JSON values.
+literals = st.one_of(
+    st.from_regex(r"\s?[+-]?[0-9]{1,4}(/[0-9]{1,3})?\s?", fullmatch=True),
+    st.sampled_from(["1_000", "1e5", "1.5", "/0", "3/0", "-0/0", "1/-2", "", " ", "\u0663", "0x1f", "1/2/3"]),
+    st.text(max_size=6),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(literals, min_size=1, max_size=4))
+def test_loader_reads_each_literal_as_parse_rational_does(col):
+    # The loader's one grammar agrees with parse_rational entry by entry:
+    # the same values, and the first refused entry's message with its location.
+    data = {"n": len(col), "matrices": [[col]]}
+    values = []
+    for r, v in enumerate(col, start=1):
+        where = f"ensemble, block 1, column 1, row {r}"
+        if isinstance(v, float):
+            expected = f"{where}: float literals are not accepted, got {v!r}"
+            break
+        try:
+            values.append(parse_rational(v))
+        except ValueError as exc:
+            expected = f"{where}: {exc}"
+            break
+    else:
+        if any(values):
+            (block,) = fileio.parse_ensemble_data(data).blocks
+            assert block.column(0) == tuple(values)
+            assert all(type(v) is Fraction for v in block.rows[0])
+            return
+        expected = "ensemble: block 1 is not full column rank"
+    with pytest.raises(LoadError) as info:
+        fileio.parse_ensemble_data(data)
+    assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------------

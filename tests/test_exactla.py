@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import rankloss.exactla
+from rankloss import fileio
 from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import (
     ExactMatrix,
@@ -215,20 +217,73 @@ def test_adapted_basis_matches_greedy_reference():
 
 
 def test_adapted_basis_over_every_column_reads_the_blocks_grid(monkeypatch):
-    block = ExactMatrix.from_rows([[Fraction(1, 2), 1], [0, 1], [1, Fraction(1, 3)]])
+    # Over every column the echelon basis reads the block's own grid, and
+    # over some columns the grid `take_cols` picks from it; neither rebuilds
+    # the block's grid, parses an entry or builds Fraction rows.
+    rows = [[Fraction(1, 2), 1], [0, 1], [1, Fraction(1, 3)]]
     j, every, second = IndexSet.of(3, [3]), IndexSet.full(2), IndexSet.of(2, [2])
-    expected = [adapted_basis_greedy(block, y, j) for y in (every, second)]
-    assert sparse_dim(block, j) == 0  # clears the block's own grid
-    cleared = []
-    clear = rankloss.exactla._integer_columns
+    expected = [adapted_basis_greedy(ExactMatrix.from_rows(rows), y, j) for y in (every, second)]
+    block = ExactMatrix.from_rows(rows)
+    grid = block._grid
+    read, parsed = [], []
+    row_basis = rankloss.exactla._RowBasis
 
-    def counting_clear(m):
-        cleared.append(m.n_cols)
-        return clear(m)
+    def recording(g, width):
+        read.append(g)
+        return row_basis(g, width)
 
-    monkeypatch.setattr(rankloss.exactla, "_integer_columns", counting_clear)
-    assert adapted_basis(block, every, j) == expected[0] and cleared == []
-    assert adapted_basis(block, second, j) == expected[1] and cleared == [1]
+    monkeypatch.setattr(rankloss.exactla, "_RowBasis", recording)
+    monkeypatch.setattr(rankloss.exactla, "_rational_pair", parsed.append)
+    assert adapted_basis(block, every, j) == expected[0]
+    assert len(read) == 1 and read[0] is grid
+    assert adapted_basis(block, second, j) == expected[1]
+    assert len(read) == 2 and read[1] == [[3], [3], [1]]
+    assert block._grid is grid and grid == [[1, 3], [0, 3], [2, 1]] and block._scales == (2, 3)
+    assert parsed == [] and "rows" not in vars(block)
+
+
+def test_equal_values_give_equal_matrices_whatever_the_constructor(tmp_path):
+    rows = [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), Fraction(5, 6), 7], [1, 0, 4]]
+    literals = [["2/4", "6/2", "0/5"], ["-4/6", "10/12", " 7 "], ["1", "-0", "+4"]]
+    columns = [list(col) for col in zip(*literals)]
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"n": 3, "matrices": [columns]}))
+    wide = ExactMatrix.from_rows([[Fraction(9, 5), *row] for row in rows])
+    variants = [
+        ExactMatrix(tuple(map(tuple, rows)), 3),
+        ExactMatrix.from_rows(literals),
+        ExactMatrix.from_columns(columns),
+        fileio.load_ensemble(str(path)).blocks[0],
+        wide.take_cols(IndexSet.of(4, [2, 3, 4])),
+        ExactMatrix.from_rows([r[:1] for r in rows]).hstack(ExactMatrix.from_rows([r[1:] for r in rows])),
+    ]
+    for m in variants:
+        assert m == variants[0] and hash(m) == hash(variants[0])
+        assert m._scales == (6, 6, 1) and m._grid == [[3, 18, 0], [-4, 5, 7], [6, 0, 4]]
+        assert m.rows == tuple(tuple(Fraction(v) for v in row) for row in rows)
+        assert all(type(v) is Fraction for row in m.rows for v in row)
+    # Same grid at another scale, and same values in another shape, differ.
+    assert ExactMatrix.from_rows([[1], [2]]) != ExactMatrix.from_rows([["1/2"], [1]])
+    assert ExactMatrix.from_rows([[1, 2]]) != ExactMatrix.from_rows([[1], [2]])
+    no_rows = [
+        ExactMatrix((), 2),
+        ExactMatrix.from_rows([], n_cols=2),
+        ExactMatrix.from_columns([[], []]),
+        ExactMatrix((), 3).take_cols(IndexSet.of(3, [1, 3])),
+        ExactMatrix((), 1).hstack(ExactMatrix((), 1)),
+    ]
+    no_cols = [
+        ExactMatrix(((), (), ()), 0),
+        ExactMatrix.from_rows([[], [], []]),
+        ExactMatrix.from_columns([], n_rows=3),
+        wide.take_cols(IndexSet.empty(4)),
+        nullspace_basis(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    ]
+    for same, other in ((no_rows, ExactMatrix((), 3)), (no_cols, ExactMatrix(((),), 0))):
+        for m in same:
+            assert m == same[0] and hash(m) == hash(same[0]) and m != other
+            assert m.rows == same[0].rows and (m.n_rows, m.n_cols) == (same[0].n_rows, same[0].n_cols)
+    assert ExactMatrix((), 0) not in (no_rows[0], no_cols[0])
 
 
 def test_adapted_basis_refuses_rank_deficient_columns():

@@ -38,9 +38,11 @@ CASES = {
     "tim-normalize-T9a": ("tim", "normalize", "fixtures/T9a.json", "tests/golden/T9a_exclusive_scheme.json"),
 }
 
-# Inputs the cases read, as path -> the command that writes it with --scheme-out.
+# Scheme files, as path -> the command that writes it with --scheme-out.  The
+# cases read T9a's; each must be written byte for byte as recorded.
 INPUTS = {
     "tests/golden/T9a_exclusive_scheme.json": ("tim", "scheme", "fixtures/T9a.json", "--kind", "exclusive"),
+    "tests/golden/T6_scheme.json": ("tim", "scheme", "fixtures/T6.json"),
 }
 
 
@@ -63,6 +65,13 @@ def report_text(argv) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert report_text(CASES[name]) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("path", sorted(INPUTS))
+def test_written_scheme_matches_golden(path, tmp_path):
+    out = tmp_path / "scheme.json"
+    report_text((*INPUTS[path], "--scheme-out", str(out)))
+    assert out.read_bytes() == (ROOT / path).read_bytes()
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from rankloss import fileio
 from rankloss.conditions import Ensemble, generic_rank
 from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, sparse_dim
+from rankloss.matching import build_support_graph, max_matching
 from rankloss.randrank import TrialConfig
 from rankloss.tim import (
     ConflictGraph,
@@ -39,7 +40,7 @@ from rankloss.tim import (
     verify_decodability,
     _color_alignment_sets,
     _prime_stream,
-    _term_rank,
+    _term_ranks,
 )
 
 from conftest import (
@@ -289,24 +290,45 @@ def test_prime_stream_matches_sieve():
 
 
 def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
-    # Each matrix keeps its cleared grid and rank: the postconditions, every
-    # C6 Ensemble, Scheme and verify_decodability all read the same ones.
-    cleared = []
-    clear = rankloss.exactla._integer_columns
+    # Synthesis builds each beamformer's integer grid once; the
+    # postconditions, every C6 Ensemble, Scheme and verify_decodability read
+    # that grid and its rank, parse no literal and build no Fraction rows.
+    built, parsed = [], []
+    of = ExactMatrix._of.__func__
 
-    def counting_clear(m):
-        cleared.append(m)  # keeps m alive, so ids stay distinct
-        return clear(m)
+    def recording(cls, grid, scales):
+        built.append(of(cls, grid, scales))
+        return built[-1]
 
-    monkeypatch.setattr(rankloss.exactla, "_integer_columns", counting_clear)
+    monkeypatch.setattr(ExactMatrix, "_of", classmethod(recording))
+    monkeypatch.setattr(rankloss.exactla, "_rational_pair", parsed.append)
     # t9a takes the first fill; this topology's first fill fails its postconditions
     for top in (t9a(), Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])):
-        cleared.clear()
+        built.clear()
         scheme, _ = synth_exclusive_scheme(top)
         assert verify_decodability(top, scheme, FAST).ok
-        times = Counter(map(id, cleared))
-        assert max(times.values()) == 1
-        assert all(times[id(b)] == 1 for b in scheme.beamformers)
+        grids = Counter(tuple(map(tuple, m._grid)) for m in built)
+        for b in scheme.beamformers:
+            assert any(m is b for m in built)
+            assert grids[tuple(map(tuple, b._grid))] == 1
+            assert set(b._scales) == {1} and "_rank" in vars(b)
+        assert parsed == [] and not any("rows" in vars(m) for m in built)
+
+
+def test_one_matching_pass_gives_both_term_ranks(rng):
+    # The pass read after the interference columns and after all columns
+    # equals two separate maximum matchings on the columns' Fraction supports.
+    def term_rank(blocks):
+        columns = [(i, b.column(c)) for i, b in enumerate(blocks, start=1) for c in range(b.n_cols)]
+        return max_matching(build_support_graph(columns))
+
+    for topology, scheme in fixture_cases() + generated_exclusive_cases(rng, 20):
+        for j in range(1, topology.K + 1):
+            interference = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
+            if interference:
+                own = scheme.beamformers[j - 1]
+                separate = (term_rank(interference + [own]), term_rank(interference))
+                assert _term_ranks(interference, own) == separate, (topology, j)
 
 
 def test_verify_eliminates_once_per_receiver_trial(monkeypatch, c6_calls):
@@ -575,7 +597,7 @@ def test_verify_falls_back_when_the_rank_is_below_the_term_rank(c6_calls):
             ExactMatrix.from_columns([[1, 0, 0]]),
         ),
     )
-    assert _term_rank(scheme.beamformers[:2]) == 3
+    assert _term_ranks(scheme.beamformers[:1], scheme.beamformers[1]) == (3, 2)
     assert generic_rank(Ensemble(scheme.beamformers[:2])) == 2
     c6_calls.clear()
     report = assert_matches_c6(topology, scheme, FAST)
@@ -628,8 +650,9 @@ def test_term_ranks_equal_generic_ranks_on_synthesized_schemes(rng):
             interference = tuple(scheme.beamformers[i - 1] for i in sorted(topology.interferers(j)))
             if not interference:
                 continue
-            for blocks in (interference, interference + (scheme.beamformers[j - 1],)):
-                assert _term_rank(blocks) == generic_rank(Ensemble(blocks)), (topology, j)
+            combined = Ensemble(interference + (scheme.beamformers[j - 1],))
+            generic = (generic_rank(combined), generic_rank(Ensemble(interference)))
+            assert _term_ranks(interference, scheme.beamformers[j - 1]) == generic, (topology, j)
 
 
 def test_structure_check_t6_passes():
