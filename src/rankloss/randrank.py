@@ -9,17 +9,17 @@ rank except with probability at most (n / entry_bound) ** trials.
 
 Sampling reads each block's own cleared grid, and C1 memoizes sampled
 ranks on the ensemble, one entry per `TrialConfig`.  C1 eliminates the
-scaled rows over Z (`_scaled_rows`).  `tim` draws one scaling per
-receiver and builds the rows reduced modulo `exactla`'s prime q
-(`_scaled_residues`): rank mod q <= rank over Q <= generic rank <= the
-term rank of the rows' support, which scaling by nonzero integers leaves
-unchanged, so a modular rank that reaches the term rank is the generic
-rank, and any other draw is left to C6.  Its verdicts do not depend on
-the seed.
+scaled rows over Z (`_scaled_rank`).  `tim` draws one scaling per
+receiver from one fixed `TrialConfig` and builds the rows reduced modulo
+`exactla`'s prime q (`_scaled_residues`): rank mod q <= rank over Q <=
+generic rank <= the term rank of the rows' support, which scaling by
+nonzero integers leaves unchanged, so a modular rank that reaches the
+term rank is the generic rank, and any other draw is left to C6.  `tim`
+takes no sampling setting, and none of its verdicts depends on the draw.
 
-Reports print the failure bound as an exact fraction, so every route that
-reports it refuses, before its first draw, a configuration whose bound is
-too long to print (`check_printable_bound`).
+C1's reports print the failure bound as an exact fraction, so C1 and the
+sampling commands refuse, before their first draw, a configuration whose
+bound is too long to print (`check_printable_bound`).
 """
 
 from __future__ import annotations
@@ -105,16 +105,8 @@ def _draw_diags(cfg: TrialConfig, stream: int, n: int, count: int) -> list[list[
     return diags
 
 
-def _scaled_rows(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The rows of [D_1 G_1 | ... | D_k G_k] over integer grids with n rows (none for no grids)."""
-    return [
-        [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
-        for grid_rows, ds in zip(zip(*grids), zip(*diags))
-    ]
-
-
 def _scaled_residues(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The rows of `_scaled_rows`, each entry reduced mod `exactla._MODULUS`, for `exactla._rank_mod`."""
+    """The rows of [D_1 G_1 | ... | D_k G_k] reduced mod `exactla._MODULUS`, for `exactla._rank_mod`."""
     q = exactla._MODULUS
     return [
         [d * v % q for grid_row, d in zip(grid_rows, ds) for v in grid_row]
@@ -128,7 +120,10 @@ def _scaled_rank(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]
     Column scaling leaves that rank unchanged, so callers pass each block
     with its column denominators cleared and every call eliminates plain integers.
     """
-    rows = _scaled_rows(grids, diags)
+    rows = [
+        [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
+        for grid_rows, ds in zip(zip(*grids), zip(*diags))
+    ]
     return _bareiss(rows, len(rows[0])) if rows else 0
 
 

@@ -7,17 +7,18 @@ symmetric DoF formula for exclusive-alignment topologies, synthesizes the
 corresponding beamforming schemes, and decides decodability exactly for
 generic row scalings.  Each receiver that hears interference needs the
 generic ranks of [interference | B_j] and [interference]: one scaling
-drawn by `randrank` and one elimination modulo a prime q give both, and
-rank mod q <= rank over Q <= generic rank <= term rank of the support
-(Edmonds 1967).  So a trial that reaches both term ranks (one matching
-pass over the columns' support masks gives both) has the generic ranks;
-on a miss C6 (`conditions.generic_rank`) decides, so no verdict depends
-on the seed.
+drawn by `randrank` from the fixed `_DRAW` and one elimination modulo a
+prime q give both, and rank mod q <= rank over Q <= generic rank <= term
+rank of the support (Edmonds 1967).  So a trial that reaches both term
+ranks (one matching pass over the columns' support masks gives both) has
+the generic ranks; on a miss C6 (`conditions.generic_rank`) decides, so
+every verdict is exact and nothing here takes a sampling setting.
 `tim verify` and the postconditions of synthesized exclusive-alignment
-schemes share this primitive (`_generic_pair`).  Each beamformer is its
-`ExactMatrix`'s integer grid, built once by synthesis or the loader, and
-its rank and support masks live on it, so `Scheme` and verification
-rank-check it once and no entry becomes a Fraction.
+schemes share this primitive (`_generic_pair`); `minimal_fully_occupied`
+asks C6 directly.  Each beamformer is its `ExactMatrix`'s integer grid,
+built once by synthesis or the loader, and its rank and support masks
+live on it, so `Scheme` and verification rank-check it once and no entry
+becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -39,17 +40,11 @@ from .exactla import (
     sparse_dim,
 )
 from .matching import SupportGraph, matching_sizes
-from .randrank import (
-    TrialConfig,
-    _draw_diags,
-    _scaled_rank,
-    _scaled_residues,
-    check_printable_bound,
-    failure_bound,
-)
+from .randrank import TrialConfig, _draw_diags, _scaled_residues
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
+_DRAW = TrialConfig()  # receiver j's one scaling is stream j of this draw
 
 
 @dataclass(frozen=True)
@@ -393,9 +388,9 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
     by the next block of primes unless it passes the exact postconditions:
     the window structure, and at every receiver with interferers generic
     decodability, rank([interference | B_j]) = m_j + rank(interference)
-    with each generic pair from `_generic_pair` (one certified trial at
-    the default `TrialConfig`, C6 on a miss).  After FILL_ATTEMPTS failed fills it
-    raises InternalInvariantError.
+    with each generic pair from `_generic_pair` (one certified trial, C6
+    on a miss).  After FILL_ATTEMPTS failed fills it raises
+    InternalInvariantError.
     """
     ok, violations = check_P1_P2(topology)
     if not ok:
@@ -455,13 +450,12 @@ def _exclusive_postconditions(
         for i in topology.interferers(r):
             if sparse_dim(beamformers[i - 1], window) != tau:
                 return False
-    cfg = TrialConfig()
     for j in range(1, topology.K + 1):
         interference = [beamformers[i - 1] for i in sorted(topology.interferers(j))]
         if not interference:
             continue
         own = beamformers[j - 1]
-        (combined, interfering), _ = _generic_pair(interference, own, cfg, j)
+        (combined, interfering), _ = _generic_pair(interference, own, j)
         if combined != own.n_cols + interfering:
             return False
     return True
@@ -473,7 +467,7 @@ def _exclusive_postconditions(
 
 @dataclass(frozen=True)
 class DecodabilityReport:
-    """Per-receiver almost-sure decodability verdicts, exact at every seed.
+    """Per-receiver almost-sure decodability verdicts, exact.
 
     A receiver decodes when the desired block almost surely contributes
     its full symbol count on top of the interference:
@@ -482,16 +476,12 @@ class DecodabilityReport:
     (combined, interference); `certified[j-1]` is True when one modular
     trial reached the support's term ranks and False when C6 decided.  A
     receiver that hears no interferer has the pair (m_j, 0), certified by
-    its block's full column rank, with no draw.  `bound`,
-    (n / entry_bound) ** trials, is the failure probability a sampled
-    check at the same settings would carry: still a valid upper bound on
-    an exact verdict's, and a loose one.
+    its block's full column rank, with no draw.
     """
 
     per_receiver: tuple[bool, ...]
     ranks: tuple[tuple[int, int], ...]
     certified: tuple[bool, ...]
-    bound: Fraction
 
     @property
     def ok(self) -> bool:
@@ -515,19 +505,18 @@ def _term_ranks(blocks: Sequence[ExactMatrix], own: ExactMatrix) -> tuple[int, i
     return combined, interfering
 
 
-def _generic_pair(
-    blocks: list[ExactMatrix], own: ExactMatrix, cfg: TrialConfig, stream: int
-) -> tuple[tuple[int, int], bool]:
+def _generic_pair(blocks: list[ExactMatrix], own: ExactMatrix, stream: int) -> tuple[tuple[int, int], bool]:
     """Generic ranks of [B_1 | ... | B_k | own] and [B_1 | ... | B_k], and whether one trial certified them.
 
-    One draw from `stream` scales own first, then the blocks, and one
-    elimination mod q ranks [blocks | own] and, by its pivots among the
-    blocks' columns, [blocks].  rank mod q <= rank over Q at that scaling
-    <= generic rank <= term rank, so a pair that reaches the term ranks is
-    the generic pair.  Otherwise C6 (`generic_rank`) decides both.
+    One draw, stream `stream` of `_DRAW`, scales own first, then the
+    blocks, and one elimination mod q ranks [blocks | own] and, by its
+    pivots among the blocks' columns, [blocks].  rank mod q <= rank over Q
+    at that scaling <= generic rank <= term rank, so a pair that reaches
+    the term ranks is the generic pair.  Otherwise C6 (`generic_rank`)
+    decides both.
     """
     width = sum(b.n_cols for b in blocks)
-    own_diag, *diags = _draw_diags(cfg, stream, own.n_rows, 1 + len(blocks))
+    own_diag, *diags = _draw_diags(_DRAW, stream, own.n_rows, 1 + len(blocks))
     grids = [b._grid for b in blocks] + [own._grid]
     pair = _rank_mod(_scaled_residues(grids, diags + [own_diag]), width + own.n_cols, width)
     if pair == _term_ranks(blocks, own):
@@ -535,33 +524,29 @@ def _generic_pair(
     return (generic_rank(Ensemble((*blocks, own))), generic_rank(Ensemble(tuple(blocks)))), False
 
 
-def verify_decodability(topology: Topology, scheme: Scheme, cfg: TrialConfig | None = None) -> DecodabilityReport:
+def verify_decodability(topology: Topology, scheme: Scheme) -> DecodabilityReport:
     """Exact check of the projection decodability condition for generic row scalings.
 
-    Receiver j draws stream j of cfg once (`_generic_pair`), so the
-    verdicts and ranks are the same at every seed; cfg chooses only that
-    draw and the printed bound.  Refuses, before any draw, a cfg whose
-    failure bound cannot be printed.
+    Receiver j draws stream j of `_DRAW` once (`_generic_pair`); a trial
+    that misses its term ranks is decided by C6, so no verdict or rank
+    depends on the draw.
     """
-    cfg = cfg or TrialConfig()
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
-    n = scheme.n
-    check_printable_bound(n, cfg)
     ranks = []
     certified = []
     for j in range(1, topology.K + 1):
         own = scheme.beamformers[j - 1]
         blocks = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
         if blocks:
-            pair, by_trial = _generic_pair(blocks, own, cfg, j)
+            pair, by_trial = _generic_pair(blocks, own, j)
         else:
             # B_j has full column rank, so its rank is m_j at every scaling: draw none.
             pair, by_trial = (own.n_cols, 0), True
         ranks.append(pair)
         certified.append(by_trial)
     per_receiver = tuple(c == b.n_cols + i for (c, i), b in zip(ranks, scheme.beamformers))
-    return DecodabilityReport(per_receiver, tuple(ranks), tuple(certified), failure_bound(n, cfg))
+    return DecodabilityReport(per_receiver, tuple(ranks), tuple(certified))
 
 
 @dataclass(frozen=True)
@@ -631,15 +616,20 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
     return StructureReport(tuple(checks))
 
 
-def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int, cfg: TrialConfig | None = None) -> bool:
-    """Sampled check that the sparse subspace of a minimal J is fully occupied.
+def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int) -> bool:
+    """Exact check that the sparse subspace of a minimal J is fully occupied.
 
     Preconditions (all verified): the column choice has total size
     min(sum m_i, n); J achieves a sparse surplus of at least x; and no
-    proper subset of J does.  The check then asks, at each sample point,
-    whether S_J lies inside the column span of the scaled concatenation.
+    proper subset of J does.  The check then asks whether S_J lies almost
+    surely inside the column span of the scaled chosen columns
+    [D_1 B_1[:, Y_1] ... D_K B_K[:, Y_K]]: the lemma is about the column
+    choice Ys, which is stronger than asking it of every column.  S_J's
+    coordinate columns I_J keep their span under any scaling, so that
+    holds exactly when C6 gives [chosen | I_J] the generic rank of the
+    chosen blocks alone; a block whose Y_i is empty adds no column and is
+    left out.
     """
-    cfg = cfg or TrialConfig()
     if len(Ys) != ensemble.K:
         raise ShapeError(f"{len(Ys)} column choices for {ensemble.K} blocks")
     total_cols = sum(len(y) for y in Ys)
@@ -661,14 +651,9 @@ def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int
             if surplus(IndexSet(ensemble.n, combo)) >= x:
                 raise PreconditionError(f"J is not minimal: {list(combo)} already achieves surplus {x}")
 
-    grids = ensemble._grids
-    # S_J's coordinate columns keep their span under any scaling: take ones.
-    coordinates = [[int(r == j) for j in J] for r in range(1, ensemble.n + 1)]
-    for trial in range(cfg.trials):
-        diags = _draw_diags(cfg, trial, ensemble.n, ensemble.K)
-        if _scaled_rank([*grids, coordinates], diags + [[1] * ensemble.n]) != _scaled_rank(grids, diags):
-            return False
-    return True
+    chosen = tuple(b for b in restricted if b.n_cols)
+    coordinates = ExactMatrix._of([[int(r == j) for j in J] for r in range(1, ensemble.n + 1)], (1,) * len(J))
+    return generic_rank(Ensemble((*chosen, coordinates))) == generic_rank(Ensemble(chosen))
 
 
 def normalize_alignment(

@@ -280,7 +280,7 @@ def test_criterion_6_half_dof_pipeline(capsys):
     slot1 = {u + 1 for u, p in enumerate(scheme.activation_pattern()) if 1 in p}
     slot2 = {u + 1 for u, p in enumerate(scheme.activation_pattern()) if 2 in p}
     slots_ok = slot1 == {2, 5, 6} and slot2 == {1, 3, 4, 6}
-    decode = verify_decodability(topology, scheme, TrialConfig(trials=20, seed=6))
+    decode = verify_decodability(topology, scheme)
     ok = parts_ok and chi_ok and pattern_ok and slots_ok and decode.ok
     elapsed = time.monotonic() - start
     with capsys.disabled():
@@ -305,7 +305,7 @@ def test_criterion_7_exclusive_achievability(capsys):
     ldof_ok = ldof_sym(topology) == Fraction(4, 9)
     scheme, assignment = synth_exclusive_scheme(topology)
     shape_ok = scheme.n == 9 and scheme.symbol_counts == (4,) * 9
-    decode = verify_decodability(topology, scheme, TrialConfig(trials=20, seed=7))
+    decode = verify_decodability(topology, scheme)
     ok = p1p2_ok and chi_ok and ldof_ok and shape_ok and decode.ok
     elapsed = time.monotonic() - start
     with capsys.disabled():
@@ -350,7 +350,7 @@ def test_criterion_9_beyond_formula(capsys):
     p2_fails = not check_P1_P2(topology)[0]
     scheme, assignment = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
     shape_ok = scheme.n == 7 and scheme.symbol_counts == (3,) * 9
-    decode = verify_decodability(topology, scheme, TrialConfig(trials=20, seed=9))
+    decode = verify_decodability(topology, scheme)
     from fractions import Fraction
 
     beats_formula = Fraction(3, 7) > Fraction(5, 12)

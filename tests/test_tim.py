@@ -56,9 +56,6 @@ from conftest import (
     two_slot_schemes,
 )
 
-FAST = TrialConfig(trials=5, seed=17)
-
-
 def odd_cycle_topology() -> Topology:
     """Triangle of mutually conflicting alignment sets: reduced graph has C3."""
     return Topology.of({2, 3}, {3, 1}, {1, 2})
@@ -176,7 +173,7 @@ def test_scheme_single_link_no_shared_receiver():
     # reduced graph edgeless: both users repeat across both slots
     scheme = synth_half_dof_scheme(Topology.of(set(), {1}))
     assert scheme.activation_pattern() == ((1, 2), (1, 2))
-    report = verify_decodability(Topology.of(set(), {1}), scheme, FAST)
+    report = verify_decodability(Topology.of(set(), {1}), scheme)
     assert report.ok
 
 
@@ -204,7 +201,7 @@ def test_feasible_topologies_decode(rng):
         if not half_dof_feasible(top):
             continue
         scheme = synth_half_dof_scheme(top)
-        report = verify_decodability(top, scheme, FAST)
+        report = verify_decodability(top, scheme)
         assert report.ok, (top, scheme.activation_pattern(), report.per_receiver)
         assert half_dof_structure_check(top, scheme).ok
         checked += 1
@@ -234,7 +231,7 @@ def test_exclusive_scheme_t9a():
     windows = [set(s) for s in (assignment.get(1), assignment.get(2), assignment.get(3))]
     assert sorted(map(tuple, map(sorted, windows))) == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
     assert all(assignment.get(r) is None for r in range(4, 10))
-    report = verify_decodability(t9a(), scheme, FAST)
+    report = verify_decodability(t9a(), scheme)
     assert report.ok
 
 
@@ -244,7 +241,7 @@ def test_exclusive_scheme_chi2():
     assert scheme.n == 6 and scheme.symbol_counts == (3,) * 5
     w1, w2 = set(assignment.get(1)), set(assignment.get(2))
     assert not (w1 & w2) and len(w1) == len(w2) == 3
-    assert verify_decodability(top, scheme, FAST).ok
+    assert verify_decodability(top, scheme).ok
 
 
 def test_alignment_coloring_where_greedy_overshoots():
@@ -258,7 +255,7 @@ def test_alignment_coloring_where_greedy_overshoots():
     assert _color_alignment_sets(top, 2) == {1: 0, 4: 1, 12: 0, 17: 1, 10: 0, 16: 1}
     scheme, _ = synth_exclusive_scheme(top)
     assert scheme.n == 6
-    assert verify_decodability(top, scheme, FAST).ok
+    assert verify_decodability(top, scheme).ok
 
 
 def test_exclusive_scheme_chi1_routes_to_half():
@@ -273,7 +270,7 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
     # decodability postcondition moves the fill to the next block.
     top = Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])
     scheme, _ = synth_exclusive_scheme(top)
-    assert verify_decodability(top, scheme, TrialConfig(seed=3)).ok
+    assert verify_decodability(top, scheme).ok
 
 
 def test_prime_stream_matches_sieve():
@@ -306,7 +303,7 @@ def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
     for top in (t9a(), Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])):
         built.clear()
         scheme, _ = synth_exclusive_scheme(top)
-        assert verify_decodability(top, scheme, FAST).ok
+        assert verify_decodability(top, scheme).ok
         grids = Counter(tuple(map(tuple, m._grid)) for m in built)
         for b in scheme.beamformers:
             assert any(m is b for m in built)
@@ -355,7 +352,7 @@ def test_verify_eliminates_once_per_receiver_trial(monkeypatch, c6_calls):
         monkeypatch.setattr(module, "_rank_mod", rank_mod)
     for topology, scheme in cases:
         calls.clear()
-        report = verify_decodability(topology, scheme, FAST)
+        report = verify_decodability(topology, scheme)
         heard = [j for j in range(1, topology.K + 1) if topology.interferers(j)]
         assert calls == {"rank_mod": len(heard)}
         assert c6_calls == []
@@ -363,15 +360,6 @@ def test_verify_eliminates_once_per_receiver_trial(monkeypatch, c6_calls):
         for j in range(1, topology.K + 1):
             if j not in heard:
                 assert report.ranks[j - 1] == (scheme.beamformers[j - 1].n_cols, 0)
-
-
-def test_verify_refuses_unprintable_bound_before_sampling(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("drew before the bound was checked")
-
-    monkeypatch.setattr(rankloss.tim, "_draw_diags", no_draws)
-    with pytest.raises(PreconditionError, match="too long to print"):
-        verify_decodability(t6(), synth_half_dof_scheme(t6()), TrialConfig(trials=1, entry_bound=2**14287))
 
 
 def test_exclusive_scheme_requires_p1p2():
@@ -422,7 +410,7 @@ def test_random_p1p2_topologies_exclusive_scheme_decodes(rng):
             assert scheme.n == 2
         else:
             assert scheme.n == 3 * chi and set(scheme.symbol_counts) == {chi + 1}
-            report = verify_decodability(top, scheme, FAST)
+            report = verify_decodability(top, scheme)
             assert report.ok, (top, assignment.sets, report.per_receiver)
         checked += 1
     assert {2, 3} <= seen_chis, f"generator did not cover chi in {{2,3}}: {seen_chis}"
@@ -443,14 +431,14 @@ def test_exclusive_window_structure():
 # ---------------------------------------------------------------------------
 
 def test_t6_decodability_all_receivers():
-    report = verify_decodability(t6(), synth_half_dof_scheme(t6()), TrialConfig(seed=2))
+    report = verify_decodability(t6(), synth_half_dof_scheme(t6()))
     assert report.per_receiver == (True,) * 6
 
 
 def test_decodability_shape_error():
     scheme = synth_half_dof_scheme(Topology.of(set(), {1}))
     with pytest.raises(Exception):
-        verify_decodability(t6(), scheme, FAST)
+        verify_decodability(t6(), scheme)
 
 
 def c6_decodability(topology: Topology, scheme: Scheme):
@@ -467,10 +455,11 @@ def c6_decodability(topology: Topology, scheme: Scheme):
     return per_receiver, tuple(ranks)
 
 
-def fraction_route_pair(topology: Topology, scheme: Scheme, cfg: TrialConfig, j: int) -> tuple[int, int]:
-    """Receiver j's rank pair at its one draw, rebuilt over Fraction."""
+def fraction_route_pair(topology: Topology, scheme: Scheme, j: int) -> tuple[int, int]:
+    """Receiver j's rank pair at its one draw (stream j of `tim._DRAW`), rebuilt over Fraction."""
     desired = scheme.beamformers[j - 1]
     interference = [scheme.beamformers[i - 1] for i in sorted(topology.interferers(j))]
+    cfg = rankloss.tim._DRAW
     rng = cfg.trial_rng(j)
     # stream j: the desired block draws first, then the interferers in ascending order
     diags = [[rng.randint(1, cfg.entry_bound) for _ in range(scheme.n)] for _ in range(1 + len(interference))]
@@ -480,13 +469,13 @@ def fraction_route_pair(topology: Topology, scheme: Scheme, cfg: TrialConfig, j:
     )
 
 
-def assert_matches_c6(topology: Topology, scheme: Scheme, cfg: TrialConfig):
+def assert_matches_c6(topology: Topology, scheme: Scheme):
     """The report equals C6's; a certified pair is also the exact pair at its draw."""
-    report = verify_decodability(topology, scheme, cfg)
+    report = verify_decodability(topology, scheme)
     assert (report.per_receiver, report.ranks) == c6_decodability(topology, scheme)
     for j in range(1, topology.K + 1):
         if report.certified[j - 1] and topology.interferers(j):
-            assert report.ranks[j - 1] == fraction_route_pair(topology, scheme, cfg, j)
+            assert report.ranks[j - 1] == fraction_route_pair(topology, scheme, j)
     return report
 
 
@@ -518,20 +507,21 @@ def dense_case() -> tuple[Topology, Scheme]:
     return odd_cycle_topology(), Scheme(2, tuple(ExactMatrix.from_columns([[1, 1]]) for _ in range(3)))
 
 
-def test_decodability_matches_c6():
+def test_decodability_matches_c6(monkeypatch):
     mixed, dense = mixed_case(), dense_case()
     cases = [mixed, dense, *fixture_cases()]
-    configs = (FAST, TrialConfig(trials=20, entry_bound=2, seed=2))
-    for topology, scheme in cases:
-        for cfg in configs:
-            assert_matches_c6(topology, scheme, cfg)
-    assert verify_decodability(*mixed, FAST).per_receiver == (True, True, False, True)
+    for draw in (TrialConfig(), TrialConfig(entry_bound=2, seed=2)):
+        monkeypatch.setattr(rankloss.tim, "_DRAW", draw)
+        for topology, scheme in cases:
+            assert_matches_c6(topology, scheme)
     # Sampled draws at scalings in {1, 2} can hit receiver 1's vanishing
     # determinant and call it undecodable.  Its one draw here does, so the
     # trial misses the term ranks and C6 decides receiver 1.
-    report = verify_decodability(*mixed, configs[1])
+    report = verify_decodability(*mixed)
     assert (report.per_receiver, report.certified) == ((True, True, False, True), (False, True, True, True))
-    assert verify_decodability(*dense, FAST).per_receiver == (False, False, False)
+    monkeypatch.setattr(rankloss.tim, "_DRAW", TrialConfig())
+    assert verify_decodability(*mixed).per_receiver == (True, True, False, True)
+    assert verify_decodability(*dense).per_receiver == (False, False, False)
 
 
 def generated_exclusive_cases(rng: random.Random, count: int) -> list[tuple[Topology, Scheme]]:
@@ -573,10 +563,11 @@ def test_verify_falls_back_to_c6_below_the_term_ranks(monkeypatch, rng, c6_calls
     # short of the term ranks and C6 decides those receivers.
     cases = fixture_cases() + generated_exclusive_cases(rng, 20)
     monkeypatch.setattr(rankloss.exactla, "_MODULUS", 3)
+    monkeypatch.setattr(rankloss.tim, "_DRAW", TrialConfig(seed=17))
     c6_calls.clear()
     misses = heard = 0
     for topology, scheme in cases:
-        report = assert_matches_c6(topology, scheme, FAST)
+        report = assert_matches_c6(topology, scheme)
         misses += report.certified.count(False)
         heard += sum(1 for j in range(1, topology.K + 1) if topology.interferers(j))
     assert 0 < misses < heard
@@ -600,20 +591,23 @@ def test_verify_falls_back_when_the_rank_is_below_the_term_rank(c6_calls):
     assert _term_ranks(scheme.beamformers[:1], scheme.beamformers[1]) == (3, 2)
     assert generic_rank(Ensemble(scheme.beamformers[:2])) == 2
     c6_calls.clear()
-    report = assert_matches_c6(topology, scheme, FAST)
+    report = assert_matches_c6(topology, scheme)
     assert c6_calls == [4, 3]
     assert report.ranks[2] == (3, 2)
     assert report.certified == (True, True, False)
 
 
-def test_verify_verdicts_do_not_depend_on_the_seed(rng):
+def test_verify_verdicts_do_not_depend_on_the_seed(monkeypatch, rng):
     # At scalings in {1, 2} single draws are often non-generic, so the
     # certified trial misses at some seeds; C6 gives the same answer.
     cases = [mixed_case(), dense_case(), *fixture_cases(), *generated_exclusive_cases(rng, 20)]
-    configs = [TrialConfig(entry_bound=bound, seed=s) for bound in (2**31, 2) for s in range(5)]
+    draws = [TrialConfig(entry_bound=bound, seed=s) for bound in (2**31, 2) for s in range(5)]
     misses = 0
     for topology, scheme in cases:
-        reports = [verify_decodability(topology, scheme, cfg) for cfg in configs]
+        reports = []
+        for draw in draws:
+            monkeypatch.setattr(rankloss.tim, "_DRAW", draw)
+            reports.append(verify_decodability(topology, scheme))
         assert len({(r.per_receiver, r.ranks) for r in reports}) == 1, topology
         misses += sum(r.certified.count(False) for r in reports)
     assert misses > 0
@@ -689,7 +683,7 @@ def test_structure_check_never_flags_decodable_scheme():
     # is fine when no commonly avoidable slot exists
     top = Topology.of(set(), {6}, {4}, {6, 7}, {7}, set(), {2, 3})
     scheme = synth_half_dof_scheme(top)
-    assert verify_decodability(top, scheme, FAST).ok
+    assert verify_decodability(top, scheme).ok
     report = half_dof_structure_check(top, scheme)
     assert report.ok, report.violations()
 
@@ -813,53 +807,102 @@ def test_no_m5_design_in_synthesized_family_at_n9():
 def test_minimal_fully_occupied_e1():
     e = e1()
     ys = (IndexSet.full(2), IndexSet.full(2))
-    assert minimal_fully_occupied(e, ys, IndexSet.of(4, [1, 2, 3]), 1, FAST)
+    assert minimal_fully_occupied(e, ys, IndexSet.of(4, [1, 2, 3]), 1)
+    # sum m_i = 4 > n = 3, and Y_1 is empty: block 1 adds no column to the
+    # chosen blocks that C6 ranks.
+    e = Ensemble.of([[1], [1], [1]], [[1, 0], [0, 1], [0, 0]], [[1], [1], [0]])
+    ys = (IndexSet.empty(1), IndexSet.full(2), IndexSet.full(1))
+    assert minimal_fully_occupied(e, ys, IndexSet.of(3, [1, 2]), 1)
 
 
 def test_minimal_fully_occupied_empty_vacuous():
     e = e1()
     ys = (IndexSet.full(2), IndexSet.full(2))
-    assert minimal_fully_occupied(e, ys, IndexSet.empty(4), 1, FAST)
+    assert minimal_fully_occupied(e, ys, IndexSet.empty(4), 1)
 
 
 def test_minimal_fully_occupied_matches_fraction_route():
     # Three single columns in the rows J = {1, 2}: S_J is occupied at a
-    # generic point, but scalings in {1, 2} can make all three parallel.
+    # generic point, which C6 decides exactly, but scalings in {1, 2} can
+    # make all three parallel, so a sampled check could answer False.
     e = Ensemble.of([[1], [1], [0]], [[Fraction(1, 3)], [Fraction(2, 3)], [0]], [[1], [Fraction(1, 2)], [0]])
     ys = (IndexSet.full(1),) * 3
     j = IndexSet.of(3, [1, 2])
     coordinates = ExactMatrix.from_columns([[1, 0, 0], [0, 1, 0]])
 
-    def fraction_route(cfg: TrialConfig) -> bool:
-        for trial in range(cfg.trials):
-            rng = cfg.trial_rng(trial)
-            diags = [[rng.randint(1, cfg.entry_bound) for _ in range(e.n)] for _ in range(e.K)]
-            with_j = fraction_scaled_rank(e.blocks + (coordinates,), diags + [[1] * e.n])
-            if with_j != fraction_scaled_rank(e.blocks, diags):
-                return False
-        return True
+    def occupied_at(cfg: TrialConfig, stream: int) -> bool:
+        rng = cfg.trial_rng(stream)
+        diags = [[rng.randint(1, cfg.entry_bound) for _ in range(e.n)] for _ in range(e.K)]
+        with_j = fraction_scaled_rank(e.blocks + (coordinates,), diags + [[1] * e.n])
+        return with_j == fraction_scaled_rank(e.blocks, diags)
 
-    verdicts = []
-    for seed in range(12):
-        cfg = TrialConfig(trials=20, entry_bound=2, seed=seed)
-        verdicts.append(minimal_fully_occupied(e, ys, j, 1, cfg))
-        assert verdicts[-1] == fraction_route(cfg)
-    assert set(verdicts) == {True, False}
-    assert minimal_fully_occupied(e, ys, j, 1, FAST)
+    assert minimal_fully_occupied(e, ys, j, 1) is True
+    assert occupied_at(TrialConfig(), 0)
+    # At scalings in {1, 2} the columns are parallel with probability 1/32.
+    assert {occupied_at(TrialConfig(entry_bound=2), stream) for stream in range(100)} == {True, False}
+
+
+def test_minimal_fully_occupied_is_about_the_chosen_columns():
+    """On generated minimal J with sum m_i > n, S_J lies in the span of the chosen columns.
+
+    The lemma is about the column choice Ys: S_J almost surely inside the
+    span of the scaled columns Y_1..Y_K.  That is the stronger statement,
+    since those columns span a subspace of every column's span, and
+    `minimal_fully_occupied` answers it.  C6 on [B_1 .. B_K | I_J], every
+    column of each block, answers the weaker one.  Both must be True.
+    Shared zero rows make surpluses common; a Y_i can be empty.
+    """
+    rng = random.Random(1907)
+    checked = empty_choices = 0
+    while checked < 400:
+        n, k = rng.randint(3, 6), rng.randint(2, 3)
+        zero = set(rng.sample(range(1, n + 1), rng.randint(0, n - 2)))
+        ms = [rng.randint(1, n - len(zero)) for _ in range(k)]
+        if sum(ms) <= n:
+            continue
+        blocks = []
+        for m in ms:
+            while True:
+                block = ExactMatrix.from_rows(
+                    [[0 if i in zero else rng.choice(ENTRY_POOL) for _ in range(m)] for i in range(1, n + 1)]
+                )
+                if is_full_column_rank(block):
+                    blocks.append(block)
+                    break
+        e = Ensemble(tuple(blocks))
+        sizes = [0] * k
+        while sum(sizes) < n:
+            sizes[rng.choice([i for i in range(k) if sizes[i] < ms[i]])] += 1
+        ys = tuple(IndexSet.of(m, rng.sample(range(1, m + 1), size)) for m, size in zip(ms, sizes))
+        restricted = [b.take_cols(y) for b, y in zip(blocks, ys)]
+        surplus = {
+            rows: sum(sparse_dim(b, IndexSet(n, rows)) for b in restricted) - len(rows)
+            for size in range(n + 1)
+            for rows in itertools.combinations(range(1, n + 1), size)
+        }
+        for x in range(1, max(surplus.values()) + 1):
+            # a smallest J reaching x is minimal
+            j = IndexSet(n, next(rows for rows in surplus if surplus[rows] >= x))
+            coordinates = ExactMatrix.from_columns([[int(r == c) for r in range(1, n + 1)] for c in j])
+            assert minimal_fully_occupied(e, ys, j, x), (e, ys, j, x)
+            assert generic_rank(Ensemble((*blocks, coordinates))) == generic_rank(e), (e, j)
+            checked += 1
+            empty_choices += 0 in sizes
+    assert empty_choices > 0
 
 
 def test_minimal_fully_occupied_rejects_non_minimal():
     e = e1()
     ys = (IndexSet.full(2), IndexSet.full(2))
     with pytest.raises(PreconditionError):
-        minimal_fully_occupied(e, ys, IndexSet.full(4), 1, FAST)
+        minimal_fully_occupied(e, ys, IndexSet.full(4), 1)
 
 
 def test_minimal_fully_occupied_rejects_bad_surplus():
     e = e1()
     ys = (IndexSet.full(2), IndexSet.full(2))
     with pytest.raises(PreconditionError):
-        minimal_fully_occupied(e, ys, IndexSet.of(4, [1, 2]), 1, FAST)
+        minimal_fully_occupied(e, ys, IndexSet.of(4, [1, 2]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +920,7 @@ def test_normalize_idempotent_on_synth_output():
             assert sparse_dim(new_scheme.beamformers[i - 1], window) == sparse_dim(
                 scheme.beamformers[i - 1], window
             )
-    assert verify_decodability(top, new_scheme, FAST).ok
+    assert verify_decodability(top, new_scheme).ok
 
 
 def test_normalize_trims_oversized_window():
