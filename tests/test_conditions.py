@@ -529,3 +529,107 @@ def test_rank_tables_are_built_once_per_block_and_column_choice(monkeypatch):
         assert len(built) == len(set(built))
         total += len(built)
     assert total > 0
+
+
+# ---------------------------------------------------------------------------
+# C3-C5 witnesses against a plain full scan
+# ---------------------------------------------------------------------------
+
+def _ordered_parts(members, sizes):
+    """Ordered partitions of `members` into parts of the given sizes, first part varying slowest."""
+    if not sizes:
+        yield ()
+        return
+    for part in itertools.combinations(members, sizes[0]):
+        rest = tuple(v for v in members if v not in part)
+        for tail in _ordered_parts(rest, sizes[1:]):
+            yield (part,) + tail
+
+
+def _full_profile_x(e):
+    """C3, C4 and C5 scanned over every X through the public matrix primitives.
+
+    X runs in lex member order, then the |X|-column choices, then ordered
+    partitions (C3, C4) or the J inside X in lex member order (C5).
+    Returns the first violation of each |X| per condition, and C5's holder
+    of every (X, Ys) pair where C5 holds, in scan order.
+    """
+    n = e.n
+    rows = range(1, n + 1)
+    dims, dets = {}, {}
+
+    def sparse(i, y, members):
+        key = (i, y.members, members)
+        if key not in dims:
+            dims[key] = sparse_dim(e.blocks[i].take_cols(y), IndexSet(n, members))
+        return dims[key]
+
+    def nonsingular(i, y, part):
+        key = (i, y.members, part)
+        if key not in dets:
+            dets[key] = cofactor_det(submatrix(e.blocks[i], IndexSet(n, part), y)) != 0
+        return dets[key]
+
+    first = {"C3": {}, "C4": {}, "C5": {}}
+    holders = []
+    xs = sorted(x for size in range(1, n + 1) for x in itertools.combinations(rows, size))
+    for x in xs:
+        xset, outside = IndexSet(n, x), tuple(v for v in rows if v not in x)
+        subsets = sorted(j for size in range(len(x) + 1) for j in itertools.combinations(x, size))
+        for ys in column_choices(e, len(x)):
+            for parts in _ordered_parts(x, [len(y) for y in ys]):
+                partition = tuple(IndexSet(n, p) for p in parts)
+                if all(nonsingular(i, y, p) for i, (y, p) in enumerate(zip(ys, parts))):
+                    first["C3"].setdefault(len(x), Witness("C3-violation", ys, X=xset, partition=partition))
+                off = [tuple(v for v in rows if v not in p) for p in parts]
+                if all(sparse(i, y, o) == 0 for i, (y, o) in enumerate(zip(ys, off))):
+                    first["C4"].setdefault(len(x), Witness("C4-violation", ys, X=xset, partition=partition))
+            margins = [
+                sum(sparse(i, y, tuple(sorted(j + outside))) for i, y in enumerate(ys)) - len(j)
+                for j in subsets
+            ]
+            held = next((j for j, margin in zip(subsets, margins) if margin > 0), None)
+            if held is not None:
+                holders.append(Witness("C5-witness", ys, J=IndexSet(n, held), X=xset))
+            else:
+                best = max(margins)
+                argmax = IndexSet(n, subsets[margins.index(best)])
+                first["C5"].setdefault(len(x), Witness("C5-counterexample", ys, J=argmax, X=xset, slack=best))
+    return first, holders
+
+
+def _reference_x_check(e, profile, condition, tau):
+    """The verdict at tau: the failing witness at the earliest X above R - tau, else C5's holders there."""
+    first, holders = profile
+    threshold = e.R - tau
+    hits = [w for size, w in first[condition].items() if size > threshold]
+    if hits:
+        return CheckResult(condition, False, (min(hits, key=lambda w: w.X.members),))
+    held = tuple(w for w in holders if len(w.X) > threshold) if condition == "C5" else ()
+    return CheckResult(condition, True, held)
+
+
+def test_c3_c4_c5_witnesses_match_a_full_scan(rng):
+    checks = {"C3": check_C3, "C4": check_C4, "C5": check_C5}
+    failing = {name: 0 for name in checks}
+    for e in [e1(), e3()] + [random_ensemble(rng, max_n=5) for _ in range(40)]:
+        profile = _full_profile_x(e)
+        for tau in range(1, e.R + 1):
+            for name, check in checks.items():
+                result = check(e, tau)
+                assert result.to_dict() == _reference_x_check(e, profile, name, tau).to_dict(), (name, tau, e)
+                if result.holds:
+                    continue
+                failing[name] += 1
+                [w] = result.witnesses
+                restricted = [b.take_cols(y) for b, y in zip(e.blocks, w.Y)]
+                if name == "C4":
+                    assert all(sparse_dim(b, p.complement()) == 0 for b, p in zip(restricted, w.partition))
+                if name == "C5":
+                    outside = w.X.complement()
+                    assert w.slack == max(
+                        sum(sparse_dim(b, IndexSet(e.n, j).union(outside)) for b in restricted) - len(j)
+                        for size in range(len(w.X) + 1)
+                        for j in itertools.combinations(w.X.members, size)
+                    )
+    assert min(failing.values()) > 0
