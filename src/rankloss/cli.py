@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import fileio
 from .conditions import check_C2, cross_validate, max_tau
-from .errors import EquivalenceViolation, InternalInvariantError, LoadError, PreconditionError
+from .errors import EquivalenceViolation, InternalInvariantError, LoadError, PreconditionError, ShapeError
 from .exactla import IndexSet, format_rational
 from .matroid import dual, scaled_linear_matroid, verify_axioms
 from .randrank import TrialConfig, _prints, check_printable_bound, failure_bound, sample_ranks
@@ -89,10 +89,11 @@ def _config(args, n: int) -> TrialConfig:
 
 def _indexset(text: str, universe: int, what: str) -> IndexSet:
     try:
-        members = [int(v) for v in text.split(",") if v.strip()]
-        return IndexSet.of(universe, members)
+        return IndexSet.of(universe, [int(v) for v in text.split(",") if v.strip()])
     except ValueError:
         raise PreconditionError(f"{what} must be a comma-separated list of indices, got {text!r}")
+    except ShapeError:
+        raise ShapeError(f"{what} indices must lie in [1, {universe}], got {text!r}") from None
 
 
 def _cmd_certify(args) -> dict:

@@ -25,17 +25,22 @@ exact rank before the value is returned.
 Cost: C2 scans each column choice's 2^n row masks only until some J
 reaches the tau asked, and resumes there when a later call asks for a
 higher tau; a tau the ensemble does not reach still scans the failing
-column choice to the end.  C3-C5 grow as 2^n times the number of column
-choices; they stop scanning a size |X| at its first violation, and every
-size up to the generic rank holds one, so they scan in full only the
-sizes above the generic rank.  C6 keeps each part's rows as one integer
-echelon basis (`exactla._RowBasis`, the package's one reduced echelon
-routine), so the partition's question about a row and a part (does the
-row fit, and if not, which rows could it replace) costs one reduction of
-the row against that basis: its fundamental circuit is the support of
-the combination the reduction leaves.  A part that only gains a row
-extends its basis; one that an augmenting path changed otherwise is
-rebuilt.
+column choice to the end.  C3-C5 share one X-scan (`_x_scan`): X over
+the 2^n row masks in lex order, then each |X|-column choice Ys, the pair
+handed to the condition's own kernel (C3 the block subdeterminants by
+`_bareiss`, C4 sparse dimensions from the rank tables, C5 the search for
+J inside X).  So each grows as 2^n times the number of column choices.
+The scan stops a size |X| at its first violation, and every size up to
+the generic rank holds one, so it runs in full only over the sizes above
+the generic rank.  No condition's verdict is read off another's.
+
+C6 keeps each part's rows as one integer echelon basis
+(`exactla._RowBasis`, the package's one reduced echelon routine), so the
+partition's question about a row and a part (does the row fit, and if
+not, which rows could it replace) costs one reduction of the row against
+that basis: its fundamental circuit is the support of the combination
+the reduction leaves.  A part that only gains a row extends its basis;
+one that an augmenting path changed otherwise is rebuilt.
 
 Every route reads each block's own cleared integer grid
 (`ExactMatrix._grid`).  The `Ensemble` owns everything else derived from
@@ -416,168 +421,120 @@ def max_tau(ensemble: Ensemble) -> int:
 # C3, C4, C5: the quantified-over-X conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Violation:
-    order: int  # position in the canonical scan, for first-found reporting
-    witness: Witness
+def _x_scan(
+    ensemble: Ensemble, probe: Callable[[IndexSet, int, tuple[IndexSet, ...]], Witness | None]
+) -> dict[int, tuple[int, Witness]]:
+    """First violation per |X|, with the position of its X in the canonical scan.
 
-
-def _first_violation(per_size: dict[int, _Violation], min_size_exclusive: int) -> Witness | None:
-    hits = [v for size, v in per_size.items() if size > min_size_exclusive]
-    if not hits:
-        return None
-    return min(hits, key=lambda v: v.order).witness
-
-
-@_per_ensemble
-def _c3_scan(ensemble: Ensemble) -> dict[int, _Violation]:
-    """First determinant-product violation per |X|, over the full canonical scan."""
+    X runs over the nonempty row sets in `lex_subset_masks` order and Ys
+    over the |X|-column choices; probe(X, X's mask, Ys) returns a violating
+    witness or None.  A size is scanned only until its first violation.
+    Violations of different sizes sit at different X, so the positions
+    order them as the scan found them.
+    """
     n = ensemble.n
-    per_size: dict[int, _Violation] = {}
-    order = 0
-    grids = ensemble._grids
-    for xmask in lex_subset_masks(n):
+    per_size: dict[int, tuple[int, Witness]] = {}
+    for position, xmask in enumerate(lex_subset_masks(n)):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
             continue
         x = IndexSet.from_mask(n, xmask)
         for ys in column_choices(ensemble, size):
-            sizes = tuple(len(y) for y in ys)
-            for parts in _ordered_partitions(x.members, sizes):
-                order += 1
-                if all(
-                    _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y)) == len(y)
-                    for grid, part, y in zip(grids, parts, ys)
-                    if len(y) > 0
-                ):
-                    per_size[size] = _Violation(
-                        order,
-                        Witness(
-                            kind="C3-violation",
-                            Y=ys,
-                            X=x,
-                            partition=tuple(IndexSet(n, p) for p in parts),
-                        ),
-                    )
-                    break
-            if size in per_size:
+            witness = probe(x, xmask, ys)
+            if witness is not None:
+                per_size[size] = (position, witness)
                 break
     return per_size
+
+
+def _verdict(
+    condition: str, per_size: dict[int, tuple[int, Witness]], threshold: int, holders: tuple[Witness, ...] = ()
+) -> CheckResult:
+    """Fails with the earliest violation of a size above threshold; else holds with the holders there."""
+    hits = [hit for size, hit in per_size.items() if size > threshold]
+    if hits:
+        return CheckResult(condition, False, (min(hits, key=lambda hit: hit[0])[1],))
+    return CheckResult(condition, True, tuple(w for w in holders if len(w.X) > threshold))
+
+
+@_per_ensemble
+def _c3_scan(ensemble: Ensemble) -> dict[int, tuple[int, Witness]]:
+    """C3's probe: an ordered partition of X with every block subdeterminant nonzero."""
+    n, grids = ensemble.n, ensemble._grids
+
+    def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
+        for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
+            if all(
+                _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y)) == len(y)
+                for grid, part, y in zip(grids, parts, ys)
+                if len(y) > 0
+            ):
+                return Witness(kind="C3-violation", Y=ys, X=x, partition=tuple(IndexSet(n, p) for p in parts))
+        return None
+
+    return _x_scan(ensemble, probe)
 
 
 def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     """Do all oversized square selections have vanishing subdeterminant products?"""
     _check_tau(ensemble, tau)
-    witness = _first_violation(_c3_scan(ensemble), ensemble.R - tau)
-    if witness is None:
-        return CheckResult("C3", True)
-    return CheckResult("C3", False, (witness,))
+    return _verdict("C3", _c3_scan(ensemble), ensemble.R - tau)
 
 
 @_per_ensemble
-def _c4_scan(ensemble: Ensemble) -> dict[int, _Violation]:
+def _c4_scan(ensemble: Ensemble) -> dict[int, tuple[int, Witness]]:
+    """C4's probe: an ordered partition of X leaving no block a sparse dimension off its part."""
     n = ensemble.n
-    per_size: dict[int, _Violation] = {}
-    order = 0
-    for xmask in lex_subset_masks(n):
-        size = xmask.bit_count()
-        if size == 0 or size in per_size:
-            continue
-        x = IndexSet.from_mask(n, xmask)
-        for ys in column_choices(ensemble, size):
-            tables = _rank_tables(ensemble, ys)
-            sizes = tuple(len(y) for y in ys)
-            for parts in _ordered_partitions(x.members, sizes):
-                order += 1
-                total = sum(
-                    t.sparse_dim(~sum(1 << (v - 1) for v in part) & (1 << n) - 1)
-                    for t, part in zip(tables, parts)
-                )
-                if total == 0:
-                    per_size[size] = _Violation(
-                        order,
-                        Witness(
-                            kind="C4-violation",
-                            Y=ys,
-                            X=x,
-                            partition=tuple(IndexSet(n, p) for p in parts),
-                        ),
-                    )
-                    break
-            if size in per_size:
-                break
-    return per_size
+    full = (1 << n) - 1
+
+    def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
+        tables = _rank_tables(ensemble, ys)
+        for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
+            if sum(t.sparse_dim(~sum(1 << (v - 1) for v in part) & full) for t, part in zip(tables, parts)) == 0:
+                return Witness(kind="C4-violation", Y=ys, X=x, partition=tuple(IndexSet(n, p) for p in parts))
+        return None
+
+    return _x_scan(ensemble, probe)
 
 
 def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
     """Sparse-subspace form: every partition leaves some block a sparse dimension."""
     _check_tau(ensemble, tau)
-    witness = _first_violation(_c4_scan(ensemble), ensemble.R - tau)
-    if witness is None:
-        return CheckResult("C4", True)
-    return CheckResult("C4", False, (witness,))
-
-
-@dataclass(frozen=True)
-class _C5Scan:
-    violations: dict[int, _Violation] = field(hash=False)
-    holders: tuple[Witness, ...] = ()
+    return _verdict("C4", _c4_scan(ensemble), ensemble.R - tau)
 
 
 @_per_ensemble
-def _c5_scan(ensemble: Ensemble) -> _C5Scan:
+def _c5_scan(ensemble: Ensemble) -> tuple[dict[int, tuple[int, Witness]], tuple[Witness, ...]]:
+    """C5's probe: the lex-first J inside X whose sparse dims over J and X's complement exceed |J|.
+
+    Each (X, Ys) that has such a J records it as a holder.  One that has
+    none is a violation, reported with the lex-first J of largest margin.
+    """
     n = ensemble.n
-    per_size: dict[int, _Violation] = {}
+    full = (1 << n) - 1
     holders: list[Witness] = []
-    order = 0
-    for xmask in lex_subset_masks(n):
-        size = xmask.bit_count()
-        if size == 0 or size in per_size:
-            continue
-        x = IndexSet.from_mask(n, xmask)
-        xc_mask = ~xmask & (1 << n) - 1
-        for ys in column_choices(ensemble, size):
-            order += 1
-            tables = _rank_tables(ensemble, ys)
-            found = None
-            best, best_mask = None, 0
-            for jmask in lex_subset_masks(n, cap=xmask):
-                margin = sum(t.sparse_dim(jmask | xc_mask) for t in tables) - jmask.bit_count()
-                if best is None or margin > best:
-                    best, best_mask = margin, jmask
-                if margin > 0:
-                    found = jmask
-                    break
-            if found is not None:
-                holders.append(
-                    Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, found))
-                )
-            else:
-                per_size[size] = _Violation(
-                    order,
-                    Witness(
-                        kind="C5-counterexample",
-                        Y=ys,
-                        X=x,
-                        J=IndexSet.from_mask(n, best_mask),
-                        slack=best,
-                    ),
-                )
-                break
-    return _C5Scan(per_size, tuple(holders))
+
+    def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
+        tables = _rank_tables(ensemble, ys)
+        xc_mask = ~xmask & full
+        best, best_mask = -1, 0
+        for jmask in lex_subset_masks(n, cap=xmask):
+            margin = sum(t.sparse_dim(jmask | xc_mask) for t in tables) - jmask.bit_count()
+            if margin > 0:
+                holders.append(Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, jmask)))
+                return None
+            if margin > best:
+                best, best_mask = margin, jmask
+        return Witness(kind="C5-counterexample", Y=ys, X=x, J=IndexSet.from_mask(n, best_mask), slack=best)
+
+    return _x_scan(ensemble, probe), tuple(holders)
 
 
 def check_C5(ensemble: Ensemble, tau: int) -> CheckResult:
     """For every X and column choice, some J inside X overshoots |J| sparse dims."""
     _check_tau(ensemble, tau)
-    scan = _c5_scan(ensemble)
-    witness = _first_violation(scan.violations, ensemble.R - tau)
-    if witness is None:
-        threshold = ensemble.R - tau
-        return CheckResult(
-            "C5", True, tuple(w for w in scan.holders if len(w.X) > threshold)
-        )
-    return CheckResult("C5", False, (witness,))
+    per_size, holders = _c5_scan(ensemble)
+    return _verdict("C5", per_size, ensemble.R - tau, holders)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ ranks (one matching pass over the columns' support masks gives both) has
 the generic ranks; on a miss C6 (`conditions.generic_rank`) decides, so
 every verdict is exact and nothing here takes a sampling setting.
 `tim verify` and the postconditions of synthesized exclusive-alignment
-schemes share this primitive (`_generic_pair`); `minimal_fully_occupied`
-asks C6 directly.  Each beamformer is its `ExactMatrix`'s integer grid,
-built once by synthesis or the loader, and its rank and support masks
-live on it, so `Scheme` and verification rank-check it once and no entry
-becomes a Fraction.
+schemes share this primitive (`_generic_pair`).  Each beamformer is its
+`ExactMatrix`'s integer grid, built once by synthesis or the loader, and
+its rank and support masks live on it, so `Scheme` and verification
+rank-check it once and no entry becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -614,46 +613,6 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
         covered = row_support(scheme.beamformers[i - 1]).union(row_support(scheme.beamformers[k - 1]))
         checks.append(StructureCheck("conflict-overlap", (i, k), None, len(covered) == n))
     return StructureReport(tuple(checks))
-
-
-def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int) -> bool:
-    """Exact check that the sparse subspace of a minimal J is fully occupied.
-
-    Preconditions (all verified): the column choice has total size
-    min(sum m_i, n); J achieves a sparse surplus of at least x; and no
-    proper subset of J does.  The check then asks whether S_J lies almost
-    surely inside the column span of the scaled chosen columns
-    [D_1 B_1[:, Y_1] ... D_K B_K[:, Y_K]]: the lemma is about the column
-    choice Ys, which is stronger than asking it of every column.  S_J's
-    coordinate columns I_J keep their span under any scaling, so that
-    holds exactly when C6 gives [chosen | I_J] the generic rank of the
-    chosen blocks alone; a block whose Y_i is empty adds no column and is
-    left out.
-    """
-    if len(Ys) != ensemble.K:
-        raise ShapeError(f"{len(Ys)} column choices for {ensemble.K} blocks")
-    total_cols = sum(len(y) for y in Ys)
-    if total_cols != ensemble.R:
-        raise PreconditionError(
-            f"column choice totals {total_cols}, must equal min(sum m_i, n) = {ensemble.R}"
-        )
-    restricted = [b.take_cols(y) for b, y in zip(ensemble.blocks, Ys)]
-
-    def surplus(rows: IndexSet) -> int:
-        return sum(sparse_dim(b, rows) for b in restricted) - len(rows)
-
-    if len(J) == 0:
-        return True
-    if surplus(J) < x:
-        raise PreconditionError(f"J does not achieve sparse surplus {x}")
-    for smaller in range(len(J)):
-        for combo in itertools.combinations(J.members, smaller):
-            if surplus(IndexSet(ensemble.n, combo)) >= x:
-                raise PreconditionError(f"J is not minimal: {list(combo)} already achieves surplus {x}")
-
-    chosen = tuple(b for b in restricted if b.n_cols)
-    coordinates = ExactMatrix._of([[int(r == j) for j in J] for r in range(1, ensemble.n + 1)], (1,) * len(J))
-    return generic_rank(Ensemble((*chosen, coordinates))) == generic_rank(Ensemble(chosen))
 
 
 def normalize_alignment(

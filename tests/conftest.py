@@ -6,11 +6,12 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
-from rankloss.conditions import Ensemble
-from rankloss.errors import ShapeError
+from rankloss.conditions import Ensemble, generic_rank
+from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, nullspace_basis, rank, sparse_dim
 from rankloss.matching import SupportGraph
 from rankloss.tim import Scheme, StructureCheck, StructureReport, Topology, reduced_conflict_graph
@@ -179,6 +180,47 @@ def adapted_basis_greedy(block: ExactMatrix, y: IndexSet, j: IndexSet) -> ExactM
         if rank(candidate) > current:
             basis, current = candidate, current + 1
     return basis
+
+
+def minimal_fully_occupied(ensemble, Ys: Sequence[IndexSet], J: IndexSet, x: int) -> bool:
+    """Exact check that the sparse subspace of a minimal J is fully occupied.
+
+    Preconditions (all verified): the column choice has total size
+    min(sum m_i, n); J achieves a sparse surplus of at least x; and no
+    proper subset of J does.  The check then asks whether S_J lies almost
+    surely inside the column span of the scaled chosen columns
+    [D_1 B_1[:, Y_1] ... D_K B_K[:, Y_K]]: the lemma is about the column
+    choice Ys, which is stronger than asking it of every column.  S_J's
+    coordinate columns I_J keep their span under any scaling, so that
+    holds exactly when C6 gives [chosen | I_J] the generic rank of the
+    chosen blocks alone; a block whose Y_i is empty adds no column and is
+    left out.  The lemma says every input that meets the preconditions
+    answers True, so this is a check of the lemma, not a library route.
+    """
+    if len(Ys) != ensemble.K:
+        raise ShapeError(f"{len(Ys)} column choices for {ensemble.K} blocks")
+    total_cols = sum(len(y) for y in Ys)
+    if total_cols != ensemble.R:
+        raise PreconditionError(
+            f"column choice totals {total_cols}, must equal min(sum m_i, n) = {ensemble.R}"
+        )
+    restricted = [b.take_cols(y) for b, y in zip(ensemble.blocks, Ys)]
+
+    def surplus(rows: IndexSet) -> int:
+        return sum(sparse_dim(b, rows) for b in restricted) - len(rows)
+
+    if len(J) == 0:
+        return True
+    if surplus(J) < x:
+        raise PreconditionError(f"J does not achieve sparse surplus {x}")
+    for smaller in range(len(J)):
+        for combo in itertools.combinations(J.members, smaller):
+            if surplus(IndexSet(ensemble.n, combo)) >= x:
+                raise PreconditionError(f"J is not minimal: {list(combo)} already achieves surplus {x}")
+
+    chosen = tuple(b for b in restricted if b.n_cols)
+    coordinates = ExactMatrix._of([[int(r == j) for j in J] for r in range(1, ensemble.n + 1)], (1,) * len(J))
+    return generic_rank(Ensemble((*chosen, coordinates))) == generic_rank(Ensemble(chosen))
 
 
 def defect_scan(graph: SupportGraph) -> int:

@@ -294,6 +294,20 @@ def test_matroid_check(capsys):
     assert report["dual_rank_table"]["1,2,3"] == 2
 
 
+@pytest.mark.parametrize(
+    "flag,index,universe",
+    [("--rows", 0, 4), ("--rows", -1, 4), ("--rows", 5, 4), ("--cols", 0, 2), ("--cols", -1, 2), ("--cols", 3, 2)],
+)
+def test_matroid_check_index_errors_name_the_flag(capsys, flag, index, universe):
+    # E1 has 4 rows, and its block 1 has 2 columns.
+    args = {"--rows": "1,2,3", "--cols": "1,2"} | {flag: str(index)}
+    argv = ["matroid-check", str(FIXTURES / "E1.json"), "--block", "1"]
+    assert main(argv + [v for pair in args.items() for v in pair]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} indices must lie in [1, {universe}], got '{index}'\n"
+
+
 def test_tim_dof_t9a(capsys):
     code, report = run(capsys, "tim", "dof", str(FIXTURES / "T9a.json"))
     assert code == 0

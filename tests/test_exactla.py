@@ -372,3 +372,11 @@ def test_indexset_operations():
     assert IndexSet.from_mask(5, s.mask()) == s
     with pytest.raises(ShapeError):
         IndexSet(5, (2, 1))
+
+
+def test_indexset_refuses_booleans():
+    # bool is an int subclass, but a flag is not an index
+    for build in (lambda: IndexSet(3, (True,)), lambda: IndexSet.of(3, [True, 2])):
+        with pytest.raises(ShapeError):
+            build()
+    assert IndexSet.of(3, [1, 2]).members == (1, 2)

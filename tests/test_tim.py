@@ -31,7 +31,6 @@ from rankloss.tim import (
     half_dof_structure_check,
     is_bipartite,
     ldof_sym,
-    minimal_fully_occupied,
     normalize_alignment,
     reduced_conflict_graph,
     regular_conflict_graph,
@@ -49,6 +48,7 @@ from conftest import (
     block_schemes,
     e1,
     fraction_scaled_rank,
+    minimal_fully_occupied,
     structure_report_scan,
     t6,
     t9a,
