@@ -130,7 +130,7 @@ class IndexSet:
             raise ShapeError(f"universe size must be nonnegative, got {self.universe}")
         prev = 0
         for v in self.members:
-            if not isinstance(v, int) or isinstance(v, bool) or v <= prev:
+            if type(v) is not int or v <= prev:  # bool is an int subclass, not an index
                 raise ShapeError(f"members must be strictly increasing ints, got {self.members}")
             prev = v
         if self.members and self.members[-1] > self.universe:
