@@ -61,9 +61,12 @@ def _quoted(literal) -> str:
 def _rational_pair(literal) -> tuple[int, int]:
     """A rational literal's (numerator, denominator) ints, the denominator positive but not reduced.
 
-    The one reading of the literal grammar behind `parse_rational`, the
-    matrix constructors and the file loaders; it raises ValueError with
-    `parse_rational`'s messages.
+    The one reading of the literal grammar behind the matrix constructors
+    and the file loaders: an int, a Fraction, or a string like "3" or
+    "-7/2".  Floats are refused to keep inexact values out, and so are the
+    other strings `Fraction` takes ("1.5", "1_000", "1e5"): "1e10000000"
+    would expand to millions of digits before any check could see it.  A
+    ValueError quotes only a short prefix of the literal and its length.
     """
     if isinstance(literal, str):
         if literal.isascii() and literal.isdigit():
@@ -91,24 +94,8 @@ def _rational_pair(literal) -> tuple[int, int]:
     raise ValueError(f"not a rational literal: {_quoted(literal)}")
 
 
-def parse_rational(literal) -> Fraction:
-    """Parse a rational literal: a decimal integer or a "p/q" string.
-
-    Accepts Python ints and strings like "3", "-7/2".  Floats are
-    rejected to keep inexact values out of the pipeline, and so are the
-    other strings `Fraction` would take ("1.5", "1_000", "1e5"): an
-    exponent literal such as "1e10000000" would expand to millions of
-    digits before any check could see it.  An error message quotes only a
-    short prefix of the literal and its length, so a huge one stays one short line.
-    """
-    if isinstance(literal, Fraction):
-        return literal
-    num, den = _rational_pair(literal)
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
 def format_rational(value: Fraction) -> str:
-    """Inverse of parse_rational: "p" for integers, else "p/q"."""
+    """A Fraction as a literal of the grammar `_rational_pair` reads: "p" for integers, else "p/q"."""
     return _literal(value.numerator, value.denominator)
 
 
@@ -126,8 +113,8 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.universe < 0:
-            raise ShapeError(f"universe size must be nonnegative, got {self.universe}")
+        if type(self.universe) is not int or self.universe < 0:  # bool is an int subclass, not a size
+            raise ShapeError(f"universe size must be a nonnegative int, got {self.universe!r}")
         prev = 0
         for v in self.members:
             if type(v) is not int or v <= prev:  # bool is an int subclass, not an index
@@ -226,11 +213,12 @@ class ExactMatrix:
     and `column` build Fractions on demand.
     """
 
-    def __init__(self, rows: Iterable[Iterable], n_cols: int):
+    def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
         pairs = [[_rational_pair(v) for v in row] for row in rows]
-        self._take_rows(pairs, n_cols)
-
-    def _take_rows(self, pairs: list[list[tuple[int, int]]], n_cols: int) -> None:
+        if n_cols is None:
+            if not pairs:
+                raise ShapeError("column count required for a matrix with no rows")
+            n_cols = len(pairs[0])
         if n_cols < 0:
             raise ShapeError("negative column count")
         for row in pairs:
@@ -251,14 +239,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], n_cols: int | None = None) -> "ExactMatrix":
-        pairs = [[_rational_pair(v) for v in row] for row in rows]
-        if n_cols is None:
-            if not pairs:
-                raise ShapeError("column count required for a matrix with no rows")
-            n_cols = len(pairs[0])
-        m = cls.__new__(cls)
-        m._take_rows(pairs, n_cols)
-        return m
+        return cls(rows, n_cols)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], n_rows: int | None = None) -> "ExactMatrix":

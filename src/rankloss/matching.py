@@ -1,7 +1,8 @@
 """Support bipartite graphs, maximum matching, and the Hall-style threshold.
 
-The graph pairs row indices with basis column vectors: a column vertex is
-adjacent to every row where it has a nonzero entry.  Matching sizes on
+The graph pairs row indices with column vectors: a column vertex is
+adjacent to every row where it has a nonzero entry, given as the column's
+support mask (`ExactMatrix._supports`).  Matching sizes on
 such graphs are the final reformulation of the rank-loss certificate, via
 the defect version of Hall's theorem: a bipartite graph G = (A u B, E)
 has a matching of size k iff |N(I)| >= |I| - |B| + k for every I in B.
@@ -11,19 +12,17 @@ in polynomial time.  The defect max_I |I| - |N(I)| equals |B| minus the
 maximum matching size (Konig-Ore duality), and the Hall threshold holds
 exactly when that size is at least k, so no subset of B is ever scanned.
 
-The adapted bases whose supports these graphs are built from come from
-`exactla.adapted_basis`.  `tim` reads one maximum matching as the term
+The certificate's graphs are built on the columns of adapted bases
+(`exactla.adapted_basis`).  `tim` reads one maximum matching as the term
 rank of a receiver's columns: no row scaling lifts their rank above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError, ShapeError
-from .exactla import IndexSet
 
 
 @dataclass(frozen=True)
@@ -50,36 +49,6 @@ class SupportGraph:
 
     def adjacency(self, right_index: int) -> int:
         return self.rights[right_index][2]
-
-
-def build_support_graph(columns: Sequence[tuple[int, Sequence]]) -> SupportGraph:
-    """Graph over (block, column-vector) pairs; edges exactly at nonzero entries."""
-    if not columns:
-        raise PreconditionError("support graph needs at least one column")
-    n = len(columns[0][1])
-    rights = []
-    per_block_count: dict[int, int] = {}
-    for block, vec in columns:
-        if len(vec) != n:
-            raise ShapeError(f"column of length {len(vec)}, expected {n}")
-        label = per_block_count.get(block, 0) + 1
-        per_block_count[block] = label
-        mask = 0
-        for i, v in enumerate(vec):
-            if Fraction(v) != 0:
-                mask |= 1 << i
-        rights.append((block, label, mask))
-    return SupportGraph(n, tuple(rights))
-
-
-def ensemble_support_graph(ensemble, Ys: Sequence[IndexSet] | None = None) -> SupportGraph:
-    """Support graph of the chosen columns of every block (all columns by default)."""
-    cols: list[tuple[int, tuple]] = []
-    for i, block in enumerate(ensemble.blocks, start=1):
-        chosen = Ys[i - 1] if Ys is not None else IndexSet.full(block.n_cols)
-        for j in chosen:
-            cols.append((i, block.column(j - 1)))
-    return build_support_graph(cols)
 
 
 def matching_sizes(graph: SupportGraph, cuts: Sequence[int]) -> tuple[int, ...]:
@@ -122,14 +91,14 @@ def max_matching(graph: SupportGraph) -> int:
 
 
 def defect(graph: SupportGraph) -> int:
-    """max over right subsets I of |I| - |N(I)|, by duality: |right| - max matching."""
+    """max over right subsets I of |I| - |N(I)|, by duality: |right| - max matching (acceptance criterion 5)."""
     return graph.n_right - max_matching(graph)
 
 
 def hall_threshold_check(graph: SupportGraph, k: int) -> bool:
     """Is |N(I)| >= |I| - |right| + k for every right subset I?
 
-    Equivalent to the graph having a matching of size k.
+    Equivalent to the graph having a matching of size k (acceptance criterion 5).
     """
     if not 0 <= k <= min(graph.n_left, graph.n_right):
         raise PreconditionError(

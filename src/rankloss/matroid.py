@@ -1,7 +1,7 @@
-"""Rank-oracle matroids: the scaled-row linear matroid, duals, and unions.
+"""Rank-oracle matroids: the scaled-row linear matroid, duals, and union rank.
 
-A matroid here is a ground set plus a rank evaluator; duals and unions
-compose oracles without enumerating independent sets.  Union ranks come
+A matroid here is a ground set plus a rank evaluator; duals and union
+rank compose oracles without enumerating independent sets.  Union ranks come
 from Edmonds' matroid partition, the one routine C6 also runs on the
 blocks' row matroids.  It asks a circuit oracle, once per element and
 part it searches, for the element's fundamental circuit in the part,
@@ -31,7 +31,6 @@ class RankOracleMatroid:
 
     ground: tuple[int, ...]
     rank_fn: Callable[[frozenset[int]], int]
-    label: str = "custom"
     _memo: dict[frozenset[int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ def scaled_linear_matroid(block: ExactMatrix, X: IndexSet, Y: IndexSet) -> RankO
         j_and_xc = IndexSet.of(n, set(subset) | set(xc.members))
         return len(subset) - sparse_dim(restricted, j_and_xc)
 
-    return RankOracleMatroid(tuple(X), rank_fn, label="scaled-linear")
+    return RankOracleMatroid(tuple(X), rank_fn)
 
 
 def dual(matroid: RankOracleMatroid) -> RankOracleMatroid:
@@ -99,7 +98,7 @@ def dual(matroid: RankOracleMatroid) -> RankOracleMatroid:
     def rank_fn(subset: frozenset[int]) -> int:
         return len(subset) - matroid.full_rank() + matroid.rank(ground - subset)
 
-    return RankOracleMatroid(matroid.ground, rank_fn, label="dual")
+    return RankOracleMatroid(matroid.ground, rank_fn)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def union_rank(matroids: Sequence[RankOracleMatroid], U: Iterable[int]) -> int:
     """Rank of U in the union matroid: min over T of |U \\ T| + sum_i r_i(T).
 
     Computed as the size of a maximum partition of U into sets independent
-    in the respective matroids (`matroid_partition`).
+    in the respective matroids (`matroid_partition`); acceptance criterion 4.
     """
     if not matroids:
         raise PreconditionError("union of no matroids")
@@ -218,18 +217,6 @@ def union_rank(matroids: Sequence[RankOracleMatroid], U: Iterable[int]) -> int:
         raise PreconditionError(f"{sorted(frozenset(u) - ground)} not in ground set")
     circuit = independence_circuits(lambda i, s: is_independent(matroids[i], s))
     return matroid_partition(u, len(matroids), circuit).size
-
-
-def union_matroid(matroids: Sequence[RankOracleMatroid]) -> RankOracleMatroid:
-    """The union as a rank oracle in its own right."""
-    if not matroids:
-        raise PreconditionError("union of no matroids")
-    ground = matroids[0].ground
-
-    def rank_fn(subset: frozenset[int]) -> int:
-        return union_rank(matroids, subset)
-
-    return RankOracleMatroid(ground, rank_fn, label="union")
 
 
 @dataclass(frozen=True)
@@ -293,20 +280,3 @@ def verify_axioms(matroid: RankOracleMatroid) -> AxiomReport:
             break
     return AxiomReport(not violations, tuple(violations))
 
-
-def union_deficiency(ensemble, X: IndexSet, Ys: Sequence[IndexSet]) -> bool:
-    """Is the union of the per-block dual matroids rank-deficient on X?
-
-    Builds each block's scaled-linear matroid (raising a construction
-    error naming the block when its precondition fails), dualizes, and
-    tests union rank < |X|.
-    """
-    if len(Ys) != ensemble.K:
-        raise ShapeError(f"{len(Ys)} column choices for {ensemble.K} blocks")
-    duals = []
-    for i, (block, y) in enumerate(zip(ensemble.blocks, Ys), start=1):
-        try:
-            duals.append(dual(scaled_linear_matroid(block, X, y)))
-        except PreconditionError as exc:
-            raise PreconditionError(f"block {i}: {exc}") from None
-    return union_rank(duals, X) < len(X)

@@ -47,6 +47,10 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "entry_bound", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # exactly int: bool is an int subclass, and a float fails later in range()
+                raise PreconditionError(f"{name} must be an int, got {value!r}")
         if self.trials < 1:
             raise PreconditionError(f"trials must be >= 1, got {self.trials}")
         if self.entry_bound < 2:

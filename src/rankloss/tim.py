@@ -14,7 +14,7 @@ ranks (one matching pass over the columns' support masks gives both) has
 the generic ranks; on a miss C6 (`conditions.generic_rank`) decides, so
 every verdict is exact and nothing here takes a sampling setting.
 `tim verify` and the postconditions of synthesized exclusive-alignment
-schemes share this primitive (`_generic_pair`).  Each beamformer is its
+schemes both run `verify_decodability`.  Each beamformer is its
 `ExactMatrix`'s integer grid, built once by synthesis or the loader, and
 its rank and support masks live on it, so `Scheme` and verification
 rank-check it once and no entry becomes a Fraction.
@@ -84,11 +84,10 @@ class Topology:
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Directed conflict graph on users; flavor is "regular" or "reduced"."""
+    """Directed conflict graph on users."""
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
-    flavor: str
 
     def out_neighbors(self, v: int) -> frozenset[int]:
         return frozenset(j for i, j in self.edges if i == v)
@@ -108,15 +107,7 @@ def regular_conflict_graph(topology: Topology) -> ConflictGraph:
         for j in range(1, topology.K + 1)
         for i in topology.interferers(j)
     }
-    return ConflictGraph(topology.K, frozenset(edges), "regular")
-
-
-def _shares_multi_interferer_receiver(topology: Topology, i: int) -> bool:
-    # Transmitter i interferes at some receiver heard by a second interferer.
-    return any(
-        i in topology.interferers(k) and len(topology.interferers(k)) >= 2
-        for k in range(1, topology.K + 1)
-    )
+    return ConflictGraph(topology.K, frozenset(edges))
 
 
 def reduced_conflict_graph(topology: Topology) -> ConflictGraph:
@@ -127,9 +118,9 @@ def reduced_conflict_graph(topology: Topology) -> ConflictGraph:
     The qualification depends only on i, so each source keeps either all
     or none of its outgoing edges.
     """
-    keep = {i for i in range(1, topology.K + 1) if _shares_multi_interferer_receiver(topology, i)}
+    keep = set().union(*(members for members in topology.interference if len(members) >= 2))
     edges = {(i, j) for (i, j) in regular_conflict_graph(topology).edges if i in keep}
-    return ConflictGraph(topology.K, frozenset(edges), "reduced")
+    return ConflictGraph(topology.K, frozenset(edges))
 
 
 def is_bipartite(graph: ConflictGraph) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
@@ -353,21 +344,12 @@ def _prime_stream(skip: int = 0) -> Iterator[int]:
             marks[nxt] = p
 
 
-def _alignment_conflict_edges(topology: Topology) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
+def _color_alignment_sets(topology: Topology, chi: int) -> dict[int, int]:
     # Nodes: receivers with two interferers.  Edge r-d when one's transmitter
     # belongs to the other's alignment set; exactly the pairs whose sparse
     # subspaces must not overlap.
-    nodes = frozenset(topology.alignment_receivers())
-    edges = set()
-    for r, d in itertools.combinations(sorted(nodes), 2):
-        if r in topology.interferers(d) or d in topology.interferers(r):
-            edges.add((r, d))
-    return nodes, frozenset(edges)
-
-
-def _color_alignment_sets(topology: Topology, chi: int) -> dict[int, int]:
-    nodes, edges = _alignment_conflict_edges(topology)
-    adj = ConflictGraph(topology.K, edges, "alignment-conflict").undirected_adjacency()
+    nodes = topology.alignment_receivers()
+    adj = {r: {d for d in nodes if r in topology.interferers(d) or d in topology.interferers(r)} for r in nodes}
     coloring = _k_coloring(adj, sorted(nodes, key=lambda v: (-len(adj[v]), v)), chi)
     if coloring is None:
         raise InternalInvariantError(f"alignment-conflict relation needs more than chi = {chi} colors")
@@ -385,11 +367,10 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
     dense generic columns, while uninvolved transmitters stay fully
     generic.  Generic entries are distinct small primes; a fill is replaced
     by the next block of primes unless it passes the exact postconditions:
-    the window structure, and at every receiver with interferers generic
-    decodability, rank([interference | B_j]) = m_j + rank(interference)
-    with each generic pair from `_generic_pair` (one certified trial, C6
-    on a miss).  After FILL_ATTEMPTS failed fills it raises
-    InternalInvariantError.
+    the window structure, and generic decodability at every receiver,
+    rank([interference | B_j]) = m_j + rank(interference), decided by
+    `verify_decodability` (one certified trial, C6 on a miss).  After
+    FILL_ATTEMPTS failed fills it raises InternalInvariantError.
     """
     ok, violations = check_P1_P2(topology)
     if not ok:
@@ -426,8 +407,8 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
                 cols.append([next(primes) for _ in range(n)])
             # Integer columns are canonical at scale 1.
             beamformers.append(ExactMatrix._of([list(row) for row in zip(*cols)], (1,) * m))
-        if _exclusive_postconditions(topology, beamformers, windows, tau):
-            scheme = Scheme(n, tuple(beamformers))
+        scheme = _exclusive_postconditions(topology, n, beamformers, windows, tau)
+        if scheme is not None:
             sets = tuple(windows.get(r) for r in range(1, topology.K + 1))
             return scheme, SparseAssignment(n, sets)
     raise InternalInvariantError("generic fill failed its postconditions repeatedly")
@@ -435,29 +416,24 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
 
 def _exclusive_postconditions(
     topology: Topology,
+    n: int,
     beamformers: list[ExactMatrix],
     windows: dict[int, IndexSet],
     tau: int,
-) -> bool:
+) -> Scheme | None:
+    """The fill's scheme when it passes the rank, window and decodability checks, else None."""
     for b in beamformers:
         if not is_full_column_rank(b):
-            return False
+            return None
     for r, window in windows.items():
         own = beamformers[r - 1]
         if sparse_dim(own, window) != 0:
-            return False
+            return None
         for i in topology.interferers(r):
             if sparse_dim(beamformers[i - 1], window) != tau:
-                return False
-    for j in range(1, topology.K + 1):
-        interference = [beamformers[i - 1] for i in sorted(topology.interferers(j))]
-        if not interference:
-            continue
-        own = beamformers[j - 1]
-        (combined, interfering), _ = _generic_pair(interference, own, j)
-        if combined != own.n_cols + interfering:
-            return False
-    return True
+                return None
+    scheme = Scheme(n, tuple(beamformers))
+    return scheme if verify_decodability(topology, scheme).ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +568,8 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
     exactly when it lies in neither block's row support.
 
     A reported violation shows the scheme cannot satisfy decodability;
-    both checks are exact and never flag a decodable design.
+    both checks are exact and never flag a decodable design (acceptance
+    criterion 8).
     """
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")

@@ -12,8 +12,17 @@ import pytest
 
 from rankloss.conditions import Ensemble, generic_rank
 from rankloss.errors import PreconditionError, ShapeError
-from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, nullspace_basis, rank, sparse_dim
+from rankloss.exactla import (
+    ExactMatrix,
+    IndexSet,
+    _rational_pair,
+    is_full_column_rank,
+    nullspace_basis,
+    rank,
+    sparse_dim,
+)
 from rankloss.matching import SupportGraph
+from rankloss.matroid import dual, scaled_linear_matroid, union_rank
 from rankloss.tim import Scheme, StructureCheck, StructureReport, Topology, reduced_conflict_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,6 +65,13 @@ def t9a() -> Topology:
 def t9b() -> Topology:
     """Nine users with a shared interferer: exclusive-alignment property fails."""
     return Topology.of({2, 3}, {7}, {4, 5}, {7}, {6, 1}, {7}, set(), set(), {7, 8})
+
+
+def parse_rational(literal) -> Fraction:
+    """A rational literal as a Fraction, read by the package's one literal grammar (`_rational_pair`)."""
+    if isinstance(literal, Fraction):
+        return literal
+    return Fraction(*_rational_pair(literal))
 
 
 def identity_matrix(n: int) -> ExactMatrix:
@@ -236,6 +252,58 @@ def defect_scan(graph: SupportGraph) -> int:
             nbhd |= graph.adjacency(r)
         best = max(best, len(members) - nbhd.bit_count())
     return best
+
+
+def build_support_graph(columns: Sequence[tuple[int, Sequence]]) -> SupportGraph:
+    """Graph over (block, column-vector) pairs; edges exactly at nonzero entries.
+
+    The reference for the library's graphs, which read `ExactMatrix._supports`
+    instead of the columns' Fraction entries.
+    """
+    if not columns:
+        raise PreconditionError("support graph needs at least one column")
+    n = len(columns[0][1])
+    rights = []
+    per_block_count: dict[int, int] = {}
+    for block, vec in columns:
+        if len(vec) != n:
+            raise ShapeError(f"column of length {len(vec)}, expected {n}")
+        label = per_block_count.get(block, 0) + 1
+        per_block_count[block] = label
+        mask = 0
+        for i, v in enumerate(vec):
+            if Fraction(v) != 0:
+                mask |= 1 << i
+        rights.append((block, label, mask))
+    return SupportGraph(n, tuple(rights))
+
+
+def ensemble_support_graph(ensemble, Ys: Sequence[IndexSet] | None = None) -> SupportGraph:
+    """Support graph of the chosen columns of every block (all columns by default)."""
+    cols: list[tuple[int, tuple]] = []
+    for i, block in enumerate(ensemble.blocks, start=1):
+        chosen = Ys[i - 1] if Ys is not None else IndexSet.full(block.n_cols)
+        for j in chosen:
+            cols.append((i, block.column(j - 1)))
+    return build_support_graph(cols)
+
+
+def union_deficiency(ensemble, X: IndexSet, Ys: Sequence[IndexSet]) -> bool:
+    """Is the union of the per-block dual matroids rank-deficient on X?
+
+    Builds each block's scaled-linear matroid (raising a construction
+    error naming the block when its precondition fails), dualizes, and
+    tests union rank < |X|.  The reference for C4's partition condition.
+    """
+    if len(Ys) != ensemble.K:
+        raise ShapeError(f"{len(Ys)} column choices for {ensemble.K} blocks")
+    duals = []
+    for i, (block, y) in enumerate(zip(ensemble.blocks, Ys), start=1):
+        try:
+            duals.append(dual(scaled_linear_matroid(block, X, y)))
+        except PreconditionError as exc:
+            raise PreconditionError(f"block {i}: {exc}") from None
+    return union_rank(duals, X) < len(X)
 
 
 def structure_report_scan(topology: Topology, scheme: Scheme) -> StructureReport:

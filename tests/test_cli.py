@@ -19,11 +19,11 @@ from rankloss import fileio
 from rankloss.cli import build_parser, main
 from rankloss.conditions import Ensemble
 from rankloss.errors import LoadError
-from rankloss.exactla import ExactMatrix, IndexSet, parse_rational
+from rankloss.exactla import ExactMatrix, IndexSet
 from rankloss.tim import Scheme, SparseAssignment
 from rankloss.randrank import TrialConfig
 
-from conftest import FIXTURES, e1, t6
+from conftest import FIXTURES, e1, parse_rational, t6
 
 
 def run(capsys, *argv) -> tuple[int, dict | None]:

@@ -23,7 +23,6 @@ from rankloss.exactla import (
     intersect_dim,
     is_full_column_rank,
     nullspace_basis,
-    parse_rational,
     rank,
     row_support,
     sparse_dim,
@@ -35,6 +34,7 @@ from conftest import (
     is_zero,
     matmul,
     nullspace_rref,
+    parse_rational,
     sparse_intersection_basis,
     submatrix,
     take_rows,
@@ -375,8 +375,14 @@ def test_indexset_operations():
 
 
 def test_indexset_refuses_booleans():
-    # bool is an int subclass, but a flag is not an index
-    for build in (lambda: IndexSet(3, (True,)), lambda: IndexSet.of(3, [True, 2])):
+    # bool is an int subclass, but a flag is not an index, nor a size; a float is not a size either
+    for build in (
+        lambda: IndexSet(3, (True,)),
+        lambda: IndexSet.of(3, [True, 2]),
+        lambda: IndexSet(True, (1,)),
+        lambda: IndexSet.full(True),
+        lambda: IndexSet(2.5, (1, 2)),
+    ):
         with pytest.raises(ShapeError):
             build()
     assert IndexSet.of(3, [1, 2]).members == (1, 2)

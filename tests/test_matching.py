@@ -9,16 +9,9 @@ import pytest
 from rankloss.conditions import check_C2, column_choices, max_tau
 from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, adapted_basis, rank, sparse_dim
-from rankloss.matching import (
-    SupportGraph,
-    build_support_graph,
-    defect,
-    ensemble_support_graph,
-    hall_threshold_check,
-    max_matching,
-)
+from rankloss.matching import SupportGraph, defect, hall_threshold_check, max_matching
 
-from conftest import defect_scan, e1, identity_matrix, random_ensemble
+from conftest import build_support_graph, defect_scan, e1, ensemble_support_graph, identity_matrix, random_ensemble
 
 
 def identity_graph(n: int) -> SupportGraph:
@@ -45,11 +38,6 @@ def test_zero_column_is_isolated():
     assert g.rights[0][2] == 0
     assert max_matching(g) == 0
     assert defect(g) == 1
-
-
-def test_length_mismatch():
-    with pytest.raises(ShapeError):
-        build_support_graph([(1, (1, 0)), (2, (1, 0, 0))])
 
 
 @pytest.mark.parametrize("n_left, mask", [(1, 0b10), (2, -1)])

@@ -14,23 +14,21 @@ from rankloss.matroid import (
     dual,
     is_independent,
     scaled_linear_matroid,
-    union_deficiency,
-    union_matroid,
     union_rank,
     verify_axioms,
 )
 
-from conftest import e1, e3, identity_matrix, random_block, random_ensemble
+from conftest import e1, e3, identity_matrix, random_block, random_ensemble, union_deficiency
 
 B1 = ExactMatrix.from_rows([[1, 1], [1, 2], [1, 3], [0, 0]])
 
 
 def free_matroid(k: int) -> RankOracleMatroid:
-    return RankOracleMatroid(tuple(range(1, k + 1)), len, label="free")
+    return RankOracleMatroid(tuple(range(1, k + 1)), len)
 
 
 def uniform_matroid(r: int, k: int) -> RankOracleMatroid:
-    return RankOracleMatroid(tuple(range(1, k + 1)), lambda s: min(r, len(s)), label="uniform")
+    return RankOracleMatroid(tuple(range(1, k + 1)), lambda s: min(r, len(s)))
 
 
 def subsets(ground):
@@ -170,7 +168,7 @@ def test_union_rank_matches_brute_force(rng):
                 matroids.append(scaled_linear_matroid(block, x, IndexSet.full(block.n_cols)))
             except PreconditionError:
                 matroids.append(free_matroid(n))
-        union = union_matroid(matroids)
+        union = RankOracleMatroid(tuple(range(1, n + 1)), lambda s: union_rank(matroids, s))
         for s in subsets(tuple(range(1, n + 1))):
             assert union.rank(s) == brute_union_rank(matroids, s)
 
@@ -178,7 +176,7 @@ def test_union_rank_matches_brute_force(rng):
 def test_union_rank_monotone_submodular(rng):
     n = 4
     ms = [uniform_matroid(1, n), free_matroid(n)]
-    u = union_matroid(ms)
+    u = RankOracleMatroid(tuple(range(1, n + 1)), lambda s: union_rank(ms, s))
     all_subsets = list(subsets(tuple(range(1, n + 1))))
     table = {s: u.rank(s) for s in all_subsets}
     for s, t in itertools.product(all_subsets, repeat=2):
@@ -192,7 +190,7 @@ def test_union_rank_monotone_submodular(rng):
 
 def test_verify_axioms_pass_and_negative_control():
     assert verify_axioms(free_matroid(4)).ok
-    broken = RankOracleMatroid((1, 2, 3), lambda s: len(s) % 2, label="broken")
+    broken = RankOracleMatroid((1, 2, 3), lambda s: len(s) % 2)
     report = verify_axioms(broken)
     assert not report.ok
     assert any("submodular" in v or "monotonicity" in v or "rank" in v for v in report.violations)

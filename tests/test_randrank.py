@@ -156,6 +156,10 @@ def test_trial_config_validation():
         TrialConfig(trials=0)
     with pytest.raises(PreconditionError):
         TrialConfig(entry_bound=1)
+    # bool is an int subclass, but not a count; a float used to fail later, in range()
+    for bad in ({"trials": True}, {"trials": 2.5}, {"entry_bound": 2.0**31}, {"seed": False}, {"seed": 1.0}):
+        with pytest.raises(PreconditionError, match="must be an int"):
+            TrialConfig(**bad)
 
 
 def test_unprintable_bound_refused_before_sampling(monkeypatch):

@@ -17,7 +17,7 @@ from rankloss import fileio
 from rankloss.conditions import Ensemble, generic_rank
 from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, sparse_dim
-from rankloss.matching import build_support_graph, max_matching
+from rankloss.matching import max_matching
 from rankloss.randrank import TrialConfig
 from rankloss.tim import (
     ConflictGraph,
@@ -46,6 +46,7 @@ from conftest import (
     ENTRY_POOL,
     FIXTURES,
     block_schemes,
+    build_support_graph,
     e1,
     fraction_scaled_rank,
     minimal_fully_occupied,
@@ -112,21 +113,21 @@ def test_bipartite_t6():
 
 
 def test_bipartite_triangle():
-    triangle = ConflictGraph(3, frozenset({(1, 2), (2, 3), (3, 1)}), "regular")
+    triangle = ConflictGraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
     assert not is_bipartite(triangle)[0]
 
 
 def test_chromatic_numbers():
-    edgeless = ConflictGraph(4, frozenset(), "regular")
+    edgeless = ConflictGraph(4, frozenset())
     assert chromatic_number(edgeless) == 1
     assert chromatic_number(regular_conflict_graph(t6())) == 3
-    c5 = ConflictGraph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)}), "regular")
+    c5 = ConflictGraph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)}))
     assert chromatic_number(c5) == 3
 
 
 def test_chromatic_capacity():
     with pytest.raises(Exception):
-        chromatic_number(ConflictGraph(21, frozenset(), "regular"))
+        chromatic_number(ConflictGraph(21, frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -616,20 +617,23 @@ def test_exclusive_synthesis_is_unchanged_by_the_certified_trial(monkeypatch, c6
     # The postconditions still reject the singular first fill of this
     # topology, T9a still takes its recorded scheme, and synthesizing T9a
     # needs no C6 call: every receiver's trial reaches its term ranks.
-    accepted = []
+    # Synthesis returns the Scheme the accepting postcondition built, not a second one.
+    results = []
     postconditions = rankloss.tim._exclusive_postconditions
 
     def recording(*args):
-        accepted.append(postconditions(*args))
-        return accepted[-1]
+        results.append(postconditions(*args))
+        return results[-1]
 
     monkeypatch.setattr(rankloss.tim, "_exclusive_postconditions", recording)
-    synth_exclusive_scheme(Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6]))
-    assert accepted == [False, True]
-    accepted.clear()
+    scheme, _ = synth_exclusive_scheme(Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6]))
+    assert [r is not None for r in results] == [False, True]
+    assert scheme is results[-1]
+    results.clear()
     c6_calls.clear()
     scheme, assignment = synth_exclusive_scheme(t9a())
-    assert accepted == [True]
+    assert [r is not None for r in results] == [True]
+    assert scheme is results[-1]
     assert c6_calls == []
     golden = json.loads((Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json").read_text())
     assert fileio.emit_scheme(scheme, assignment) == golden
