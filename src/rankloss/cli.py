@@ -96,6 +96,16 @@ def _indexset(text: str, universe: int, what: str) -> IndexSet:
         raise ShapeError(f"{what} indices must lie in [1, {universe}], got {text!r}") from None
 
 
+def _with_scheme(report: dict, payload: dict, path: str | None) -> dict:
+    """report with the scheme last: written pretty to path and named as scheme_file, else inline as scheme."""
+    if path:
+        fileio.write_json(payload, path, pretty=True)
+        report["scheme_file"] = path
+    else:
+        report["scheme"] = payload
+    return report
+
+
 def _cmd_certify(args) -> dict:
     ensemble = fileio.load_ensemble(args.ensemble)
     tau_star = max_tau(ensemble)
@@ -108,11 +118,12 @@ def _cmd_certify(args) -> dict:
         "max_tau": tau_star,
     }
     # C6 gave max_tau; C2 must hold there, which cross-checks the two routes.
-    if tau_star >= 1 and not check_C2(ensemble, tau_star).holds:
+    at_max = check_C2(ensemble, tau_star) if tau_star >= 1 else None
+    if at_max is not None and not at_max.holds:
         raise InternalInvariantError(f"C2 fails at max_tau = {tau_star} from C6")
     probe = args.tau if args.tau is not None else (tau_star if tau_star >= 1 else None)
     if probe is not None:
-        result = check_C2(ensemble, probe)
+        result = at_max if probe == tau_star and at_max is not None else check_C2(ensemble, probe)
         report["tau"] = probe
         report["c2"] = result.to_dict()
     return report
@@ -205,9 +216,6 @@ def _cmd_tim_scheme(args) -> dict:
         scheme, assignment = synth_half_dof_scheme(topology), None
     else:
         scheme, assignment = synth_exclusive_scheme(topology)
-    payload = fileio.emit_scheme(scheme, assignment)
-    if args.scheme_out:
-        fileio.write_json(payload, args.scheme_out, pretty=True)
     report = {
         "command": "tim scheme",
         "input": args.topology,
@@ -217,11 +225,7 @@ def _cmd_tim_scheme(args) -> dict:
         "activation_pattern": [list(p) for p in scheme.activation_pattern()],
         "dof_per_user": [format_rational(Fraction(m, scheme.n)) for m in scheme.symbol_counts],
     }
-    if args.scheme_out:
-        report["scheme_file"] = args.scheme_out
-    else:
-        report["scheme"] = payload
-    return report
+    return _with_scheme(report, fileio.emit_scheme(scheme, assignment), args.scheme_out)
 
 
 def _cmd_tim_verify(args) -> dict:
@@ -245,20 +249,13 @@ def _cmd_tim_normalize(args) -> dict:
     if assignment is None:
         raise PreconditionError("scheme file carries no sparse_assignment to normalize")
     new_scheme, new_assignment = normalize_alignment(topology, scheme, assignment)
-    payload = fileio.emit_scheme(new_scheme, new_assignment)
-    if args.scheme_out:
-        fileio.write_json(payload, args.scheme_out, pretty=True)
     report = {
         "command": "tim normalize",
         "topology": args.topology,
         "scheme": args.scheme,
         "windows": [list(s) if s is not None else None for s in new_assignment.sets],
     }
-    if args.scheme_out:
-        report["scheme_file"] = args.scheme_out
-    else:
-        report["scheme"] = payload
-    return report
+    return _with_scheme(report, fileio.emit_scheme(new_scheme, new_assignment), args.scheme_out)
 
 
 def _certify_args(parser: argparse.ArgumentParser) -> None:

@@ -22,14 +22,16 @@ Edmonds' matroid partition in time polynomial in n, K and the column
 counts.  Its certificate (the partition and the set T) is checked with
 exact rank before the value is returned.
 
-Cost: C2 scans each column choice's 2^n row masks only until some J
-reaches the tau asked, and resumes there when a later call asks for a
-higher tau; a tau the ensemble does not reach still scans the failing
-column choice to the end.  C3-C5 share one X-scan (`_x_scan`): X over
-the 2^n row masks in lex order, then each |X|-column choice Ys, the pair
-handed to the condition's own kernel (C3 the block subdeterminants by
-`_bareiss`, C4 sparse dimensions from the rank tables, C5 the search for
-J inside X).  So each grows as 2^n times the number of column choices.
+Cost: every scan walks row masks in one lex order, stepped by
+`_lex_next`.  C2 and C5 share one resumable J-scan (`_JScan`).  C2 scans
+each column choice's 2^n row masks only until some J reaches the tau
+asked, and resumes there when a later call asks for a higher tau; a tau
+the ensemble does not reach still scans the failing column choice to the
+end.  C3-C5 share one X-scan (`_x_scan`): X over the 2^n row masks, then
+each |X|-column choice Ys, the pair handed to the condition's own kernel
+(C3 the block subdeterminants by `_bareiss`, C4 sparse dimensions from
+the rank tables, C5 a J-scan over X's subsets to slack 1).  So each grows
+as 2^n times the number of column choices.
 The scan stops a size |X| at its first violation, and every size up to
 the generic rank holds one, so it runs in full only over the sizes above
 the generic rank.  No condition's verdict is read off another's.
@@ -136,9 +138,10 @@ def _per_ensemble(build: Callable[[Ensemble], T]) -> Callable[[Ensemble], T]:
 class Witness:
     """A concrete (Y, J, X, partition) tuple backing a verdict.
 
-    slack is sum_i dim(S_J & colspan B_{i,*,Y_i}) - |J| - tau for the
-    reported J; nonnegative exactly when the tuple certifies a holding
-    existential.
+    For C2, slack is sum_i dim(S_J & colspan B_{i,*,Y_i}) - |J| - tau for
+    the reported J, nonnegative exactly when the tuple certifies a holding
+    existential.  A C5 counterexample's slack is the J-scan's best margin
+    (at most 0; no tau is subtracted), and C5's holders carry none.
     """
 
     kind: str
@@ -177,21 +180,30 @@ class CheckResult:
 # Canonical enumeration
 # ---------------------------------------------------------------------------
 
-def lex_subset_masks(universe: int, cap: int | None = None) -> Iterator[int]:
-    """Bitmasks of all subsets of [universe] in lexicographic member order.
+def _lex_next(mask: int, cap: int) -> int | None:
+    """The subset of `cap` after `mask` in lexicographic order of member tuples; None after the last.
 
-    With `cap` given, only elements of the mask `cap` participate, so the
-    iteration runs over subsets of that set (still in lexicographic order
-    of member tuples: (), (1), (1,2), ..., (2), ...).
+    Add cap's least element above mask's largest; failing that, drop mask's
+    largest and move the next largest up to cap's next element.
     """
-    elems = [v for v in range(1, universe + 1) if cap is None or cap >> (v - 1) & 1]
+    high = mask.bit_length()
+    above = cap >> high << high
+    if above:
+        return mask | above & -above
+    mask ^= 1 << high >> 1
+    if not mask:
+        return None
+    high = mask.bit_length()
+    above = cap >> high << high
+    return mask ^ 1 << high >> 1 | above & -above
 
-    def rec(mask: int, start: int) -> Iterator[int]:
+
+def lex_subset_masks(universe: int) -> Iterator[int]:
+    """Bitmasks of all subsets of [universe] in lexicographic member order: (), (1), (1,2), ..., (2), ..."""
+    cap, mask = (1 << universe) - 1, 0
+    while mask is not None:
         yield mask
-        for idx in range(start, len(elems)):
-            yield from rec(mask | 1 << (elems[idx] - 1), idx + 1)
-
-    return rec(0, 0)
+        mask = _lex_next(mask, cap)
 
 
 def _compositions(bounds: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -270,53 +282,46 @@ def _rank_tables(ensemble: Ensemble, ys: tuple[IndexSet, ...]) -> list[_RankTabl
 
 
 # ---------------------------------------------------------------------------
-# C2 and the maximum almost-sure rank loss
+# The J-scan (C2 and C5) and C2
 # ---------------------------------------------------------------------------
 
-class _C2Scan:
-    """The lexicographic J scan of one R-column choice, resumable.
+class _JScan:
+    """The lexicographic scan of the row sets J inside `cap` for one column choice, resumable.
 
-    first_at maps each slack level reached so far to the lex-first J mask
-    reaching it and that mask's own slack; next_mask is None once every
-    mask has been scanned, and best/argmax are then the maximum slack and
-    its lex-first J.
+    A J's slack is sum_i sparse_dim_i(J | base) - |J| over the rank tables
+    of ys, for a base row set disjoint from cap.  first_at maps each slack
+    level reached so far to the lex-first J mask reaching it and that
+    mask's own slack; next_mask is None once every J has been scanned, and
+    best/argmax are then the maximum slack and its lex-first J.
     """
 
-    def __init__(self, ys: tuple[IndexSet, ...]):
-        self.ys = ys
+    def __init__(self, ys: tuple[IndexSet, ...], cap: int, base: int = 0):
+        self.ys, self.cap, self.base = ys, cap, base
         self.next_mask: int | None = 0
-        self.best = -1
-        self.argmax = 0
+        self.best, self.argmax = -1, 0
         self.first_at: dict[int, tuple[int, int]] = {}
 
-    def advance(self, tables: list[_RankTable], n: int, tau: int) -> None:
-        """Scan on until some J reaches slack tau or the masks run out."""
-        jmask, best = self.next_mask, self.best
-        top = 1 << (n - 1)
-        while jmask is not None and best < tau:
-            slack = sum(t.sparse_dim(jmask) for t in tables) - jmask.bit_count()
+    def advance(self, tables: list[_RankTable], level: int) -> None:
+        """Scan on until some J reaches slack `level` or the masks run out."""
+        jmask, best, cap = self.next_mask, self.best, self.cap
+        # sparse_dim_i(J | base) = full_rank_i - rank_i(rows outside J and base), and those rows are free ^ J.
+        ranks, full = [t.rank_of_rows for t in tables], sum(t.full_rank for t in tables)
+        free = tables[0]._all & ~self.base
+        while jmask is not None and best < level:
+            outside = free ^ jmask
+            slack = full - sum([rank(outside) for rank in ranks]) - jmask.bit_count()
             if slack > best:
-                for level in range(best + 1, slack + 1):
-                    self.first_at[level] = (jmask, slack)
+                for reached in range(best + 1, slack + 1):
+                    self.first_at[reached] = (jmask, slack)
                 best, self.argmax = slack, jmask
-            jmask = _lex_successor(jmask, top)
+            jmask = _lex_next(jmask, cap)
         self.next_mask, self.best = jmask, best
 
 
-def _lex_successor(mask: int, top: int) -> int | None:
-    # The mask after `mask` in lex_subset_masks order; top is the bit of element n.
-    if mask & top == 0:
-        return mask | 1 << mask.bit_length()
-    mask ^= top
-    if mask == 0:
-        return None
-    high = 1 << (mask.bit_length() - 1)
-    return mask ^ high | high << 1
-
-
 @_per_ensemble
-def _c2_scans(ensemble: Ensemble) -> tuple[_C2Scan, ...]:
-    return tuple(_C2Scan(ys) for ys in column_choices(ensemble, ensemble.R))
+def _c2_scans(ensemble: Ensemble) -> tuple[_JScan, ...]:
+    rows = (1 << ensemble.n) - 1
+    return tuple(_JScan(ys, rows) for ys in column_choices(ensemble, ensemble.R))
 
 
 def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
@@ -331,29 +336,12 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
     witnesses = []
     for scan in _c2_scans(ensemble):
         if tau not in scan.first_at and scan.next_mask is not None:
-            scan.advance(_rank_tables(ensemble, scan.ys), n, tau)
+            scan.advance(_rank_tables(ensemble, scan.ys), tau)
         if tau not in scan.first_at:
-            return CheckResult(
-                "C2",
-                False,
-                (
-                    Witness(
-                        kind="C2-counterexample",
-                        Y=scan.ys,
-                        J=IndexSet.from_mask(n, scan.argmax),
-                        slack=scan.best - tau,
-                    ),
-                ),
-            )
+            j = IndexSet.from_mask(n, scan.argmax)
+            return CheckResult("C2", False, (Witness(kind="C2-counterexample", Y=scan.ys, J=j, slack=scan.best - tau),))
         jmask, slack = scan.first_at[tau]
-        witnesses.append(
-            Witness(
-                kind="C2-witness",
-                Y=scan.ys,
-                J=IndexSet.from_mask(n, jmask),
-                slack=slack - tau,
-            )
-        )
+        witnesses.append(Witness(kind="C2-witness", Y=scan.ys, J=IndexSet.from_mask(n, jmask), slack=slack - tau))
     return CheckResult("C2", True, tuple(witnesses))
 
 
@@ -507,25 +495,21 @@ def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
 def _c5_scan(ensemble: Ensemble) -> tuple[dict[int, tuple[int, Witness]], tuple[Witness, ...]]:
     """C5's probe: the lex-first J inside X whose sparse dims over J and X's complement exceed |J|.
 
-    Each (X, Ys) that has such a J records it as a holder.  One that has
-    none is a violation, reported with the lex-first J of largest margin.
+    A J-scan with cap X and base X's complement runs to level 1.  Each
+    (X, Ys) that reaches it records its J as a holder.  One that does not
+    is a violation, reported with the lex-first J of largest margin.
     """
     n = ensemble.n
     full = (1 << n) - 1
     holders: list[Witness] = []
 
     def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
-        tables = _rank_tables(ensemble, ys)
-        xc_mask = ~xmask & full
-        best, best_mask = -1, 0
-        for jmask in lex_subset_masks(n, cap=xmask):
-            margin = sum(t.sparse_dim(jmask | xc_mask) for t in tables) - jmask.bit_count()
-            if margin > 0:
-                holders.append(Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, jmask)))
-                return None
-            if margin > best:
-                best, best_mask = margin, jmask
-        return Witness(kind="C5-counterexample", Y=ys, X=x, J=IndexSet.from_mask(n, best_mask), slack=best)
+        scan = _JScan(ys, xmask, ~xmask & full)
+        scan.advance(_rank_tables(ensemble, ys), 1)
+        if 1 in scan.first_at:
+            holders.append(Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, scan.first_at[1][0])))
+            return None
+        return Witness(kind="C5-counterexample", Y=ys, X=x, J=IndexSet.from_mask(n, scan.argmax), slack=scan.best)
 
     return _x_scan(ensemble, probe), tuple(holders)
 

@@ -14,7 +14,7 @@ from typing import Any
 
 from .conditions import Ensemble
 from .errors import LoadError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _by_columns, _cleared, _literal, _rational_pair
+from .exactla import ExactMatrix, IndexSet, _literal, _rational_pair
 from .tim import Scheme, SparseAssignment, Topology
 
 
@@ -46,31 +46,32 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_column(col: list, where: str, c: int) -> tuple[tuple[int, ...], int]:
-    """Column c of a block as its canonical ints and scale; the first bad literal is a LoadError."""
-    try:
-        return _cleared([_rational_pair(v) for v in col])
-    except ValueError:
+def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
+    """A block from its list of columns, read by one `ExactMatrix.from_columns` call.
+
+    When a column is malformed or a literal bad, the columns are read again
+    in order and the first fault met is the LoadError.
+    """
+    if not isinstance(block_data, list) or not block_data:
+        raise LoadError(f"{where}: expected a nonempty list of columns")
+    if all(isinstance(col, list) and len(col) == n for col in block_data):
+        try:
+            return ExactMatrix.from_columns(block_data, n)
+        except ValueError:
+            pass
+    for c, col in enumerate(block_data, start=1):
+        if not isinstance(col, list) or len(col) != n:
+            raise LoadError(f"{where}, column {c}: expected {n} entries")
         for r, v in enumerate(col, start=1):
             at = f"{where}, column {c}, row {r}"
             if isinstance(v, float):
-                raise LoadError(f"{at}: float literals are not accepted, got {v!r}") from None
+                raise LoadError(f"{at}: float literals are not accepted, got {v!r}")
             try:
                 _rational_pair(v)
             except ValueError as exc:
                 raise LoadError(f"{at}: {exc}") from None
-        raise
-
-
-def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
-    if not isinstance(block_data, list) or not block_data:
-        raise LoadError(f"{where}: expected a nonempty list of columns")
-    cols = []
-    for c, col in enumerate(block_data, start=1):
-        if not isinstance(col, list) or len(col) != n:
-            raise LoadError(f"{where}, column {c}: expected {n} entries")
-        cols.append(_parse_column(col, where, c))
-    return ExactMatrix._of(*_by_columns(cols, n))
+    # Every literal reads: re-raise whatever else from_columns refused.
+    return ExactMatrix.from_columns(block_data, n)
 
 
 def _emit_block(block: ExactMatrix) -> list[list[str]]:

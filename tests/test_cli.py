@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankloss.cli
 import rankloss.exactla
 from rankloss import fileio
 from rankloss.cli import build_parser, main
@@ -156,7 +157,10 @@ def test_scheme_load_parses_each_entry_once(monkeypatch):
         parsed.append(literal)
         return pair(literal)
 
-    monkeypatch.setattr(fileio, "_rational_pair", counting_pair)
+    # The loader reads literals through ExactMatrix.from_columns and reads them
+    # itself only to name a bad one: count both readers.
+    for module in (fileio, rankloss.exactla):
+        monkeypatch.setattr(module, "_rational_pair", counting_pair)
     path = FIXTURES / "T9b_scheme.json"
     scheme, _ = fileio.load_scheme(str(path))
     entries = [v for block in json.loads(path.read_text())["beamformers"] for col in block for v in col]
@@ -253,6 +257,22 @@ def test_certify_e1(capsys):
     assert report["max_tau"] == 1
     assert report["c2"]["holds"] is True
     assert report["c2"]["witnesses"][0]["J"] == [1, 2, 3]
+
+
+def test_certify_asks_c2_once_per_tau(capsys, monkeypatch):
+    # The cross-check at max_tau is the report's C2 result when no other tau is asked.
+    asked = []
+    check = rankloss.cli.check_C2
+
+    def counting_check(ensemble, tau):
+        asked.append(tau)
+        return check(ensemble, tau)
+
+    monkeypatch.setattr(rankloss.cli, "check_C2", counting_check)
+    for extra, expected in (((), [1]), (("--tau", "1"), [1]), (("--tau", "2"), [1, 2])):
+        asked.clear()
+        code, report = run(capsys, "certify", str(FIXTURES / "E1.json"), *extra)
+        assert (code, report["tau"], asked) == (0, expected[-1], expected)
 
 
 def test_certify_generic_variant(capsys):

@@ -21,6 +21,7 @@ from rankloss.conditions import (
     CheckResult,
     Ensemble,
     Witness,
+    _lex_next,
     _row_union,
     check_C2,
     check_C3,
@@ -187,6 +188,23 @@ def test_column_choices_enumeration():
     partial = list(column_choices(e, 2))
     # compositions (0,2) and (1,1): 1 + 1*2 = 3 tuples
     assert len(partial) == 3
+
+
+def test_lex_next_walks_every_cap_in_sorted_order():
+    # Exhaustive for n <= 8: from the empty set, the walk visits each subset of
+    # cap once, in sorted() order of member tuples, then stops.
+    for n in range(9):
+        walks = {}
+        for cap in range(1 << n):
+            members = [v for v in range(1, n + 1) if cap >> (v - 1) & 1]
+            expected = sorted(j for size in range(len(members) + 1) for j in itertools.combinations(members, size))
+            walk, mask = [], 0
+            while mask is not None:
+                walk.append(mask)
+                mask = _lex_next(mask, cap)
+            assert [IndexSet.from_mask(n, m).members for m in walk] == expected, (n, cap)
+            walks[cap] = walk
+        assert list(lex_subset_masks(n)) == walks[(1 << n) - 1]
 
 
 def test_cross_validate_e1_and_e3():
@@ -445,36 +463,52 @@ def test_certify_wide_without_rank_loss(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def _full_profile_c2(e, tau):
-    """Every column choice's J scan run to the end, then the verdict at tau."""
+    """Every column choice's J scan run to the end, then the verdict at tau.
+
+    J runs over sorted member tuples in Python's sorted() order, the
+    canonical lex order, independent of the package's enumerators.
+    """
     n = e.n
+    subsets = sorted(j for size in range(n + 1) for j in itertools.combinations(range(1, n + 1), size))
     dims = {}
 
-    def sparse(i, y, jmask):
-        key = (i, y.members, jmask)
+    def sparse(i, y, j):
+        key = (i, y.members, j)
         if key not in dims:
-            dims[key] = sparse_dim(e.blocks[i].take_cols(y), IndexSet.from_mask(n, jmask))
+            dims[key] = sparse_dim(e.blocks[i].take_cols(y), IndexSet(n, j))
         return dims[key]
 
     witnesses = []
     for ys in column_choices(e, e.R):
-        best, argmax, first_at = -1, 0, {}
-        for jmask in lex_subset_masks(n):
-            slack = sum(sparse(i, y, jmask) for i, y in enumerate(ys)) - jmask.bit_count()
+        best, argmax, first_at = -1, (), {}
+        for j in subsets:
+            slack = sum(sparse(i, y, j) for i, y in enumerate(ys)) - len(j)
             if slack > best:
                 for level in range(best + 1, slack + 1):
-                    first_at[level] = (jmask, slack)
-                best, argmax = slack, jmask
+                    first_at[level] = (j, slack)
+                best, argmax = slack, j
         if best < tau:
-            w = Witness("C2-counterexample", ys, J=IndexSet.from_mask(n, argmax), slack=best - tau)
+            w = Witness("C2-counterexample", ys, J=IndexSet(n, argmax), slack=best - tau)
             return CheckResult("C2", False, (w,))
-        jmask, slack = first_at[tau]
-        witnesses.append(Witness("C2-witness", ys, J=IndexSet.from_mask(n, jmask), slack=slack - tau))
+        j, slack = first_at[tau]
+        witnesses.append(Witness("C2-witness", ys, J=IndexSet(n, j), slack=slack - tau))
     return CheckResult("C2", True, tuple(witnesses))
 
 
+def _certify_wide_shaped(rng):
+    """K = 3 blocks of 4 columns over n = 7 rows, one row zero in every block, as the certify-wide benchmark draws."""
+    zero = rng.randrange(7)
+    blocks = []
+    while len(blocks) < 3:
+        block = ExactMatrix.from_rows([[0] * 4 if r == zero else rng.choices((-1, 0, 0, 0, 1, 2), k=4) for r in range(7)])
+        if is_full_column_rank(block):
+            blocks.append(block)
+    return Ensemble(tuple(blocks))
+
+
 def test_c2_resumed_scans_do_not_depend_on_query_order(rng):
-    for _ in range(30):
-        e = _varied_ensemble(rng, max_n=5, max_k=3)
+    for k in range(33):
+        e = _varied_ensemble(rng, max_n=5, max_k=3) if k < 30 else _certify_wide_shaped(rng)
         taus = list(range(1, e.R + 1))
         expected = {t: _full_profile_c2(e, t) for t in taus}
         shuffled = taus[:]
