@@ -339,7 +339,8 @@ def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
             scan.advance(_rank_tables(ensemble, scan.ys), tau)
         if tau not in scan.first_at:
             j = IndexSet.from_mask(n, scan.argmax)
-            return CheckResult("C2", False, (Witness(kind="C2-counterexample", Y=scan.ys, J=j, slack=scan.best - tau),))
+            w = Witness(kind="C2-counterexample", Y=scan.ys, J=j, slack=scan.best - tau)
+            return CheckResult("C2", False, (w,))
         jmask, slack = scan.first_at[tau]
         witnesses.append(Witness(kind="C2-witness", Y=scan.ys, J=IndexSet.from_mask(n, jmask), slack=slack - tau))
     return CheckResult("C2", True, tuple(witnesses))

@@ -496,11 +496,12 @@ def _full_profile_c2(e, tau):
 
 
 def _certify_wide_shaped(rng):
-    """K = 3 blocks of 4 columns over n = 7 rows, one row zero in every block, as the certify-wide benchmark draws."""
+    """K = 3 blocks of 4 columns over n = 7 rows with one row zero in every block, drawn as certify-wide draws."""
     zero = rng.randrange(7)
     blocks = []
     while len(blocks) < 3:
-        block = ExactMatrix.from_rows([[0] * 4 if r == zero else rng.choices((-1, 0, 0, 0, 1, 2), k=4) for r in range(7)])
+        rows = [[0] * 4 if r == zero else rng.choices((-1, 0, 0, 0, 1, 2), k=4) for r in range(7)]
+        block = ExactMatrix.from_rows(rows)
         if is_full_column_rank(block):
             blocks.append(block)
     return Ensemble(tuple(blocks))
