@@ -212,10 +212,7 @@ def _cmd_tim_scheme(args) -> dict:
     kind = args.kind
     if kind == "auto":
         kind = "half" if half_dof_feasible(topology) else "exclusive"
-    if kind == "half":
-        scheme, assignment = synth_half_dof_scheme(topology), None
-    else:
-        scheme, assignment = synth_exclusive_scheme(topology)
+    scheme = synth_half_dof_scheme(topology) if kind == "half" else synth_exclusive_scheme(topology)
     report = {
         "command": "tim scheme",
         "input": args.topology,
@@ -225,12 +222,12 @@ def _cmd_tim_scheme(args) -> dict:
         "activation_pattern": [list(p) for p in scheme.activation_pattern()],
         "dof_per_user": [format_rational(Fraction(m, scheme.n)) for m in scheme.symbol_counts],
     }
-    return _with_scheme(report, fileio.emit_scheme(scheme, assignment), args.scheme_out)
+    return _with_scheme(report, fileio.emit_scheme(scheme), args.scheme_out)
 
 
 def _cmd_tim_verify(args) -> dict:
     topology = fileio.load_topology(args.topology)
-    scheme, _ = fileio.load_scheme(args.scheme)
+    scheme = fileio.load_scheme(args.scheme)
     result = verify_decodability(topology, scheme)
     return {
         "command": "tim verify",
@@ -245,17 +242,17 @@ def _cmd_tim_verify(args) -> dict:
 
 def _cmd_tim_normalize(args) -> dict:
     topology = fileio.load_topology(args.topology)
-    scheme, assignment = fileio.load_scheme(args.scheme)
-    if assignment is None:
+    scheme = fileio.load_scheme(args.scheme)
+    if scheme.windows is None:
         raise PreconditionError("scheme file carries no sparse_assignment to normalize")
-    new_scheme, new_assignment = normalize_alignment(topology, scheme, assignment)
+    written = fileio.emit_scheme(normalize_alignment(topology, scheme))
     report = {
         "command": "tim normalize",
         "topology": args.topology,
         "scheme": args.scheme,
-        "windows": [list(s) if s is not None else None for s in new_assignment.sets],
+        "windows": written["sparse_assignment"],
     }
-    return _with_scheme(report, fileio.emit_scheme(new_scheme, new_assignment), args.scheme_out)
+    return _with_scheme(report, written, args.scheme_out)
 
 
 def _certify_args(parser: argparse.ArgumentParser) -> None:

@@ -5,7 +5,7 @@ matroid oracles, decodability checks) bottoms out here.  A matrix is held
 as its cleared integer grid: each column is integers over one positive
 scale, the lcm of the column's denominators, sharing no factor with it.
 That state is canonical, so equality and hashing read it, and Fraction
-rows are built only when `rows` or `column` is read.  Literals, Fraction
+rows are built only when `rows` is read.  Literals, Fraction
 rows and every matrix this package derives go straight into that grid.
 Ranks are computed by fraction-free (Bareiss) elimination on the grid, so
 no intermediate value is ever rounded; each matrix keeps its rank and its
@@ -130,22 +130,12 @@ class IndexSet:
         return cls(universe, tuple(sorted(set(members))))
 
     @classmethod
-    def empty(cls, universe: int) -> "IndexSet":
-        return cls(universe, ())
-
-    @classmethod
     def full(cls, universe: int) -> "IndexSet":
         return cls(universe, tuple(range(1, universe + 1)))
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "IndexSet":
         return cls(universe, tuple(i + 1 for i in range(universe) if mask >> i & 1))
-
-    def mask(self) -> int:
-        m = 0
-        for v in self.members:
-            m |= 1 << (v - 1)
-        return m
 
     def complement(self) -> "IndexSet":
         inside = set(self.members)
@@ -154,10 +144,6 @@ class IndexSet:
     def union(self, other: "IndexSet") -> "IndexSet":
         self._check_universe(other)
         return IndexSet.of(self.universe, set(self.members) | set(other.members))
-
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        self._check_universe(other)
-        return IndexSet.of(self.universe, set(self.members) & set(other.members))
 
     def difference(self, other: "IndexSet") -> "IndexSet":
         self._check_universe(other)
@@ -291,11 +277,6 @@ class ExactMatrix:
         if not self._grid:
             return (0,) * self.n_cols
         return tuple(sum(1 << i for i, v in enumerate(col) if v) for col in zip(*self._grid))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        """Column with 0-based index j, as a tuple."""
-        s = self._scales[j]
-        return tuple(Fraction(row[j], s) for row in self._grid)
 
     def take_cols(self, cols: IndexSet) -> "ExactMatrix":
         if cols.universe != self.n_cols:

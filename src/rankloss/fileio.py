@@ -5,6 +5,8 @@ the pipeline; indices are 1-based externally.  Loaders raise LoadError
 with enough location detail to find the offending entry.  A block's
 literals are read as integer pairs straight into its cleared grid, and an
 emitter prints the grid back, so no entry becomes a Fraction on the way.
+A scheme file's optional `sparse_assignment` is the `Scheme`'s windows:
+absent for a scheme with none, else one slot list or null per receiver.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any
 from .conditions import Ensemble
 from .errors import LoadError, PreconditionError, ShapeError
 from .exactla import ExactMatrix, IndexSet, _literal, _rational_pair
-from .tim import Scheme, SparseAssignment, Topology
+from .tim import Scheme, Topology
 
 
 def _read_json(path: str) -> Any:
@@ -138,7 +140,28 @@ def emit_topology(topology: Topology) -> dict:
     }
 
 
-def parse_scheme_data(data, where: str = "scheme") -> tuple[Scheme, SparseAssignment | None]:
+def _parse_windows(raw, n: int, k: int, where: str) -> tuple[IndexSet | None, ...] | None:
+    """The scheme's windows from its `sparse_assignment`: null or absent for none."""
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or len(raw) != k:
+        raise LoadError(f"{where}: sparse_assignment must list one entry per user")
+    windows = []
+    for j, entry in enumerate(raw, start=1):
+        if entry is None:
+            windows.append(None)
+        elif isinstance(entry, list) and all(_is_int(v) for v in entry):
+            try:
+                windows.append(IndexSet.of(n, entry))
+            except ShapeError as exc:
+                raise LoadError(f"{where}, receiver {j}: {exc}") from None
+        else:
+            raise LoadError(f"{where}, receiver {j}: expected null or a list of slot indices")
+    return tuple(windows)
+
+
+def parse_scheme_data(data, where: str = "scheme") -> Scheme:
+    """A scheme and its windows; a beamformer's fault is reported before a window's."""
     n = _require(data, "n", where)
     if not _is_int(n) or n < 1:
         raise LoadError(f"{where}: n must be a positive integer")
@@ -147,42 +170,29 @@ def parse_scheme_data(data, where: str = "scheme") -> tuple[Scheme, SparseAssign
         raise LoadError(f"{where}: beamformers must be a nonempty list")
     blocks = [_parse_block(b, n, f"{where}, user {i}") for i, b in enumerate(users, start=1)]
     try:
-        scheme = Scheme(n, tuple(blocks))
+        windows, fault = _parse_windows(data.get("sparse_assignment"), n, len(blocks), where), None
+    except LoadError as exc:
+        windows, fault = None, exc
+    try:
+        scheme = Scheme(n, tuple(blocks), windows)
     except (PreconditionError, ShapeError) as exc:
         raise LoadError(f"{where}: {exc}") from None
-    assignment = None
-    if data.get("sparse_assignment") is not None:
-        raw = data["sparse_assignment"]
-        if not isinstance(raw, list) or len(raw) != len(blocks):
-            raise LoadError(f"{where}: sparse_assignment must list one entry per user")
-        sets = []
-        for j, entry in enumerate(raw, start=1):
-            if entry is None:
-                sets.append(None)
-            elif isinstance(entry, list) and all(_is_int(v) for v in entry):
-                try:
-                    sets.append(IndexSet.of(n, entry))
-                except ShapeError as exc:
-                    raise LoadError(f"{where}, receiver {j}: {exc}") from None
-            else:
-                raise LoadError(f"{where}, receiver {j}: expected null or a list of slot indices")
-        assignment = SparseAssignment(n, tuple(sets))
-    return scheme, assignment
+    if fault is not None:
+        raise fault
+    return scheme
 
 
-def load_scheme(path: str) -> tuple[Scheme, SparseAssignment | None]:
+def load_scheme(path: str) -> Scheme:
     return parse_scheme_data(_read_json(path), where=path)
 
 
-def emit_scheme(scheme: Scheme, assignment: SparseAssignment | None = None) -> dict:
+def emit_scheme(scheme: Scheme) -> dict:
     out = {
         "n": scheme.n,
         "beamformers": [_emit_block(b) for b in scheme.beamformers],
     }
-    if assignment is not None:
-        out["sparse_assignment"] = [
-            list(s) if s is not None else None for s in assignment.sets
-        ]
+    if scheme.windows is not None:
+        out["sparse_assignment"] = [list(s) if s is not None else None for s in scheme.windows]
     return out
 
 

@@ -173,10 +173,13 @@ class C1Verdict:
     """
 
     holds: bool
-    certain: bool
     tau: int
     sampled_ranks: tuple[int, ...]
     bound: Fraction
+
+    @property
+    def certain(self) -> bool:
+        return not self.holds
 
     @property
     def label(self) -> str:
@@ -191,5 +194,5 @@ def check_C1(ensemble: "Ensemble", tau: int, cfg: TrialConfig | None = None) -> 
     ranks = _cached_ranks(ensemble, cfg)
     threshold = ensemble.R - tau
     if max(ranks) > threshold:
-        return C1Verdict(False, True, tau, ranks, Fraction(0))
-    return C1Verdict(True, False, tau, ranks, failure_bound(ensemble.n, cfg))
+        return C1Verdict(False, tau, ranks, Fraction(0))
+    return C1Verdict(True, tau, ranks, failure_bound(ensemble.n, cfg))

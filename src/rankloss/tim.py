@@ -14,7 +14,9 @@ ranks (one matching pass over the columns' support masks gives both) has
 the generic ranks; on a miss C6 (`conditions.generic_rank`) decides, so
 every verdict is exact and nothing here takes a sampling setting.
 `tim verify` and the postconditions of synthesized exclusive-alignment
-schemes both run `verify_decodability`.  Each beamformer is its
+schemes both run `verify_decodability`.  A `Scheme` carries its alignment
+windows J_r, and one window check (`_window_fault`) serves synthesis and
+normalization.  Each beamformer is its
 `ExactMatrix`'s integer grid, built once by synthesis or the loader, and
 its rank and support masks live on it, so `Scheme` and verification
 rank-check it once and no entry becomes a Fraction.
@@ -216,10 +218,15 @@ def half_dof_feasible(topology: Topology) -> bool:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A linear precoding design: per-user n x m_i beamformers over n slots."""
+    """A linear precoding design: per-user n x m_i beamformers over n slots.
+
+    `windows` holds each receiver's alignment window J_r or None, and is
+    None for a design with no windows, such as the half-DoF scheme.
+    """
 
     n: int
     beamformers: tuple[ExactMatrix, ...]
+    windows: tuple[IndexSet | None, ...] | None = None
 
     def __post_init__(self):
         for i, b in enumerate(self.beamformers, start=1):
@@ -229,6 +236,11 @@ class Scheme:
                 raise ShapeError(f"user {i}: {b.n_cols} columns outside [1, {self.n}]")
             if not is_full_column_rank(b):
                 raise PreconditionError(f"user {i}: beamformer is not full column rank")
+        if self.windows is not None and len(self.windows) != self.K:
+            raise ShapeError(f"{len(self.windows)} windows for {self.K} users")
+        for j, s in enumerate(self.windows or (), start=1):
+            if s is not None and s.universe != self.n:
+                raise ShapeError(f"receiver {j}: J over [{s.universe}], expected [{self.n}]")
 
     @property
     def K(self) -> int:
@@ -243,20 +255,20 @@ class Scheme:
         return tuple(tuple(row_support(b)) for b in self.beamformers)
 
 
-@dataclass(frozen=True)
-class SparseAssignment:
-    """Per-receiver optional row sets J_r tied to size-2 alignment sets."""
+def _window_fault(topology: Topology, scheme: Scheme) -> tuple[int, int] | None:
+    """The first (receiver r, user) whose window J fails, by ascending r, else None.
 
-    n: int
-    sets: tuple[IndexSet | None, ...]
-
-    def __post_init__(self):
-        for j, s in enumerate(self.sets, start=1):
-            if s is not None and s.universe != self.n:
-                raise ShapeError(f"receiver {j}: J over [{s.universe}], expected [{self.n}]")
-
-    def get(self, receiver: int) -> IndexSet | None:
-        return self.sets[receiver - 1]
+    r's own block must avoid S_J, then each interferer's must contain it.
+    """
+    for r, window in enumerate(scheme.windows or (), start=1):
+        if window is None:
+            continue
+        if sparse_dim(scheme.beamformers[r - 1], window) != 0:
+            return r, r
+        for i in sorted(topology.interferers(r)):
+            if sparse_dim(scheme.beamformers[i - 1], window) != len(window):
+                return r, i
+    return None
 
 
 def _slot_column(n: int, slot: int) -> list[int]:
@@ -356,18 +368,19 @@ def _color_alignment_sets(topology: Topology, chi: int) -> dict[int, int]:
     return coloring
 
 
-def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment]:
+def synth_exclusive_scheme(topology: Topology) -> Scheme:
     """Beamformer synthesis achieving min(1/2, (chi+1)/(3 chi)).
 
     For chi = 1 (no reduced edges) the two-slot dense scheme already gives
-    half DoF.  Otherwise, over n = 3 chi slots with m = chi + 1 symbols per
-    user, each color class of the alignment-conflict relation receives a
-    disjoint 3-slot window J; both members of an alignment set spend 3
-    columns spanning the sparse subspace of their window and the rest on
-    dense generic columns, while uninvolved transmitters stay fully
-    generic.  Generic entries are distinct small primes; a fill is replaced
-    by the next block of primes unless it passes the exact postconditions:
-    the window structure, and generic decodability at every receiver,
+    half DoF, with no window at any receiver.  Otherwise, over n = 3 chi
+    slots with m = chi + 1 symbols per user, each color class of the
+    alignment-conflict relation receives a disjoint 3-slot window J; both
+    members of an alignment set spend 3 columns spanning the sparse
+    subspace of their window and the rest on dense generic columns, while
+    uninvolved transmitters stay fully generic.  Generic entries are
+    distinct small primes; a fill is replaced by the next block of primes
+    unless it passes the exact postconditions: the window check
+    (`_window_fault`), and generic decodability at every receiver,
     rank([interference | B_j]) = m_j + rank(interference), decided by
     `verify_decodability` (one certified trial, C6 on a miss).  After
     FILL_ATTEMPTS failed fills it raises InternalInvariantError.
@@ -378,17 +391,15 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
     chi = chromatic_number(reduced_conflict_graph(topology))
     if chi == 1:
         scheme = synth_half_dof_scheme(topology)
-        return scheme, SparseAssignment(scheme.n, (None,) * topology.K)
+        return Scheme(scheme.n, scheme.beamformers, (None,) * topology.K)
 
     n, m, tau = 3 * chi, chi + 1, 3
     coloring = _color_alignment_sets(topology, chi)
-    windows = {
-        r: IndexSet.of(n, range(3 * c + 1, 3 * c + 4)) for r, c in coloring.items()
-    }
-    member_window: dict[int, IndexSet] = {}
-    for r, window in windows.items():
-        for i in topology.interferers(r):
-            member_window[i] = window
+    windows = tuple(
+        IndexSet.of(n, range(3 * coloring[r] + 1, 3 * coloring[r] + 4)) if r in coloring else None
+        for r in range(1, topology.K + 1)
+    )
+    member_window = {i: windows[r - 1] for r in coloring for i in topology.interferers(r)}
 
     for attempt in range(FILL_ATTEMPTS):
         primes = _prime_stream(skip=97 * attempt)
@@ -407,33 +418,20 @@ def synth_exclusive_scheme(topology: Topology) -> tuple[Scheme, SparseAssignment
                 cols.append([next(primes) for _ in range(n)])
             # Integer columns are canonical at scale 1.
             beamformers.append(ExactMatrix._of([list(row) for row in zip(*cols)], (1,) * m))
-        scheme = _exclusive_postconditions(topology, n, beamformers, windows, tau)
+        scheme = _exclusive_postconditions(topology, beamformers, windows)
         if scheme is not None:
-            sets = tuple(windows.get(r) for r in range(1, topology.K + 1))
-            return scheme, SparseAssignment(n, sets)
+            return scheme
     raise InternalInvariantError("generic fill failed its postconditions repeatedly")
 
 
-def _exclusive_postconditions(
-    topology: Topology,
-    n: int,
-    beamformers: list[ExactMatrix],
-    windows: dict[int, IndexSet],
-    tau: int,
-) -> Scheme | None:
+def _exclusive_postconditions(topology: Topology, beamformers: list[ExactMatrix], windows: tuple) -> Scheme | None:
     """The fill's scheme when it passes the rank, window and decodability checks, else None."""
-    for b in beamformers:
-        if not is_full_column_rank(b):
-            return None
-    for r, window in windows.items():
-        own = beamformers[r - 1]
-        if sparse_dim(own, window) != 0:
-            return None
-        for i in topology.interferers(r):
-            if sparse_dim(beamformers[i - 1], window) != tau:
-                return None
-    scheme = Scheme(n, tuple(beamformers))
-    return scheme if verify_decodability(topology, scheme).ok else None
+    if not all(is_full_column_rank(b) for b in beamformers):
+        return None
+    scheme = Scheme(beamformers[0].n_rows, tuple(beamformers), windows)
+    if _window_fault(topology, scheme) is None and verify_decodability(topology, scheme).ok:
+        return scheme
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +590,11 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
     return StructureReport(tuple(checks))
 
 
-def normalize_alignment(
-    topology: Topology, scheme: Scheme, assignment: SparseAssignment
-) -> tuple[Scheme, SparseAssignment]:
+def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
     """Rework an aligned design so each alignment window is tight and clean.
 
-    Given per-receiver row sets J_r with the sparse surplus property and
-    no own-signal overlap, produces new beamformers and sets J_r' of size
+    Given the scheme's windows J_r with the sparse surplus property and no
+    own-signal overlap, produces new beamformers and windows J_r' of size
     tau = 3m - n with S_{J_r'} contained in both members' column spans and
     still avoiding the receiver's own span.  Follows the column-swap
     construction: shrink J_r away from the members' own windows, then
@@ -619,9 +615,9 @@ def normalize_alignment(
         raise PreconditionError(f"tau = 3m - n = {tau} must be positive")
 
     receivers = topology.alignment_receivers()
-    input_sets: dict[int, IndexSet] = {}
+    windows = scheme.windows or (None,) * topology.K
     for r in receivers:
-        j_r = assignment.get(r)
+        j_r = windows[r - 1]
         if j_r is None:
             raise PreconditionError(f"receiver {r} has a size-2 alignment set but no assigned J")
         members = sorted(topology.interferers(r))
@@ -632,17 +628,13 @@ def normalize_alignment(
             )
         if sparse_dim(scheme.beamformers[r - 1], j_r) != 0:
             raise PreconditionError(f"receiver {r}: own beamformer meets S_J nontrivially")
-        input_sets[r] = j_r
 
     new_beamformers = list(scheme.beamformers)
-    new_sets: list[IndexSet | None] = [None] * topology.K
+    new_windows: list[IndexSet | None] = [None] * topology.K
     for r in receivers:
         members = sorted(topology.interferers(r))
-        removed: set[int] = set()
-        for i in members:
-            if i in input_sets:
-                removed |= set(input_sets[i].members)
-        j_prime = input_sets[r].difference(IndexSet.of(n, removed))
+        removed = {v for i in members if i in receivers for v in windows[i - 1]}
+        j_prime = windows[r - 1].difference(IndexSet.of(n, removed))
         dims = [sparse_dim(scheme.beamformers[i - 1], j_prime) for i in members]
         if sum(dims) < len(j_prime) + tau:
             raise PreconditionError(
@@ -659,14 +651,13 @@ def normalize_alignment(
                 (1,) * len(fresh_rows),
             )
             new_beamformers[i - 1] = fresh.hstack(kept)
-        new_sets[r - 1] = j_new
+        new_windows[r - 1] = j_new
 
-    result = Scheme(n, tuple(new_beamformers))
-    for r in receivers:
-        j_new = new_sets[r - 1]
-        for i in sorted(topology.interferers(r)):
-            if sparse_dim(result.beamformers[i - 1], j_new) < tau:
-                raise InternalInvariantError(f"receiver {r}: member {i} lost its window basis")
-        if sparse_dim(result.beamformers[r - 1], j_new) != 0:
+    result = Scheme(n, tuple(new_beamformers), tuple(new_windows))
+    fault = _window_fault(topology, result)
+    if fault is not None:
+        r, i = fault
+        if i == r:
             raise InternalInvariantError(f"receiver {r}: own-signal overlap after normalization")
-    return result, SparseAssignment(n, tuple(new_sets))
+        raise InternalInvariantError(f"receiver {r}: member {i} lost its window basis")
+    return result

@@ -78,8 +78,13 @@ def identity_matrix(n: int) -> ExactMatrix:
     return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n_cols=n)
 
 
+def column(m: ExactMatrix, j: int) -> tuple[Fraction, ...]:
+    """Column with 0-based index j, read through `rows`."""
+    return tuple(row[j] for row in m.rows)
+
+
 def transpose(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(tuple(m.column(j) for j in range(m.n_cols)), m.n_rows)
+    return ExactMatrix(tuple(column(m, j) for j in range(m.n_cols)), m.n_rows)
 
 
 def take_rows(m: ExactMatrix, rows: IndexSet) -> ExactMatrix:
@@ -93,7 +98,7 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The product AB over Fraction."""
     if a.n_cols != b.n_rows:
         raise ShapeError(f"inner dimension mismatch: {a.n_cols} vs {b.n_rows}")
-    cols = [b.column(j) for j in range(b.n_cols)]
+    cols = [column(b, j) for j in range(b.n_cols)]
     return ExactMatrix(
         tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows), b.n_cols
     )
@@ -192,7 +197,7 @@ def adapted_basis_greedy(block: ExactMatrix, y: IndexSet, j: IndexSet) -> ExactM
     for c in range(restricted.n_cols):
         if current == target:
             break
-        candidate = basis.hstack(ExactMatrix.from_columns([restricted.column(c)]))
+        candidate = basis.hstack(ExactMatrix.from_columns([column(restricted, c)]))
         if rank(candidate) > current:
             basis, current = candidate, current + 1
     return basis
@@ -284,7 +289,7 @@ def ensemble_support_graph(ensemble, Ys: Sequence[IndexSet] | None = None) -> Su
     for i, block in enumerate(ensemble.blocks, start=1):
         chosen = Ys[i - 1] if Ys is not None else IndexSet.full(block.n_cols)
         for j in chosen:
-            cols.append((i, block.column(j - 1)))
+            cols.append((i, column(block, j - 1)))
     return build_support_graph(cols)
 
 

@@ -303,7 +303,7 @@ def test_criterion_7_exclusive_achievability(capsys):
     from fractions import Fraction
 
     ldof_ok = ldof_sym(topology) == Fraction(4, 9)
-    scheme, assignment = synth_exclusive_scheme(topology)
+    scheme = synth_exclusive_scheme(topology)
     shape_ok = scheme.n == 9 and scheme.symbol_counts == (4,) * 9
     decode = verify_decodability(topology, scheme)
     ok = p1p2_ok and chi_ok and ldof_ok and shape_ok and decode.ok
@@ -348,7 +348,7 @@ def test_criterion_9_beyond_formula(capsys):
     start = time.monotonic()
     topology = t9b()
     p2_fails = not check_P1_P2(topology)[0]
-    scheme, assignment = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    scheme = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
     shape_ok = scheme.n == 7 and scheme.symbol_counts == (3,) * 9
     decode = verify_decodability(topology, scheme)
     from fractions import Fraction

@@ -19,12 +19,12 @@ import rankloss.exactla
 from rankloss import fileio
 from rankloss.cli import build_parser, main
 from rankloss.conditions import Ensemble
-from rankloss.errors import LoadError
+from rankloss.errors import LoadError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet
-from rankloss.tim import Scheme, SparseAssignment
+from rankloss.tim import Scheme
 from rankloss.randrank import TrialConfig
 
-from conftest import FIXTURES, e1, parse_rational, t6
+from conftest import FIXTURES, column, e1, parse_rational, t6
 
 
 def run(capsys, *argv) -> tuple[int, dict | None]:
@@ -137,14 +137,56 @@ def test_topology_validation(tmp_path):
 
 
 def test_scheme_round_trip(tmp_path):
-    scheme, assignment = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
-    data = fileio.emit_scheme(scheme, assignment)
+    scheme = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    data = fileio.emit_scheme(scheme)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data))
-    again, again_assignment = fileio.load_scheme(str(path))
-    assert again == scheme
-    assert again_assignment == assignment
-    assert assignment.get(1) == IndexSet.of(7, [1, 2])
+    assert fileio.load_scheme(str(path)) == scheme
+    assert scheme.windows[0] == IndexSet.of(7, [1, 2])
+
+
+def test_scheme_refuses_windows_of_the_wrong_length_or_universe():
+    blocks = (ExactMatrix.from_columns([["1", "0", "0"]]), ExactMatrix.from_columns([["0", "1", "0"]]))
+    assert Scheme(3, blocks, (IndexSet.of(3, [2, 3]), None)).windows[1] is None
+    for windows in ((None,), (None, None, None), (None, IndexSet.of(4, [2, 3]))):
+        with pytest.raises(ShapeError):
+            Scheme(3, blocks, windows)
+
+
+@pytest.mark.parametrize(
+    "windows, entry",
+    [(None, None), ((None,) * 3, [None] * 3), ((IndexSet.of(3, [2, 3]), None, None), [[2, 3], None, None])],
+    ids=["no windows", "windows, all None", "one window"],
+)
+def test_windows_emit_load_emit_byte_for_byte(tmp_path, windows, entry):
+    # No windows writes no sparse_assignment key, as the half-DoF scheme's
+    # file; windows that are all None write a list of nulls, as an exclusive
+    # scheme on a chi = 1 topology does.  Loading tells the two apart.
+    scheme = Scheme(3, _fractional_scheme().beamformers, windows)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    fileio.write_json(fileio.emit_scheme(scheme), str(first), pretty=True)
+    assert json.loads(first.read_text()).get("sparse_assignment", "absent") == ("absent" if entry is None else entry)
+    again = fileio.load_scheme(str(first))
+    assert again == scheme and again.windows == windows
+    fileio.write_json(fileio.emit_scheme(again), str(second), pretty=True)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_scheme_load_reports_a_beamformer_fault_before_a_window_fault(tmp_path):
+    path = tmp_path / "s.json"
+    bad_windows = {
+        ": sparse_assignment must list one entry per user": ({"x": 1}, [None]),
+        ", receiver 1: index 4 out of range for universe [1, 2]": ([[4], None],),
+        ", receiver 1: expected null or a list of slot indices": ([[True], None], [["1"], None]),
+    }
+    for message, cases in bad_windows.items():
+        for windows in cases:
+            for second, expected in (("1", message), ("0", ": user 2: beamformer is not full column rank")):
+                data = {"n": 2, "beamformers": [[["1", "0"]], [["0", second]]], "sparse_assignment": windows}
+                path.write_text(json.dumps(data))
+                with pytest.raises(LoadError) as info:
+                    fileio.load_scheme(str(path))
+                assert str(info.value) == f"{path}{expected}"
 
 
 def test_scheme_load_parses_each_entry_once(monkeypatch):
@@ -162,7 +204,7 @@ def test_scheme_load_parses_each_entry_once(monkeypatch):
     for module in (fileio, rankloss.exactla):
         monkeypatch.setattr(module, "_rational_pair", counting_pair)
     path = FIXTURES / "T9b_scheme.json"
-    scheme, _ = fileio.load_scheme(str(path))
+    scheme = fileio.load_scheme(str(path))
     entries = [v for block in json.loads(path.read_text())["beamformers"] for col in block for v in col]
     assert parsed == entries
     assert len(entries) == sum(b.n_rows * b.n_cols for b in scheme.beamformers)
@@ -170,18 +212,16 @@ def test_scheme_load_parses_each_entry_once(monkeypatch):
         assert set(b._scales) == {1} and "rows" not in vars(b)
 
 
-def _fractional_scheme() -> tuple[Scheme, SparseAssignment]:
+def _fractional_scheme() -> Scheme:
     """Three users over 3 slots, with mixed denominators inside a column."""
-    return (
-        Scheme(
-            3,
-            (
-                ExactMatrix.from_columns([["2/4", "1", "0"], ["-1/3", "5/6", "7"]]),
-                ExactMatrix.from_columns([["0", "-10/4", "3/9"]]),
-                ExactMatrix.from_columns([["1", "0", "0"], ["0", "-1/7", "2/21"]]),
-            ),
+    return Scheme(
+        3,
+        (
+            ExactMatrix.from_columns([["2/4", "1", "0"], ["-1/3", "5/6", "7"]]),
+            ExactMatrix.from_columns([["0", "-10/4", "3/9"]]),
+            ExactMatrix.from_columns([["1", "0", "0"], ["0", "-1/7", "2/21"]]),
         ),
-        SparseAssignment(3, (IndexSet.of(3, [2, 3]), None, None)),
+        (IndexSet.of(3, [2, 3]), None, None),
     )
 
 
@@ -190,10 +230,10 @@ def test_fractional_files_survive_emit_load_emit_byte_for_byte(tmp_path):
         [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 6)], [1, Fraction(7, 4)]],
         [["4/6"], ["0"], ["-9/12"]],
     )
-    scheme, assignment = _fractional_scheme()
+    scheme = _fractional_scheme()
     cases = [
         (ensemble, fileio.emit_ensemble, fileio.load_ensemble),
-        ((scheme, assignment), lambda s: fileio.emit_scheme(*s), fileio.load_scheme),
+        (scheme, fileio.emit_scheme, fileio.load_scheme),
     ]
     for value, emit, load in cases:
         for pretty in (False, True):
@@ -238,7 +278,7 @@ def test_loader_reads_each_literal_as_parse_rational_does(col):
     else:
         if any(values):
             (block,) = fileio.parse_ensemble_data(data).blocks
-            assert block.column(0) == tuple(values)
+            assert column(block, 0) == tuple(values)
             assert all(type(v) is Fraction for v in block.rows[0])
             return
         expected = "ensemble: block 1 is not full column rank"

@@ -11,6 +11,7 @@ import random
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,10 +35,11 @@ from rankloss.conditions import (
 )
 from rankloss.errors import InternalInvariantError, PreconditionError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, rank, sparse_dim
-from rankloss.fileio import emit_ensemble
+from rankloss.fileio import emit_ensemble, load_ensemble
 from rankloss.randrank import TrialConfig
 
 from conftest import (
+    ENTRY_POOL,
     cofactor_det,
     e1,
     e1_generic,
@@ -668,3 +670,49 @@ def test_c3_c4_c5_witnesses_match_a_full_scan(rng):
                         for j in itertools.combinations(w.X.members, size)
                     )
     assert min(failing.values()) > 0
+
+
+ZERO_ROW = Path(__file__).resolve().parent / "golden" / "zero_row_n6.json"
+
+
+def _zero_row_ensemble(seed: int, n: int, sizes: tuple[int, ...]) -> Ensemble:
+    """Blocks of `sizes` columns over n rows, one row zero in every block.
+
+    random.Random(seed) draws the zero row, then the entries from ENTRY_POOL.
+    """
+    rng = random.Random(seed)
+    zero = rng.randint(1, n)
+    blocks = [[[0 if r == zero else rng.choice(ENTRY_POOL) for r in range(1, n + 1)] for _ in range(m)] for m in sizes]
+    return Ensemble(tuple(ExactMatrix.from_columns(cols, n) for cols in blocks))
+
+
+def test_c5_walks_only_inside_x_and_matches_a_full_scan_at_n6_n7(monkeypatch):
+    # C5 walks J inside X, and on n = 6-7 ensembles with a shared zero row
+    # it meets caps X with gaps, holders whose J the walk reaches only after
+    # a retreat step, and failing X with gaps.  A successor that steps
+    # outside X leaves every witness unchanged (such a J scores below its
+    # part inside X, which the walk also visits in the same order), so the
+    # walk itself is checked too: every J it steps to lies inside its cap.
+    steps = []
+
+    def recording(mask, cap):
+        steps.append((_lex_next(mask, cap), cap))
+        return steps[-1][0]
+
+    monkeypatch.setattr(conditions, "_lex_next", recording)
+    drawn = ((0, 6, (3, 2, 2)), (10, 7, (2, 2, 2)), (10, 7, (3, 2, 2)), (20, 7, (3, 3, 2)))
+    ensembles = [load_ensemble(str(ZERO_ROW))] + [_zero_row_ensemble(*case) for case in drawn]
+    checks = {"C3": check_C3, "C4": check_C4, "C5": check_C5}
+    late_holders = failing_gapped = 0
+    for e in ensembles:
+        profile = _full_profile_x(e)
+        for tau in range(1, e.R + 1):
+            for name, check in checks.items():
+                result = check(e, tau)
+                assert result.to_dict() == _reference_x_check(e, profile, name, tau).to_dict(), (name, tau, e)
+            for w in check_C5(e, tau).witnesses:
+                gapped = w.X.members[-1] - w.X.members[0] >= len(w.X)
+                late_holders += gapped and w.kind == "C5-witness" and w.J.members != w.X.members[: len(w.J)]
+                failing_gapped += gapped and w.kind == "C5-counterexample"
+    assert late_holders > 0 and failing_gapped > 0
+    assert [(nxt, cap) for nxt, cap in steps if nxt is not None and nxt & ~cap] == []

@@ -1,7 +1,8 @@
 """The package's imports and its public surface.
 
 Every import is relative or from the standard library, and every public
-module-level name has a caller in the package or a stated reason to stay.
+module-level name, and every public method, classmethod and property of a
+package class, has a caller in the package or a stated reason to stay.
 """
 
 from __future__ import annotations
@@ -67,3 +68,29 @@ def test_every_public_name_has_a_caller():
                     used.add(name)
     assert set(UNCALLED_BUT_KEPT) <= defined
     assert sorted(defined - used - set(rankloss.__all__) - set(UNCALLED_BUT_KEPT)) == []
+
+
+# Public methods and properties no package code reads, as Class.name.
+UNREAD_BUT_KEPT = {
+    "C1Verdict.certain": "acceptance criterion 10 checks that no certain C1 verdict contradicts C2",
+}
+
+
+def test_every_public_method_has_a_caller():
+    # A public method, classmethod or property of a package class is read as
+    # an attribute somewhere in the package's code, or kept in UNREAD_BUT_KEPT.
+    defined: set[str] = set()
+    read: set[str] = set()
+    for path in sorted(Path(rankloss.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                defined |= {
+                    f"{stmt.name}.{item.name}"
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert set(UNREAD_BUT_KEPT) <= defined
+    unread = {name for name in defined if name.split(".")[1] not in read}
+    assert sorted(unread - set(UNREAD_BUT_KEPT)) == []

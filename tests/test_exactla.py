@@ -30,6 +30,7 @@ from rankloss.exactla import (
 
 from conftest import (
     adapted_basis_greedy,
+    column,
     identity_matrix,
     is_zero,
     matmul,
@@ -152,7 +153,7 @@ def test_nullspace_one_dim():
     m = ExactMatrix.from_rows([[1, -1]])
     basis = nullspace_basis(m)
     assert basis.n_cols == 1
-    v = basis.column(0)
+    v = column(basis, 0)
     assert v[0] == v[1] != 0
 
 
@@ -160,7 +161,7 @@ def test_nullspace_from_fixture_rows():
     m = ExactMatrix.from_rows([[1, 3], [0, 0]])
     basis = nullspace_basis(m)
     assert basis.n_cols == 1
-    v = basis.column(0)
+    v = column(basis, 0)
     # proportional to (3, -1)
     assert v[0] * (-1) == v[1] * 3
 
@@ -276,7 +277,7 @@ def test_equal_values_give_equal_matrices_whatever_the_constructor(tmp_path):
         ExactMatrix(((), (), ()), 0),
         ExactMatrix.from_rows([[], [], []]),
         ExactMatrix.from_columns([], n_rows=3),
-        wide.take_cols(IndexSet.empty(4)),
+        wide.take_cols(IndexSet(4, ())),
         nullspace_basis(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
     ]
     for same, other in ((no_rows, ExactMatrix((), 3)), (no_cols, ExactMatrix(((),), 0))):
@@ -299,7 +300,7 @@ def test_submatrix_full_and_empty():
     assert full == B1
     zero_row = submatrix(B1, IndexSet.of(4, [4]), IndexSet.full(2))
     assert zero_row.rows == ((Fraction(0), Fraction(0)),)
-    empty = submatrix(B1, IndexSet.empty(4), IndexSet.full(2))
+    empty = submatrix(B1, IndexSet(4, ()), IndexSet.full(2))
     assert empty.n_rows == 0 and empty.n_cols == 2
     assert rank(empty) == 0
 
@@ -315,7 +316,7 @@ def test_sparse_dim_fixture():
     assert sparse_dim(B1, IndexSet.of(4, [1, 2, 3])) == 2
     assert sparse_dim(B1, IndexSet.of(4, [1, 2])) == 1
     assert sparse_dim(B1, IndexSet.full(4)) == rank(B1)
-    assert sparse_dim(B1, IndexSet.empty(4)) == 0
+    assert sparse_dim(B1, IndexSet(4, ())) == 0
 
 
 def test_sparse_dim_two_routes_agree():
@@ -368,8 +369,8 @@ def test_indexset_operations():
     assert s.members == (1, 3)
     assert tuple(s.complement()) == (2, 4, 5)
     assert tuple(s.union(IndexSet.of(5, [2]))) == (1, 2, 3)
-    assert len(s.intersection(IndexSet.of(5, [3, 4]))) == 1
-    assert IndexSet.from_mask(5, s.mask()) == s
+    assert tuple(s.difference(IndexSet.of(5, [3, 4]))) == (1,)
+    assert IndexSet.from_mask(5, 0b00101) == s
     with pytest.raises(ShapeError):
         IndexSet(5, (2, 1))
 

@@ -11,12 +11,20 @@ from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, adapted_basis, rank, sparse_dim
 from rankloss.matching import SupportGraph, defect, hall_threshold_check, max_matching
 
-from conftest import build_support_graph, defect_scan, e1, ensemble_support_graph, identity_matrix, random_ensemble
+from conftest import (
+    build_support_graph,
+    column,
+    defect_scan,
+    e1,
+    ensemble_support_graph,
+    identity_matrix,
+    random_ensemble,
+)
 
 
 def identity_graph(n: int) -> SupportGraph:
     eye = identity_matrix(n)
-    return build_support_graph([(1, eye.column(j)) for j in range(n)])
+    return build_support_graph([(1, column(eye, j)) for j in range(n)])
 
 
 def test_build_support_graph_identity():
@@ -28,7 +36,7 @@ def test_build_support_graph_identity():
 
 def test_build_support_graph_fixture_columns():
     b1 = ExactMatrix.from_rows([[1, 1], [1, 2], [1, 3], [0, 0]])
-    g = build_support_graph([(1, b1.column(0)), (1, b1.column(1))])
+    g = build_support_graph([(1, column(b1, 0)), (1, column(b1, 1))])
     for _, _, adj in g.rights:
         assert adj == 0b0111  # rows 1..3 only
 
@@ -105,7 +113,7 @@ def test_adapted_basis_structure():
         basis = adapted_basis(block, IndexSet.full(block.n_cols), j)
         assert rank(basis) == rank(block)
         d = sparse_dim(block, j)
-        leading = ExactMatrix.from_columns([basis.column(c) for c in range(d)], n_rows=4)
+        leading = ExactMatrix.from_columns([column(basis, c) for c in range(d)], n_rows=4)
         # leading columns live inside S_J
         assert all(leading.rows[3][c] == 0 for c in range(d))
         assert rank(leading) == d
@@ -131,7 +139,7 @@ def test_step5_bridge_property(rng):
             cols = []
             for i, (block, y) in enumerate(zip(e.blocks, ys), start=1):
                 basis = adapted_basis(block, y, j_star)
-                cols.extend((i, basis.column(c)) for c in range(basis.n_cols))
+                cols.extend((i, column(basis, c)) for c in range(basis.n_cols))
             graph = build_support_graph(cols)
             has_certificate = best_surplus >= tau
             if has_certificate:

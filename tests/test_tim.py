@@ -22,7 +22,6 @@ from rankloss.randrank import TrialConfig
 from rankloss.tim import (
     ConflictGraph,
     Scheme,
-    SparseAssignment,
     StructureCheck,
     Topology,
     check_P1_P2,
@@ -38,6 +37,7 @@ from rankloss.tim import (
     synth_half_dof_scheme,
     verify_decodability,
     _color_alignment_sets,
+    _window_fault,
     _prime_stream,
     _term_ranks,
 )
@@ -47,6 +47,7 @@ from conftest import (
     FIXTURES,
     block_schemes,
     build_support_graph,
+    column,
     e1,
     fraction_scaled_rank,
     minimal_fully_occupied,
@@ -227,20 +228,19 @@ def test_ldof_preconditions():
 
 
 def test_exclusive_scheme_t9a():
-    scheme, assignment = synth_exclusive_scheme(t9a())
+    scheme = synth_exclusive_scheme(t9a())
     assert scheme.n == 9 and scheme.symbol_counts == (4,) * 9
-    windows = [set(s) for s in (assignment.get(1), assignment.get(2), assignment.get(3))]
-    assert sorted(map(tuple, map(sorted, windows))) == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
-    assert all(assignment.get(r) is None for r in range(4, 10))
+    assert sorted(tuple(s) for s in scheme.windows[:3]) == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    assert scheme.windows[3:] == (None,) * 6
     report = verify_decodability(t9a(), scheme)
     assert report.ok
 
 
 def test_exclusive_scheme_chi2():
     top = chi2_topology()
-    scheme, assignment = synth_exclusive_scheme(top)
+    scheme = synth_exclusive_scheme(top)
     assert scheme.n == 6 and scheme.symbol_counts == (3,) * 5
-    w1, w2 = set(assignment.get(1)), set(assignment.get(2))
+    w1, w2 = set(scheme.windows[0]), set(scheme.windows[1])
     assert not (w1 & w2) and len(w1) == len(w2) == 3
     assert verify_decodability(top, scheme).ok
 
@@ -254,15 +254,20 @@ def test_alignment_coloring_where_greedy_overshoots():
     )
     assert chromatic_number(reduced_conflict_graph(top)) == 2
     assert _color_alignment_sets(top, 2) == {1: 0, 4: 1, 12: 0, 17: 1, 10: 0, 16: 1}
-    scheme, _ = synth_exclusive_scheme(top)
+    scheme = synth_exclusive_scheme(top)
     assert scheme.n == 6
     assert verify_decodability(top, scheme).ok
 
 
 def test_exclusive_scheme_chi1_routes_to_half():
-    scheme, assignment = synth_exclusive_scheme(Topology.of(set(), {1}))
-    assert scheme.n == 2
-    assert all(s is None for s in assignment.sets)
+    # The half-DoF scheme carries no windows; the exclusive one a None per receiver.
+    top = Topology.of(set(), {1})
+    scheme = synth_exclusive_scheme(top)
+    assert scheme.n == 2 and scheme.windows == (None, None)
+    assert scheme.beamformers == synth_half_dof_scheme(top).beamformers
+    assert synth_half_dof_scheme(top).windows is None
+    assert fileio.emit_scheme(scheme)["sparse_assignment"] == [None, None]
+    assert "sparse_assignment" not in fileio.emit_scheme(synth_half_dof_scheme(top))
 
 
 def test_exclusive_scheme_rejects_singular_prime_fill():
@@ -270,7 +275,7 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
     # receiver 4's desired block inside its interference; the generic
     # decodability postcondition moves the fill to the next block.
     top = Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])
-    scheme, _ = synth_exclusive_scheme(top)
+    scheme = synth_exclusive_scheme(top)
     assert verify_decodability(top, scheme).ok
 
 
@@ -303,7 +308,7 @@ def test_synthesis_and_verify_clear_each_beamformer_once(monkeypatch):
     # t9a takes the first fill; this topology's first fill fails its postconditions
     for top in (t9a(), Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])):
         built.clear()
-        scheme, _ = synth_exclusive_scheme(top)
+        scheme = synth_exclusive_scheme(top)
         assert verify_decodability(top, scheme).ok
         grids = Counter(tuple(map(tuple, m._grid)) for m in built)
         for b in scheme.beamformers:
@@ -317,7 +322,7 @@ def test_one_matching_pass_gives_both_term_ranks(rng):
     # The pass read after the interference columns and after all columns
     # equals two separate maximum matchings on the columns' Fraction supports.
     def term_rank(blocks):
-        columns = [(i, b.column(c)) for i, b in enumerate(blocks, start=1) for c in range(b.n_cols)]
+        columns = [(i, column(b, c)) for i, b in enumerate(blocks, start=1) for c in range(b.n_cols)]
         return max_matching(build_support_graph(columns))
 
     for topology, scheme in fixture_cases() + generated_exclusive_cases(rng, 20):
@@ -344,7 +349,7 @@ def test_verify_eliminates_once_per_receiver_trial(monkeypatch, c6_calls):
 
         return counted
 
-    cases = [(t9a(), synth_exclusive_scheme(t9a())[0]), (t6(), synth_half_dof_scheme(t6()))]
+    cases = [(t9a(), synth_exclusive_scheme(t9a())), (t6(), synth_half_dof_scheme(t6()))]
     bareiss = counting("bareiss", rankloss.exactla._bareiss)
     for module in (rankloss.exactla, rankloss.randrank, rankloss.conditions):
         monkeypatch.setattr(module, "_bareiss", bareiss)
@@ -406,25 +411,31 @@ def test_random_p1p2_topologies_exclusive_scheme_decodes(rng):
             continue
         chi = chromatic_number(reduced_conflict_graph(top))
         seen_chis.add(chi)
-        scheme, assignment = synth_exclusive_scheme(top)
+        scheme = synth_exclusive_scheme(top)
         if chi == 1:
             assert scheme.n == 2
         else:
             assert scheme.n == 3 * chi and set(scheme.symbol_counts) == {chi + 1}
             report = verify_decodability(top, scheme)
-            assert report.ok, (top, assignment.sets, report.per_receiver)
+            assert report.ok, (top, scheme.windows, report.per_receiver)
         checked += 1
     assert {2, 3} <= seen_chis, f"generator did not cover chi in {{2,3}}: {seen_chis}"
 
 
 def test_exclusive_window_structure():
-    scheme, assignment = synth_exclusive_scheme(t9a())
+    scheme = synth_exclusive_scheme(t9a())
     top = t9a()
     for r in (1, 2, 3):
-        window = assignment.get(r)
+        window = scheme.windows[r - 1]
         for i in top.interferers(r):
             assert sparse_dim(scheme.beamformers[i - 1], window) == 3
         assert sparse_dim(scheme.beamformers[r - 1], window) == 0
+    assert _window_fault(top, scheme) is None
+    # User 1 is a member at receiver 3, so J_3 meets its own block; J_2 lies
+    # outside user 2's span, and receiver 1 checks its own block first.
+    j1, j2, j3 = scheme.windows[:3]
+    for windows, fault in (((j3, j2, j3), (1, 1)), ((j2, j2, j3), (1, 2)), ((j1, j3, j3), (2, 3))):
+        assert _window_fault(top, Scheme(9, scheme.beamformers, windows + (None,) * 6)) == fault
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +541,16 @@ def generated_exclusive_cases(rng: random.Random, count: int) -> list[tuple[Topo
     while len(cases) < count:
         top = random_p1p2_topology(rng)
         if check_P1_P2(top)[0] and top.has_interference():
-            cases.append((top, synth_exclusive_scheme(top)[0]))
+            cases.append((top, synth_exclusive_scheme(top)))
     return cases
 
 
 def fixture_cases() -> list[tuple[Topology, Scheme]]:
     """T6 with its half-DoF scheme, T9a with its exclusive scheme, T9b with its fixture scheme."""
-    t9b_scheme, _ = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    t9b_scheme = fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
     return [
         (t6(), synth_half_dof_scheme(t6())),
-        (t9a(), synth_exclusive_scheme(t9a())[0]),
+        (t9a(), synth_exclusive_scheme(t9a())),
         (t9b(), t9b_scheme),
     ]
 
@@ -626,17 +637,17 @@ def test_exclusive_synthesis_is_unchanged_by_the_certified_trial(monkeypatch, c6
         return results[-1]
 
     monkeypatch.setattr(rankloss.tim, "_exclusive_postconditions", recording)
-    scheme, _ = synth_exclusive_scheme(Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6]))
+    scheme = synth_exclusive_scheme(Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6]))
     assert [r is not None for r in results] == [False, True]
     assert scheme is results[-1]
     results.clear()
     c6_calls.clear()
-    scheme, assignment = synth_exclusive_scheme(t9a())
+    scheme = synth_exclusive_scheme(t9a())
     assert [r is not None for r in results] == [True]
     assert scheme is results[-1]
     assert c6_calls == []
     golden = json.loads((Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json").read_text())
-    assert fileio.emit_scheme(scheme, assignment) == golden
+    assert fileio.emit_scheme(scheme) == golden
 
 
 def test_term_ranks_equal_generic_ranks_on_synthesized_schemes(rng):
@@ -814,14 +825,14 @@ def test_minimal_fully_occupied_e1():
     # sum m_i = 4 > n = 3, and Y_1 is empty: block 1 adds no column to the
     # chosen blocks that C6 ranks.
     e = Ensemble.of([[1], [1], [1]], [[1, 0], [0, 1], [0, 0]], [[1], [1], [0]])
-    ys = (IndexSet.empty(1), IndexSet.full(2), IndexSet.full(1))
+    ys = (IndexSet(1, ()), IndexSet.full(2), IndexSet.full(1))
     assert minimal_fully_occupied(e, ys, IndexSet.of(3, [1, 2]), 1)
 
 
 def test_minimal_fully_occupied_empty_vacuous():
     e = e1()
     ys = (IndexSet.full(2), IndexSet.full(2))
-    assert minimal_fully_occupied(e, ys, IndexSet.empty(4), 1)
+    assert minimal_fully_occupied(e, ys, IndexSet(4, ()), 1)
 
 
 def test_minimal_fully_occupied_matches_fraction_route():
@@ -914,11 +925,11 @@ def test_minimal_fully_occupied_rejects_bad_surplus():
 
 def test_normalize_idempotent_on_synth_output():
     top = t9a()
-    scheme, assignment = synth_exclusive_scheme(top)
-    new_scheme, new_assignment = normalize_alignment(top, scheme, assignment)
+    scheme = synth_exclusive_scheme(top)
+    new_scheme = normalize_alignment(top, scheme)
+    assert new_scheme.windows == scheme.windows
     for r in (1, 2, 3):
-        assert set(new_assignment.get(r)) == set(assignment.get(r))
-        window = new_assignment.get(r)
+        window = new_scheme.windows[r - 1]
         for i in top.interferers(r):
             assert sparse_dim(new_scheme.beamformers[i - 1], window) == sparse_dim(
                 scheme.beamformers[i - 1], window
@@ -932,10 +943,9 @@ def test_normalize_trims_oversized_window():
     b1 = ExactMatrix.from_columns([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
     b2 = ExactMatrix.from_columns([[1, 2, 0, 0, 0], [3, 1, 4, 1, 5]])
     b3 = ExactMatrix.from_columns([[2, 3, 5, 7, 11], [1, 4, 9, 16, 25]])
-    scheme = Scheme(5, (b1, b2, b3))
-    assignment = SparseAssignment(5, (None, None, IndexSet.of(5, [1, 2])))
-    new_scheme, new_assignment = normalize_alignment(top, scheme, assignment)
-    j_new = new_assignment.get(3)
+    scheme = Scheme(5, (b1, b2, b3), (None, None, IndexSet.of(5, [1, 2])))
+    new_scheme = normalize_alignment(top, scheme)
+    j_new = new_scheme.windows[2]
     assert len(j_new) == 1
     for i in (1, 2):
         assert sparse_dim(new_scheme.beamformers[i - 1], j_new) == 1
@@ -944,7 +954,7 @@ def test_normalize_trims_oversized_window():
 
 def test_normalize_extra_mass_yields_exact_window():
     top = t9a()
-    scheme, assignment = synth_exclusive_scheme(top)
+    scheme = synth_exclusive_scheme(top)
     # user 2's fourth column leaks partially outside its window {1,2,3}
     extra = [0] * 9
     extra[0], extra[1], extra[2], extra[6] = 1, 2, 3, 5  # support {1,2,3,7}
@@ -953,8 +963,8 @@ def test_normalize_extra_mass_yields_exact_window():
     )
     blocks = list(scheme.beamformers)
     blocks[1] = b2
-    new_scheme, new_assignment = normalize_alignment(top, Scheme(9, tuple(blocks)), assignment)
-    j_new = new_assignment.get(1)
+    new_scheme = normalize_alignment(top, Scheme(9, tuple(blocks), scheme.windows))
+    j_new = new_scheme.windows[0]
     assert set(j_new) == {1, 2, 3}
     # exactly tau columns of the rebuilt beamformer live in the window
     assert sparse_dim(new_scheme.beamformers[1], j_new) == 3
@@ -966,7 +976,6 @@ def test_normalize_rejects_own_overlap():
     b1 = ExactMatrix.from_columns([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
     b2 = ExactMatrix.from_columns([[1, 2, 0, 0, 0], [3, 1, 4, 1, 5]])
     own_in_window = ExactMatrix.from_columns([[1, 1, 0, 0, 0], [0, 0, 1, 2, 3]])
-    scheme = Scheme(5, (b1, b2, own_in_window))
-    assignment = SparseAssignment(5, (None, None, IndexSet.of(5, [1, 2])))
+    scheme = Scheme(5, (b1, b2, own_in_window), (None, None, IndexSet.of(5, [1, 2])))
     with pytest.raises(PreconditionError):
-        normalize_alignment(top, scheme, assignment)
+        normalize_alignment(top, scheme)
