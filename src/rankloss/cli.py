@@ -43,6 +43,7 @@ from .tim import (
     synth_exclusive_scheme,
     synth_half_dof_scheme,
     verify_decodability,
+    _window_fault,
 )
 
 USAGE_ERROR, LOAD_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 2, 3, 4, 5
@@ -229,6 +230,9 @@ def _cmd_tim_verify(args) -> dict:
     topology = fileio.load_topology(args.topology)
     scheme = fileio.load_scheme(args.scheme)
     result = verify_decodability(topology, scheme)
+    fault = _window_fault(topology, scheme)
+    if fault is not None:
+        raise PreconditionError(fault)
     return {
         "command": "tim verify",
         "topology": args.topology,
@@ -243,8 +247,6 @@ def _cmd_tim_verify(args) -> dict:
 def _cmd_tim_normalize(args) -> dict:
     topology = fileio.load_topology(args.topology)
     scheme = fileio.load_scheme(args.scheme)
-    if scheme.windows is None:
-        raise PreconditionError("scheme file carries no sparse_assignment to normalize")
     written = fileio.emit_scheme(normalize_alignment(topology, scheme))
     report = {
         "command": "tim normalize",

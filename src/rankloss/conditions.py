@@ -412,18 +412,16 @@ def max_tau(ensemble: Ensemble) -> int:
 
 def _x_scan(
     ensemble: Ensemble, probe: Callable[[IndexSet, int, tuple[IndexSet, ...]], Witness | None]
-) -> dict[int, tuple[int, Witness]]:
-    """First violation per |X|, with the position of its X in the canonical scan.
+) -> dict[int, Witness]:
+    """First violation per |X| in the canonical scan.
 
     X runs over the nonempty row sets in `lex_subset_masks` order and Ys
     over the |X|-column choices; probe(X, X's mask, Ys) returns a violating
     witness or None.  A size is scanned only until its first violation.
-    Violations of different sizes sit at different X, so the positions
-    order them as the scan found them.
     """
     n = ensemble.n
-    per_size: dict[int, tuple[int, Witness]] = {}
-    for position, xmask in enumerate(lex_subset_masks(n)):
+    per_size: dict[int, Witness] = {}
+    for xmask in lex_subset_masks(n):
         size = xmask.bit_count()
         if size == 0 or size in per_size:
             continue
@@ -431,23 +429,27 @@ def _x_scan(
         for ys in column_choices(ensemble, size):
             witness = probe(x, xmask, ys)
             if witness is not None:
-                per_size[size] = (position, witness)
+                per_size[size] = witness
                 break
     return per_size
 
 
 def _verdict(
-    condition: str, per_size: dict[int, tuple[int, Witness]], threshold: int, holders: tuple[Witness, ...] = ()
+    condition: str, per_size: dict[int, Witness], threshold: int, holders: tuple[Witness, ...] = ()
 ) -> CheckResult:
-    """Fails with the earliest violation of a size above threshold; else holds with the holders there."""
-    hits = [hit for size, hit in per_size.items() if size > threshold]
-    if hits:
-        return CheckResult(condition, False, (min(hits, key=lambda hit: hit[0])[1],))
+    """Fails with the violation of size threshold + 1; else holds with the holders above threshold.
+
+    Violating X are the independent sets of the blocks' row matroids' union,
+    so each size's lex-first X is a prefix of, and precedes, the next size's.
+    """
+    hit = per_size.get(threshold + 1)
+    if hit is not None:
+        return CheckResult(condition, False, (hit,))
     return CheckResult(condition, True, tuple(w for w in holders if len(w.X) > threshold))
 
 
 @_per_ensemble
-def _c3_scan(ensemble: Ensemble) -> dict[int, tuple[int, Witness]]:
+def _c3_scan(ensemble: Ensemble) -> dict[int, Witness]:
     """C3's probe: an ordered partition of X with every block subdeterminant nonzero."""
     n, grids = ensemble.n, ensemble._grids
 
@@ -471,7 +473,7 @@ def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
 
 
 @_per_ensemble
-def _c4_scan(ensemble: Ensemble) -> dict[int, tuple[int, Witness]]:
+def _c4_scan(ensemble: Ensemble) -> dict[int, Witness]:
     """C4's probe: an ordered partition of X leaving no block a sparse dimension off its part."""
     n = ensemble.n
     full = (1 << n) - 1
@@ -493,7 +495,7 @@ def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
 
 
 @_per_ensemble
-def _c5_scan(ensemble: Ensemble) -> tuple[dict[int, tuple[int, Witness]], tuple[Witness, ...]]:
+def _c5_scan(ensemble: Ensemble) -> tuple[dict[int, Witness], tuple[Witness, ...]]:
     """C5's probe: the lex-first J inside X whose sparse dims over J and X's complement exceed |J|.
 
     A J-scan with cap X and base X's complement runs to level 1.  Each
@@ -563,7 +565,6 @@ def cross_validate(ensemble: Ensemble, tau: int, cfg: TrialConfig | None = None)
     a disagreement would falsify the certified equivalence and is a bug
     signal, never an expected outcome.
     """
-    _check_tau(ensemble, tau)
     report = EquivalenceReport(
         tau=tau,
         c1=check_C1(ensemble, tau, cfg),

@@ -15,11 +15,11 @@ the generic ranks; on a miss C6 (`conditions.generic_rank`) decides, so
 every verdict is exact and nothing here takes a sampling setting.
 `tim verify` and the postconditions of synthesized exclusive-alignment
 schemes both run `verify_decodability`.  A `Scheme` carries its alignment
-windows J_r, and one window check (`_window_fault`) serves synthesis and
-normalization.  Each beamformer is its
-`ExactMatrix`'s integer grid, built once by synthesis or the loader, and
-its rank and support masks live on it, so `Scheme` and verification
-rank-check it once and no entry becomes a Fraction.
+windows J_r, and one rule for them (`_window_fault`) serves synthesis,
+`tim verify` and normalization.  Each beamformer is its `ExactMatrix`'s
+integer grid, built once by synthesis or the loader, and its rank and
+support masks live on it, so `Scheme` and verification rank-check it
+once and no entry becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -255,19 +255,36 @@ class Scheme:
         return tuple(tuple(row_support(b)) for b in self.beamformers)
 
 
-def _window_fault(topology: Topology, scheme: Scheme) -> tuple[int, int] | None:
-    """The first (receiver r, user) whose window J fails, by ascending r, else None.
+def _window_fault(topology: Topology, scheme: Scheme) -> str | None:
+    """Why the scheme's alignment windows break the exclusive-alignment rule, else None.
 
-    r's own block must avoid S_J, then each interferer's must contain it.
+    A scheme with no windows passes.  Otherwise the m_i are equal, tau =
+    3m - n >= 1, and a window J_r sits at exactly the receivers with two
+    interferers, whose sparse dimensions on J_r sum to at least |J_r| + tau
+    (C2 for the pair), and r's own block avoids S_J.  Each is at most |J|,
+    so at |J| = tau (synthesis, normalization) both members' spans contain S_J.
     """
-    for r, window in enumerate(scheme.windows or (), start=1):
-        if window is None:
+    if scheme.windows is None:
+        return None
+    ms = set(scheme.symbol_counts)
+    if len(ms) != 1:
+        return "alignment windows apply to symmetric schemes (equal m_i)"
+    tau = 3 * ms.pop() - scheme.n
+    if tau < 1:
+        return f"tau = 3m - n = {tau} must be positive"
+    receivers = topology.alignment_receivers()
+    for r, window in enumerate(scheme.windows, start=1):
+        if r not in receivers:
+            if window is not None:
+                return f"receiver {r} has an assigned J but no size-2 alignment set"
             continue
+        if window is None:
+            return f"receiver {r} has a size-2 alignment set but no assigned J"
+        surplus = sum(sparse_dim(scheme.beamformers[i - 1], window) for i in topology.interferers(r)) - len(window)
+        if surplus < tau:
+            return f"receiver {r}: sparse surplus {surplus} below tau = {tau}"
         if sparse_dim(scheme.beamformers[r - 1], window) != 0:
-            return r, r
-        for i in sorted(topology.interferers(r)):
-            if sparse_dim(scheme.beamformers[i - 1], window) != len(window):
-                return r, i
+            return f"receiver {r}: own beamformer meets S_J nontrivially"
     return None
 
 
@@ -593,48 +610,33 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
 def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
     """Rework an aligned design so each alignment window is tight and clean.
 
-    Given the scheme's windows J_r with the sparse surplus property and no
-    own-signal overlap, produces new beamformers and windows J_r' of size
-    tau = 3m - n with S_{J_r'} contained in both members' column spans and
-    still avoiding the receiver's own span.  Follows the column-swap
-    construction: shrink J_r away from the members' own windows, then
-    replace each member's intersection basis by coordinate columns.
+    Given windows J_r that pass `_window_fault`, produces new beamformers
+    and windows J_r' of size tau = 3m - n with S_{J_r'} contained in both
+    members' column spans and still avoiding the receiver's own span.
+    Follows the column-swap construction: shrink J_r away from the
+    members' own windows, then replace each member's intersection basis by
+    coordinate columns.
     """
+    if scheme.windows is None:
+        raise PreconditionError("scheme file carries no sparse_assignment to normalize")
     ok, violations = check_P1_P2(topology)
     if not ok:
         raise PreconditionError(f"P1/P2 violated: {violations}")
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
-    ms = set(scheme.symbol_counts)
-    if len(ms) != 1:
-        raise PreconditionError("normalization applies to symmetric schemes (equal m_i)")
-    m = ms.pop()
-    n = scheme.n
+    fault = _window_fault(topology, scheme)
+    if fault is not None:
+        raise PreconditionError(fault)
+    n, m = scheme.n, scheme.symbol_counts[0]
     tau = 3 * m - n
-    if tau < 1:
-        raise PreconditionError(f"tau = 3m - n = {tau} must be positive")
-
     receivers = topology.alignment_receivers()
-    windows = scheme.windows or (None,) * topology.K
-    for r in receivers:
-        j_r = windows[r - 1]
-        if j_r is None:
-            raise PreconditionError(f"receiver {r} has a size-2 alignment set but no assigned J")
-        members = sorted(topology.interferers(r))
-        surplus = sum(sparse_dim(scheme.beamformers[i - 1], j_r) for i in members)
-        if surplus < len(j_r) + tau:
-            raise PreconditionError(
-                f"receiver {r}: sparse surplus {surplus - len(j_r)} below tau = {tau}"
-            )
-        if sparse_dim(scheme.beamformers[r - 1], j_r) != 0:
-            raise PreconditionError(f"receiver {r}: own beamformer meets S_J nontrivially")
 
     new_beamformers = list(scheme.beamformers)
     new_windows: list[IndexSet | None] = [None] * topology.K
     for r in receivers:
         members = sorted(topology.interferers(r))
-        removed = {v for i in members if i in receivers for v in windows[i - 1]}
-        j_prime = windows[r - 1].difference(IndexSet.of(n, removed))
+        removed = {v for i in members if i in receivers for v in scheme.windows[i - 1]}
+        j_prime = scheme.windows[r - 1].difference(IndexSet.of(n, removed))
         dims = [sparse_dim(scheme.beamformers[i - 1], j_prime) for i in members]
         if sum(dims) < len(j_prime) + tau:
             raise PreconditionError(
@@ -656,8 +658,5 @@ def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
     result = Scheme(n, tuple(new_beamformers), tuple(new_windows))
     fault = _window_fault(topology, result)
     if fault is not None:
-        r, i = fault
-        if i == r:
-            raise InternalInvariantError(f"receiver {r}: own-signal overlap after normalization")
-        raise InternalInvariantError(f"receiver {r}: member {i} lost its window basis")
+        raise InternalInvariantError(f"after normalization, {fault}")
     return result

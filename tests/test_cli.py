@@ -451,6 +451,35 @@ def test_tim_normalize(tmp_path, capsys):
     assert report["windows"][0] == [1, 2, 3]
 
 
+T9A_WINDOWS = [[1, 2, 3], [4, 5, 6], [7, 8, 9]] + [None] * 6
+
+
+@pytest.mark.parametrize(
+    "windows, narrowed, message",
+    [
+        ([[4, 5, 6], [1, 2, 3], *T9A_WINDOWS[2:]], (), "receiver 1: sparse surplus -3 below tau = 3"),
+        (T9A_WINDOWS[:4] + [[1, 2]] + T9A_WINDOWS[5:], (), "receiver 5 has an assigned J but no size-2 alignment set"),
+        ([T9A_WINDOWS[0], None, *T9A_WINDOWS[2:]], (), "receiver 2 has a size-2 alignment set but no assigned J"),
+        (T9A_WINDOWS, (9,), "alignment windows apply to symmetric schemes (equal m_i)"),
+        (T9A_WINDOWS, range(1, 10), "tau = 3m - n = 0 must be positive"),
+    ],
+    ids=["swapped", "stray", "missing", "unequal-m", "tau-below-1"],
+)
+def test_verify_and_normalize_refuse_windows_by_one_rule(tmp_path, capsys, windows, narrowed, message):
+    # T9a's exclusive scheme with edited windows, or with its last column
+    # dropped from the users in `narrowed`: both commands give one refusal.
+    data = json.loads((Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json").read_text())
+    data["sparse_assignment"] = windows
+    for user in narrowed:
+        data["beamformers"][user - 1].pop()
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "normalize"):
+        assert main(["tim", command, str(FIXTURES / "T9a.json"), str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_exit_code_load_error(capsys):
     assert main(["certify", "does-not-exist.json"]) == 3
     capsys.readouterr()
@@ -571,6 +600,8 @@ def test_module_entry_point_reads_sys_argv(capsys):
         (["mc-rank", "E1.json", "--bits", "0"], "--bits must be >= 1, got 0"),
         (["equiv", "E1.json", "--tau", "1", "--bits", "-3"], "--bits must be >= 1, got -3"),
         (["equiv", "E1.json", "--tau", "1", "--trials", "0"], "--trials must be >= 1, got 0"),
+        # 2**(20000 - 3) alone has 6020 digits: refused before 2**bits is built.
+        (["mc-rank", "E1.json", "--bits", "20000"], "--bits 20000 with --trials 20"),
     ],
 )
 def test_sampling_flags_refused_before_sampling(monkeypatch, capsys, argv, message):

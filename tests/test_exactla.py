@@ -295,6 +295,23 @@ def test_adapted_basis_refuses_rank_deficient_columns():
     assert adapted_basis(deficient, IndexSet.of(2, [1]), IndexSet.of(3, [3])).rows == ((1,), (2,), (0,))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExactMatrix.from_rows([]), "column count required for a matrix with no rows"),
+        (lambda: ExactMatrix.from_rows([], -1), "negative column count"),
+        (lambda: ExactMatrix.from_rows([[1, 2], [3]]), "ragged row: expected 2 entries, got 1"),
+        (lambda: ExactMatrix.from_columns([]), "row count required for a matrix with no columns"),
+        (lambda: ExactMatrix.from_columns([[1, 2], [3]]), "ragged column: expected 2 entries, got 1"),
+    ],
+    ids=["no-rows", "negative-cols", "ragged-row", "no-columns", "ragged-column"],
+)
+def test_constructors_refuse_bad_shapes(build, message):
+    with pytest.raises(ShapeError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_submatrix_full_and_empty():
     full = submatrix(B1, IndexSet.full(4), IndexSet.full(2))
     assert full == B1

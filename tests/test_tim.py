@@ -431,11 +431,28 @@ def test_exclusive_window_structure():
             assert sparse_dim(scheme.beamformers[i - 1], window) == 3
         assert sparse_dim(scheme.beamformers[r - 1], window) == 0
     assert _window_fault(top, scheme) is None
-    # User 1 is a member at receiver 3, so J_3 meets its own block; J_2 lies
-    # outside user 2's span, and receiver 1 checks its own block first.
+    # Each member spans its own receiver's window and no other, so a window
+    # moved to another receiver leaves both its members sparse dimension 0.
     j1, j2, j3 = scheme.windows[:3]
-    for windows, fault in (((j3, j2, j3), (1, 1)), ((j2, j2, j3), (1, 2)), ((j1, j3, j3), (2, 3))):
+    for windows, fault in (
+        ((j3, j2, j3), "receiver 1: sparse surplus -3 below tau = 3"),
+        ((j2, j2, j3), "receiver 1: sparse surplus -3 below tau = 3"),
+        ((j1, j3, j3), "receiver 2: sparse surplus -3 below tau = 3"),
+    ):
         assert _window_fault(top, Scheme(9, scheme.beamformers, windows + (None,) * 6)) == fault
+
+
+def test_window_rule_is_the_surplus_form():
+    # T9b's J_9 = {1, 3, 5} holds only two of member 7's dimensions, below
+    # |J| = 3, yet the pair's surplus 2 + 3 - 3 reaches tau = 3m - n = 2.
+    top, scheme = t9b(), fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))
+    window = scheme.windows[8]
+    assert (len(window), 3 * scheme.symbol_counts[0] - scheme.n) == (3, 2)
+    assert sorted(sparse_dim(scheme.beamformers[i - 1], window) for i in top.interferers(9)) == [2, 3]
+    assert _window_fault(top, scheme) is None
+    # chi = 1: no receiver has an alignment set, and no window is assigned.
+    top = Topology.of(set(), {1})
+    assert _window_fault(top, synth_exclusive_scheme(top)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -977,5 +994,40 @@ def test_normalize_rejects_own_overlap():
     b2 = ExactMatrix.from_columns([[1, 2, 0, 0, 0], [3, 1, 4, 1, 5]])
     own_in_window = ExactMatrix.from_columns([[1, 1, 0, 0, 0], [0, 0, 1, 2, 3]])
     scheme = Scheme(5, (b1, b2, own_in_window), (None, None, IndexSet.of(5, [1, 2])))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="receiver 3: own beamformer meets S_J nontrivially"):
         normalize_alignment(top, scheme)
+
+
+def test_normalize_refuses_a_surplus_lost_to_the_members_windows():
+    # n = 5, m = 2, tau = 1.  J_3 = {1, 2} passes the window rule, but member
+    # 1 is receiver 1's own user, so normalization shrinks J_3 by J_1 = {1},
+    # and on {2} member 1's column e_1 + e_2 leaves it no sparse dimension.
+    top = Topology.of({4, 5}, set(), {1, 2}, set(), set())
+    e = [[int(r == c) for r in range(1, 6)] for c in range(1, 6)]
+    blocks = (
+        ExactMatrix.from_columns([[1, 1, 0, 0, 0], e[2]]),
+        ExactMatrix.from_columns([e[0], e[1]]),
+        ExactMatrix.from_columns([e[2], e[3]]),
+        ExactMatrix.from_columns([e[0], e[4]]),
+        ExactMatrix.from_columns([e[0], e[3]]),
+    )
+    scheme = Scheme(5, blocks, (IndexSet.of(5, [1]), None, IndexSet.of(5, [1, 2]), None, None))
+    assert _window_fault(top, scheme) is None
+    with pytest.raises(PreconditionError, match="receiver 3: surplus does not survive removing the members' own windows"):
+        normalize_alignment(top, scheme)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (lambda: (t9b(), fileio.load_scheme(str(FIXTURES / "T9b_scheme.json"))), "P1/P2 violated"),
+        (lambda: (Topology.of(*t9a().interference[:8]), synth_exclusive_scheme(t9a())), "scheme has 9 users, topology has 8"),
+        (lambda: (t6(), synth_half_dof_scheme(t6())), "scheme file carries no sparse_assignment to normalize"),
+    ],
+    ids=["P1/P2", "user-count", "no-windows"],
+)
+def test_normalize_refusals(case, message):
+    top, scheme = case()
+    with pytest.raises(PreconditionError) as err:
+        normalize_alignment(top, scheme)
+    assert str(err.value).startswith(message)
