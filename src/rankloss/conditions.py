@@ -45,11 +45,12 @@ the reduction leaves.  A part that only gains a row extends its basis;
 one that an augmenting path changed otherwise is rebuilt.
 
 Every route reads each block's own cleared integer grid
-(`ExactMatrix._grid`).  The `Ensemble` owns everything else derived from
-its blocks: a memo of the rank tables (one per block and column choice
-Y_i, shared by C2, C4 and C5), the C2 scan state, the C3-C6 results and
-C1's sampled ranks, freed with the object.  C1, C3 and C6 stay
-independent of the rank tables.
+(`ExactMatrix._grid`), and each matrix keeps its row-subset ranks
+(`ExactMatrix._rank_of_rows`): C2, C4 and C5 read them off the rank
+tables, one restriction of a block per column choice Y_i, and C6's
+certificate check off the blocks.  C1 and C3 never read that memo, so
+they stay independent of it.  The `Ensemble` owns the rank tables, the C2
+scan state, the C3-C6 results and C1's sampled ranks, freed with it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from functools import cached_property, wraps
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, _bareiss, _rows_rank, _RowBasis
+from .exactla import ExactMatrix, IndexSet, _bareiss, _mask, _RowBasis
 from .matroid import Partition, matroid_partition
 from .randrank import C1Verdict, TrialConfig, _check_tau, check_C1
 
@@ -243,41 +244,14 @@ def _ordered_partitions(members: tuple[int, ...], sizes: Sequence[int]) -> Itera
 
 
 # ---------------------------------------------------------------------------
-# Rank tables: rank of a block's chosen columns restricted to a row subset
+# Rank tables: a block's chosen columns, which memoize their row-subset ranks
 # ---------------------------------------------------------------------------
 
-class _RankTable:
-    """Memoized rank of one block's chosen columns over arbitrary row subsets.
-
-    The block is full column rank, so its chosen columns are too: over all
-    rows the rank is the column count.
-    """
-
-    def __init__(self, grid: list[list[int]], cols: IndexSet):
-        self._rows = [[row[c - 1] for c in cols] for row in grid]
-        self._n_cols = self.full_rank = len(cols)
-        self._all = (1 << len(grid)) - 1
-        self._memo: dict[int, int] = {self._all: self.full_rank}
-
-    def rank_of_rows(self, rowmask: int) -> int:
-        cached = self._memo.get(rowmask)
-        if cached is not None:
-            return cached
-        rows = [row[:] for i, row in enumerate(self._rows) if rowmask >> i & 1]
-        value = _bareiss(rows, self._n_cols)
-        self._memo[rowmask] = value
-        return value
-
-    def sparse_dim(self, jmask: int) -> int:
-        # dim(S_J & colspan) = rank - rank(rows outside J)
-        return self.full_rank - self.rank_of_rows(~jmask & self._all)
-
-
-def _rank_tables(ensemble: Ensemble, ys: tuple[IndexSet, ...]) -> list[_RankTable]:
-    """The ensemble's rank table of each block's chosen columns, built once per (block, Y_i)."""
+def _rank_tables(ensemble: Ensemble, ys: tuple[IndexSet, ...]) -> list[ExactMatrix]:
+    """Each block's chosen columns, restricted once per (block, Y_i) and kept by the ensemble."""
     return [
-        ensemble._memoized((_RankTable, i, y.members), lambda: _RankTable(grid, y))
-        for i, (grid, y) in enumerate(zip(ensemble._grids, ys))
+        ensemble._memoized((_rank_tables, i, y.members), lambda: block.take_cols(y))
+        for i, (block, y) in enumerate(zip(ensemble.blocks, ys))
     ]
 
 
@@ -301,12 +275,12 @@ class _JScan:
         self.best, self.argmax = -1, 0
         self.first_at: dict[int, tuple[int, int]] = {}
 
-    def advance(self, tables: list[_RankTable], level: int) -> None:
+    def advance(self, tables: list[ExactMatrix], level: int) -> None:
         """Scan on until some J reaches slack `level` or the masks run out."""
         jmask, best, cap = self.next_mask, self.best, self.cap
-        # sparse_dim_i(J | base) = full_rank_i - rank_i(rows outside J and base), and those rows are free ^ J.
-        ranks, full = [t.rank_of_rows for t in tables], sum(t.full_rank for t in tables)
-        free = tables[0]._all & ~self.base
+        # sparse_dim_i(J | base) = rank_i - rank_i(rows outside J and base), and those rows are free ^ J.
+        ranks, full = [t._rank_of_rows for t in tables], sum(t._rank for t in tables)
+        free = ((1 << tables[0].n_rows) - 1) & ~self.base
         while jmask is not None and best < level:
             outside = free ^ jmask
             slack = full - sum([rank(outside) for rank in ranks]) - jmask.bit_count()
@@ -382,11 +356,10 @@ def _row_union(ensemble: Ensemble) -> Partition:
     I_i of each B_i are independent, and sum |I_i| = n - |T| + sum_i
     rank(B_i[T, :]), which bounds every partition from above.
     """
-    blocks = list(zip(ensemble._grids, ensemble.column_counts))
     cert = matroid_partition(range(1, ensemble.n + 1), ensemble.K, _row_circuits(ensemble))
-    if any(_rows_rank(grid, part, width) != len(part) for (grid, width), part in zip(blocks, cert.parts)):
+    if any(block._rank_of_rows(_mask(part)) != len(part) for block, part in zip(ensemble.blocks, cert.parts)):
         raise InternalInvariantError("C6: a part of the row partition is dependent")
-    bound = ensemble.n - len(cert.T) + sum(_rows_rank(grid, cert.T, width) for grid, width in blocks)
+    bound = ensemble.n - len(cert.T) + sum(block._rank_of_rows(_mask(cert.T)) for block in ensemble.blocks)
     if cert.size != bound:
         raise InternalInvariantError(f"C6: partition of {cert.size} rows, but T bounds it by {bound}")
     return cert
@@ -476,12 +449,12 @@ def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
 def _c4_scan(ensemble: Ensemble) -> dict[int, Witness]:
     """C4's probe: an ordered partition of X leaving no block a sparse dimension off its part."""
     n = ensemble.n
-    full = (1 << n) - 1
 
     def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
         tables = _rank_tables(ensemble, ys)
         for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
-            if sum(t.sparse_dim(~sum(1 << (v - 1) for v in part) & full) for t, part in zip(tables, parts)) == 0:
+            # The sparse dimension of the rows outside a part is rank_i less the part's own rank.
+            if sum(t._rank - t._rank_of_rows(_mask(part)) for t, part in zip(tables, parts)) == 0:
                 return Witness(kind="C4-violation", Y=ys, X=x, partition=tuple(IndexSet(n, p) for p in parts))
         return None
 

@@ -8,8 +8,10 @@ That state is canonical, so equality and hashing read it, and Fraction
 rows are built only when `rows` is read.  Literals, Fraction
 rows and every matrix this package derives go straight into that grid.
 Ranks are computed by fraction-free (Bareiss) elimination on the grid, so
-no intermediate value is ever rounded; each matrix keeps its rank and its
-column supports, computed at most once and freed with it.
+no intermediate value is ever rounded; each matrix keeps its rank, its
+column supports and the rank of each row subset asked for
+(`ExactMatrix._rank_of_rows`, which sparse dimensions read), each computed
+at most once and freed with it.
 
 C6's fundamental circuits, the nullspace and adapted bases all read one
 fraction-free reduced echelon basis of some rows of a grid (`_RowBasis`).
@@ -163,6 +165,11 @@ class IndexSet:
         return v in self.members
 
 
+def _mask(rows: Iterable[int]) -> int:
+    """The row mask of 1-based rows: bit i set when row i + 1 is in them."""
+    return sum(1 << (v - 1) for v in rows)
+
+
 def _reduced(col: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
     """The column col / scale (scale nonzero) as integers over a positive scale coprime to them."""
     g = gcd(scale, *col)
@@ -214,7 +221,8 @@ class ExactMatrix:
         self._set(*_by_columns(cols, len(pairs)))
 
     def _set(self, grid: list[list[int]], scales: tuple[int, ...]) -> None:
-        self.__dict__.update(_grid=grid, _scales=scales, n_cols=len(scales))
+        # _row_ranks holds the rank of each row mask asked so far (`_rank_of_rows`).
+        self.__dict__.update(_grid=grid, _scales=scales, n_cols=len(scales), _row_ranks={})
 
     @classmethod
     def _of(cls, grid: list[list[int]], scales: tuple[int, ...]) -> "ExactMatrix":
@@ -268,8 +276,17 @@ class ExactMatrix:
 
     @cached_property
     def _rank(self) -> int:
-        """Rank of the matrix, eliminated once on a copy of `_grid`."""
-        return _bareiss([row[:] for row in self._grid], self.n_cols)
+        """Rank of the matrix: the rank of all its rows."""
+        return self._rank_of_rows((1 << self.n_rows) - 1)
+
+    def _rank_of_rows(self, mask: int) -> int:
+        """Rank of the rows in `mask` (bit i set when row i + 1 is), eliminated once per mask on copies."""
+        ranks = self._row_ranks
+        value = ranks.get(mask)
+        if value is None:
+            rows = [row[:] for i, row in enumerate(self._grid) if mask >> i & 1]
+            value = ranks[mask] = _bareiss(rows, self.n_cols)
+        return value
 
     @cached_property
     def _supports(self) -> tuple[int, ...]:
@@ -282,9 +299,13 @@ class ExactMatrix:
         if cols.universe != self.n_cols:
             raise ShapeError(f"column set over [{cols.universe}] applied to {self.n_cols}-column matrix")
         picked = [j - 1 for j in cols]
-        return ExactMatrix._of(
+        taken = ExactMatrix._of(
             [[row[j] for j in picked] for row in self._grid], tuple(self._scales[j] for j in picked)
         )
+        rows = (1 << self.n_rows) - 1
+        if self._row_ranks.get(rows) == self.n_cols:  # independent columns: no elimination needed
+            taken._row_ranks[rows] = len(picked)
+        return taken
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.n_rows != self.n_rows:
@@ -439,11 +460,6 @@ class _RowBasis:
         return self
 
 
-def _rows_rank(grid: list[list[int]], rows: Iterable[int], width: int) -> int:
-    """Rank of the 1-based rows of an integer grid, eliminated on copies."""
-    return _bareiss([grid[r - 1][:] for r in rows], width)
-
-
 def nullspace_basis(m: ExactMatrix) -> ExactMatrix:
     """Basis of {x : Mx = 0}, as an n_cols x (n_cols - rank) matrix.
 
@@ -507,7 +523,7 @@ def sparse_dim(b: ExactMatrix, j: IndexSet) -> int:
     """
     if j.universe != b.n_rows:
         raise ShapeError(f"index set over [{j.universe}] against {b.n_rows}-row matrix")
-    return rank(b) - _rows_rank(b._grid, j.complement(), b.n_cols)
+    return rank(b) - b._rank_of_rows(((1 << b.n_rows) - 1) ^ _mask(j))
 
 
 def intersect_dim(a: ExactMatrix, b: ExactMatrix) -> int:

@@ -22,7 +22,7 @@ from rankloss.exactla import (
     sparse_dim,
 )
 from rankloss.matching import SupportGraph
-from rankloss.matroid import dual, scaled_linear_matroid, union_rank
+from rankloss.matroid import dual, is_independent, scaled_linear_matroid, union_rank
 from rankloss.tim import Scheme, StructureCheck, StructureReport, Topology, reduced_conflict_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -309,6 +309,28 @@ def union_deficiency(ensemble, X: IndexSet, Ys: Sequence[IndexSet]) -> bool:
         except PreconditionError as exc:
             raise PreconditionError(f"block {i}: {exc}") from None
     return union_rank(duals, X) < len(X)
+
+
+def subsets(ground):
+    """Every subset of a ground tuple, as tuples, by size and then lexicographically."""
+    for r in range(len(ground) + 1):
+        yield from itertools.combinations(ground, r)
+
+
+def brute_union_rank(matroids, u) -> int:
+    """Union rank of u by brute force: the largest subset split into pieces independent in each matroid."""
+    best = 0
+    for s in subsets(tuple(sorted(u))):
+        if len(s) <= best:
+            continue
+        for assignment in itertools.product(range(len(matroids)), repeat=len(s)):
+            parts = [set() for _ in matroids]
+            for elem, who in zip(s, assignment):
+                parts[who].add(elem)
+            if all(is_independent(m, p) for m, p in zip(matroids, parts)):
+                best = len(s)
+                break
+    return best
 
 
 def structure_report_scan(topology: Topology, scheme: Scheme) -> StructureReport:

@@ -6,7 +6,6 @@ criteria execute.  Every tolerance is exact; time budgets are asserted.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
@@ -20,7 +19,6 @@ from rankloss.exactla import IndexSet
 from rankloss.matching import SupportGraph, hall_threshold_check, max_matching
 from rankloss.matroid import (
     dual,
-    is_independent,
     scaled_linear_matroid,
     union_rank,
     verify_axioms,
@@ -42,9 +40,11 @@ from rankloss.tim import (
 from conftest import (
     FIXTURES,
     block_schemes,
+    brute_union_rank,
     defect_scan,
     random_block,
     random_ensemble,
+    subsets,
     t6,
     t9a,
     t9b,
@@ -171,11 +171,6 @@ def matroid_instances():
     return instances
 
 
-def _subsets(ground):
-    for r in range(len(ground) + 1):
-        yield from itertools.combinations(ground, r)
-
-
 def test_criterion_3_matroid_axiom_suite(matroid_instances, capsys):
     start = time.monotonic()
     ok = True
@@ -188,11 +183,11 @@ def test_criterion_3_matroid_axiom_suite(matroid_instances, capsys):
             d = dual(matroid)
             dd = dual(d)
             full = matroid.full_rank()
-            for s in _subsets(matroid.ground):
+            for s in subsets(matroid.ground):
                 # complement-of-basis semantics for the dual rank
                 dual_enum = max(
                     len(i)
-                    for i in _subsets(s)
+                    for i in subsets(s)
                     if matroid.rank(set(matroid.ground) - set(i)) == full
                 )
                 ok = ok and d.rank(s) == dual_enum
@@ -204,30 +199,14 @@ def test_criterion_3_matroid_axiom_suite(matroid_instances, capsys):
     assert ok
 
 
-def _brute_union_rank(matroids, u) -> int:
-    best = 0
-    members = tuple(sorted(u))
-    for s in _subsets(members):
-        if len(s) <= best:
-            continue
-        for assignment in itertools.product(range(len(matroids)), repeat=len(s)):
-            parts = [set() for _ in matroids]
-            for elem, who in zip(s, assignment):
-                parts[who].add(elem)
-            if all(is_independent(m, p) for m, p in zip(matroids, parts)):
-                best = len(s)
-                break
-    return best
-
-
 def test_criterion_4_matroid_union(matroid_instances, capsys):
     start = time.monotonic()
     ok = True
     for x, group in matroid_instances:
         matroids = [m for _, _, m in group]
-        for u in _subsets(tuple(x)):
+        for u in subsets(tuple(x)):
             formula = union_rank(matroids, u)
-            ok = ok and formula == _brute_union_rank(matroids, u)
+            ok = ok and formula == brute_union_rank(matroids, u)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
     with capsys.disabled():

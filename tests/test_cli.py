@@ -106,7 +106,12 @@ def test_json_booleans_rejected(tmp_path, capsys, loader, data, location):
     # JSON true is a Python bool, which is an int; it must not load as 1.
     path = tmp_path / f"{loader}.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(LoadError, match=location):
+    assert_load_error(capsys, loader, path, location)
+
+
+def assert_load_error(capsys, loader, path, message):
+    """The loader refuses the file with the message, and a command that reads it exits 3 naming it."""
+    with pytest.raises(LoadError, match=message):
         getattr(fileio, f"load_{loader}")(str(path))
     argv = {
         "ensemble": ["certify", str(path)],
@@ -114,7 +119,24 @@ def test_json_booleans_rejected(tmp_path, capsys, loader, data, location):
         "scheme": ["tim", "verify", str(FIXTURES / "T6.json"), str(path)],
     }[loader]
     assert main(argv) == 3
-    assert location in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        ("ensemble", '{"n": 2, "matrices": ', "is not well-formed JSON"),
+        ("ensemble", '{"matrices": [[["1"]]]}', "missing required key 'n'"),
+        ("ensemble", '{"n": 1, "matrices": []}', "matrices must be a nonempty list of blocks"),
+        ("topology", '{"K": 2, "interference_sets": [[]]}', "interference_sets must list exactly K = 2 sets"),
+        ("scheme", '{"n": 1, "beamformers": []}', "beamformers must be a nonempty list"),
+    ],
+    ids=["malformed-json", "missing-key", "no-matrices", "sets-not-K", "no-beamformers"],
+)
+def test_malformed_files_are_load_errors(tmp_path, capsys, loader, text, message):
+    path = tmp_path / f"{loader}.json"
+    path.write_text(text)
+    assert_load_error(capsys, loader, path, message)
 
 
 def test_topology_round_trip(tmp_path):
@@ -368,6 +390,32 @@ def test_matroid_check_index_errors_name_the_flag(capsys, flag, index, universe)
     assert captured.err == f"error: {flag} indices must lie in [1, {universe}], got '{index}'\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--block", "0", "--rows", "1,2,3", "--cols", "1,2"], "block must be in [1, 2], got 0"),
+        (
+            ["--block", "1", "--rows", "1,x", "--cols", "1,2"],
+            "--rows must be a comma-separated list of indices, got '1,x'",
+        ),
+    ],
+    ids=["block", "rows"],
+)
+def test_matroid_check_refuses_a_bad_block_or_list(capsys, flags, message):
+    assert main(["matroid-check", str(FIXTURES / "E1.json"), *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_tim_dof_t9b_violates_p2(capsys):
+    # Without P1 and P2 the symmetric DoF is not known, so the report leaves it null.
+    code, report = run(capsys, "tim", "dof", str(FIXTURES / "T9b.json"))
+    assert code == 0
+    assert report["P1_P2"] is False and report["P1_P2_violations"]
+    assert report["ldof_sym"] is None
+
+
 def test_tim_dof_t9a(capsys):
     code, report = run(capsys, "tim", "dof", str(FIXTURES / "T9a.json"))
     assert code == 0
@@ -615,6 +663,17 @@ def test_sampling_flags_refused_before_sampling(monkeypatch, capsys, argv, messa
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_bits_too_long_to_print_refused_before_the_config_is_built(monkeypatch, capsys):
+    # --bits 20000 would build 2**20000 for the entry bound; the CLI refuses it first.
+    def no_config(*args, **kwargs):
+        raise AssertionError("built a TrialConfig for --bits 20000")
+
+    monkeypatch.setattr(rankloss.cli, "TrialConfig", no_config)
+    assert main(["mc-rank", str(FIXTURES / "E1.json"), "--bits", "20000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bits 20000 with --trials 20") and err.count("\n") == 1
 
 
 def test_longest_printable_failure_bound(capsys):

@@ -63,6 +63,21 @@ def test_ensemble_validation():
     assert (e.n, e.K, e.R) == (4, 2, 4)
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ((), "ensemble needs at least one block"),
+        ((ExactMatrix((), 2),), "blocks must have at least one row"),
+        ((identity_matrix(2), ExactMatrix([[], []], 0)), "block 2 has no columns"),
+    ],
+    ids=["no-block", "no-rows", "no-columns"],
+)
+def test_ensemble_refuses_empty_shapes(blocks, message):
+    with pytest.raises(PreconditionError) as err:
+        Ensemble(blocks)
+    assert str(err.value) == message
+
+
 def test_c2_holds_on_e1_with_canonical_witness():
     result = check_C2(e1(), 1)
     assert result.holds
@@ -546,25 +561,37 @@ def test_derived_results_are_freed_with_the_ensemble():
 
 
 def test_rank_tables_are_built_once_per_block_and_column_choice(monkeypatch):
-    # C2, C4 and C5 all read the ensemble's one table per (block, Y_i).
-    table_class = rankloss.conditions._RankTable
-    init = table_class.__init__
-    built = []
+    # C2, C4 and C5 all read the ensemble's one restriction per (block, Y_i),
+    # and each restriction eliminates each row mask once: every elimination
+    # of exactla's kernel adds a new entry to some restriction's memo, and
+    # its rank over all rows comes from the block without one.
+    take_cols = ExactMatrix.take_cols
+    bareiss = rankloss.exactla._bareiss
+    built, tables, eliminations = [], [], []
 
-    def counting_init(table, grid, cols):
-        built.append((id(grid), cols.members))
-        init(table, grid, cols)
+    def counting_take_cols(block, cols):
+        built.append((id(block), cols.members))
+        tables.append(take_cols(block, cols))
+        return tables[-1]
 
-    monkeypatch.setattr(table_class, "__init__", counting_init)
+    def counting_bareiss(a, n_cols):
+        eliminations.append(n_cols)
+        return bareiss(a, n_cols)
+
+    monkeypatch.setattr(ExactMatrix, "take_cols", counting_take_cols)
+    monkeypatch.setattr(rankloss.exactla, "_bareiss", counting_bareiss)
     rng = random.Random(2)
     total = 0
     for _ in range(8):
         e = random_ensemble(rng)
         built.clear()
+        tables.clear()
+        eliminations.clear()
         for tau in range(1, e.R + 1):
             cross_validate(e, tau)
         assert len(built) == len(set(built))
-        total += len(built)
+        assert len(eliminations) == sum(len(t._row_ranks) - 1 for t in tables)
+        total += len(eliminations)
     assert total > 0
 
 

@@ -1,8 +1,10 @@
-"""The package's imports and its public surface.
+"""The package's imports, its public surface and its private code.
 
 Every import is relative or from the standard library, and every public
 module-level name, and every public method, classmethod and property of a
 package class, has a caller in the package or a stated reason to stay.
+Every private module-level function, class and constant is read by the
+package's own code.
 """
 
 from __future__ import annotations
@@ -94,3 +96,33 @@ def test_every_public_method_has_a_caller():
     assert set(UNREAD_BUT_KEPT) <= defined
     unread = {name for name in defined if name.split(".")[1] not in read}
     assert sorted(unread - set(UNREAD_BUT_KEPT)) == []
+
+
+def test_every_private_name_is_read():
+    # A private module-level function, class or constant is read somewhere
+    # in the package's code (a loaded name, an attribute or an import; its
+    # own definition and docstrings do not count): tests alone keep none.
+    defined: set[str] = set()
+    read: set[str] = set()
+    for path in sorted(Path(rankloss.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own: set[str] = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+            defined |= {name for name in own if name.startswith("_") and not name.startswith("__")}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in own:  # a recursive call is not a reader
+                    read.add(name)
+    assert defined
+    assert sorted(defined - read) == []

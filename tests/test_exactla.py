@@ -81,10 +81,43 @@ def test_rank_is_computed_once_per_matrix(monkeypatch):
     assert m._grid == [[1, 3], [0, 2], [2, 3]]
 
 
+def test_row_subset_ranks_are_eliminated_once_per_mask(monkeypatch):
+    calls = []
+    bareiss = rankloss.exactla._bareiss
+
+    def counting_bareiss(a, n_cols):
+        calls.append(len(a))
+        return bareiss(a, n_cols)
+
+    monkeypatch.setattr(rankloss.exactla, "_bareiss", counting_bareiss)
+    rng = random.Random(13)
+    for _ in range(50):
+        n, m = rng.randint(1, 5), rng.randint(1, 3)
+        mat = ExactMatrix.from_rows([[rng.choice((0, 0, -1, 1, 2)) for _ in range(m)] for _ in range(n)])
+        calls.clear()
+        for mask in [*range(1 << n), *range(1 << n)]:
+            rows = [row for i, row in enumerate(mat._grid) if mask >> i & 1]
+            assert mat._rank_of_rows(mask) == bareiss([row[:] for row in rows], m)
+        # One elimination per mask, the one of all rows being the matrix's own rank.
+        assert sorted(calls) == sorted(bin(mask).count("1") for mask in range(1 << n))
+        assert mat._rank_of_rows((1 << n) - 1) == rank(mat)
+
+
+def test_take_cols_hands_on_a_full_column_rank():
+    wide = ExactMatrix.from_rows([[1, 0, 2], [0, 1, 3], [0, 0, 1]])
+    assert rank(wide) == 3
+    assert wide.take_cols(IndexSet.of(3, [1, 3]))._row_ranks == {0b111: 2}
+    # Columns of a rank-deficient matrix may be dependent, so their rank is left to eliminate.
+    flat = ExactMatrix.from_rows([[1, 2, 0], [2, 4, 0]])
+    assert rank(flat) == 1
+    taken = flat.take_cols(IndexSet.of(3, [1, 2]))
+    assert taken._row_ranks == {} and rank(taken) == 1
+
+
 def test_matrix_memos_are_freed_with_the_matrix():
     m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)], [1, 1]])
-    assert rank(m) == 2
-    assert {"_grid", "_rank"} <= set(vars(m))
+    assert rank(m) == 2 and m._rank_of_rows(0b011) == 2
+    assert {"_grid", "_rank", "_row_ranks"} <= set(vars(m))
     ref = weakref.ref(m)
     del m
     gc.collect()
@@ -303,8 +336,18 @@ def test_adapted_basis_refuses_rank_deficient_columns():
         (lambda: ExactMatrix.from_rows([[1, 2], [3]]), "ragged row: expected 2 entries, got 1"),
         (lambda: ExactMatrix.from_columns([]), "row count required for a matrix with no columns"),
         (lambda: ExactMatrix.from_columns([[1, 2], [3]]), "ragged column: expected 2 entries, got 1"),
+        (lambda: sparse_dim(B1, IndexSet.of(3, [1])), "index set over [3] against 4-row matrix"),
+        (lambda: B1.take_cols(IndexSet.of(3, [1])), "column set over [3] applied to 2-column matrix"),
+        (lambda: adapted_basis(B1, IndexSet.full(2), IndexSet.of(3, [1])), "J over [3] against 4-row matrix"),
+        (lambda: B1.hstack(identity_matrix(2)), "row count mismatch: 4 vs 2"),
+        (lambda: IndexSet.of(3, [1]).union(IndexSet.of(4, [1])), "universe mismatch: 3 vs 4"),
+        (lambda: IndexSet.of(4, [1]).difference(IndexSet.of(3, [1])), "universe mismatch: 4 vs 3"),
     ],
-    ids=["no-rows", "negative-cols", "ragged-row", "no-columns", "ragged-column"],
+    ids=[
+        "no-rows", "negative-cols", "ragged-row", "no-columns", "ragged-column",
+        "sparse-dim-universe", "take-cols-universe", "adapted-basis-universe", "hstack-rows",
+        "union-universe", "difference-universe",
+    ],
 )
 def test_constructors_refuse_bad_shapes(build, message):
     with pytest.raises(ShapeError) as err:

@@ -18,7 +18,16 @@ from rankloss.matroid import (
     verify_axioms,
 )
 
-from conftest import e1, e3, identity_matrix, random_block, random_ensemble, union_deficiency
+from conftest import (
+    brute_union_rank,
+    e1,
+    e3,
+    identity_matrix,
+    random_block,
+    random_ensemble,
+    subsets,
+    union_deficiency,
+)
 
 B1 = ExactMatrix.from_rows([[1, 1], [1, 2], [1, 3], [0, 0]])
 
@@ -29,11 +38,6 @@ def free_matroid(k: int) -> RankOracleMatroid:
 
 def uniform_matroid(r: int, k: int) -> RankOracleMatroid:
     return RankOracleMatroid(tuple(range(1, k + 1)), lambda s: min(r, len(s)))
-
-
-def subsets(ground):
-    for r in range(len(ground) + 1):
-        yield from itertools.combinations(ground, r)
 
 
 def enumerated_rank(matroid: RankOracleMatroid, subset) -> int:
@@ -49,22 +53,6 @@ def enumerated_dual_rank(matroid: RankOracleMatroid, subset) -> int:
         if matroid.rank(set(matroid.ground) - set(s)) == full
     ]
     return max(len(i) for i in dual_independent if set(i) <= set(subset))
-
-
-def brute_union_rank(matroids, u) -> int:
-    # max size of a set partitionable into per-matroid independent pieces
-    best = 0
-    for s in subsets(tuple(sorted(u))):
-        if len(s) <= best:
-            continue
-        for assignment in itertools.product(range(len(matroids)), repeat=len(s)):
-            parts = [set() for _ in matroids]
-            for elem, who in zip(s, assignment):
-                parts[who].add(elem)
-            if all(is_independent(m, p) for m, p in zip(matroids, parts)):
-                best = len(s)
-                break
-    return best
 
 
 def test_scaled_linear_fixture_rank():

@@ -954,6 +954,35 @@ def test_normalize_idempotent_on_synth_output():
     assert verify_decodability(top, new_scheme).ok
 
 
+def test_normalize_ranks_each_row_set_of_a_beamformer_once(monkeypatch):
+    # The input rule and the J' loop both ask for the sparse dimension of a
+    # member on an unshrunk window; the second asking reads the beamformer's
+    # memo.  Each beamformer's own rank is known once it is loaded or built,
+    # so every elimination inside sparse_dim ranks the rows outside a window.
+    scheme = fileio.load_scheme(str(Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json"))
+    bareiss, sparse = rankloss.exactla._bareiss, rankloss.tim.sparse_dim
+    asking, ranked, asked = [None], [], []
+
+    def counting_bareiss(a, n_cols):
+        ranked.append(asking[0])
+        return bareiss(a, n_cols)
+
+    def recording_sparse_dim(b, j):
+        asked.append(b)  # kept alive, so no two beamformers share an id
+        asking[0] = (id(b), j.members)
+        try:
+            return sparse(b, j)
+        finally:
+            asking[0] = None
+
+    monkeypatch.setattr(rankloss.exactla, "_bareiss", counting_bareiss)
+    monkeypatch.setattr(rankloss.tim, "sparse_dim", recording_sparse_dim)
+    normalize_alignment(t9a(), scheme)
+    per_pair = Counter(pair for pair in ranked if pair is not None)
+    assert per_pair and max(per_pair.values()) == 1
+    assert len(asked) > len(per_pair)  # some pairs were asked twice
+
+
 def test_normalize_trims_oversized_window():
     # single alignment set, n=5, m=2, tau = 3m - n = 1
     top = Topology.of(set(), set(), {1, 2})
