@@ -90,11 +90,15 @@ def _config(args, n: int) -> TrialConfig:
 
 def _indexset(text: str, universe: int, what: str) -> IndexSet:
     try:
-        return IndexSet.of(universe, [int(v) for v in text.split(",") if v.strip()])
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise PreconditionError(f"{what} must be a comma-separated list of indices, got {text!r}")
-    except ShapeError:
-        raise ShapeError(f"{what} indices must lie in [1, {universe}], got {text!r}") from None
+        raise PreconditionError(f"{what} must be a comma-separated list of indices, got {text!r}") from None
+    if not all(1 <= v <= universe for v in values):
+        raise ShapeError(f"{what} indices must lie in [1, {universe}], got {text!r}")
+    try:
+        return IndexSet.of(universe, values)
+    except ShapeError as exc:  # every index is in range, so one is repeated
+        raise ShapeError(f"{what}: {exc}, got {text!r}") from None
 
 
 def _with_scheme(report: dict, payload: dict, path: str | None) -> dict:

@@ -207,23 +207,12 @@ def lex_subset_masks(universe: int) -> Iterator[int]:
         mask = _lex_next(mask, cap)
 
 
-def _compositions(bounds: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
-    # Weak compositions of `total` bounded above by `bounds`, lexicographic.
-    if total < 0 or total > sum(bounds):
-        return
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    for first in range(0, min(bounds[0], total) + 1):
-        for rest in _compositions(bounds[1:], total - first):
-            yield (first,) + rest
-
-
 def column_choices(ensemble: Ensemble, total: int) -> Iterator[tuple[IndexSet, ...]]:
     """All tuples (Y_1..Y_K), Y_i a subset of [m_i], with sum |Y_i| = total."""
     ms = ensemble.column_counts
-    for sizes in _compositions(ms, total):
+    for sizes in itertools.product(*(range(m + 1) for m in ms)):
+        if sum(sizes) != total:
+            continue
         pools = [
             [IndexSet(m, combo) for combo in itertools.combinations(range(1, m + 1), size)]
             for m, size in zip(ms, sizes)

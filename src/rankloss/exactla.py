@@ -13,8 +13,10 @@ column supports and the rank of each row subset asked for
 (`ExactMatrix._rank_of_rows`, which sparse dimensions read), each computed
 at most once and freed with it.
 
-C6's fundamental circuits, the nullspace and adapted bases all read one
-fraction-free reduced echelon basis of some rows of a grid (`_RowBasis`).
+C6's fundamental circuits, `nullspace_basis` and the columns each member
+keeps when `tim.normalize_alignment` swaps in coordinate columns all read
+one fraction-free reduced echelon basis of some rows of a grid
+(`_RowBasis`).
 
 `_bareiss` is the one exact elimination.  `_rank_mod` eliminates residues
 modulo one fixed prime q and only ever proves a lower bound: for an
@@ -38,7 +40,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError
 
 Rational = Fraction
 
@@ -109,7 +111,7 @@ def _literal(num: int, den: int) -> str:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A sorted subset of {1, ..., universe}."""
+    """A sorted subset of {1, ..., universe}, each member listed once."""
 
     universe: int
     members: tuple[int, ...]
@@ -120,6 +122,10 @@ class IndexSet:
         prev = 0
         for v in self.members:
             if type(v) is not int or v <= prev:  # bool is an int subclass, not an index
+                if type(v) is int and v < 1:
+                    raise ShapeError(f"index {v} out of range for universe [1, {self.universe}]")
+                if type(v) is int and v == prev:
+                    raise ShapeError(f"index {v} repeated")
                 raise ShapeError(f"members must be strictly increasing ints, got {self.members}")
             prev = v
         if self.members and self.members[-1] > self.universe:
@@ -129,11 +135,7 @@ class IndexSet:
 
     @classmethod
     def of(cls, universe: int, members: Iterable[int]) -> "IndexSet":
-        return cls(universe, tuple(sorted(set(members))))
-
-    @classmethod
-    def full(cls, universe: int) -> "IndexSet":
-        return cls(universe, tuple(range(1, universe + 1)))
+        return cls(universe, tuple(sorted(members)))
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "IndexSet":
@@ -393,8 +395,9 @@ class _RowBasis:
     divides exactly and the integers stay bounded.  Clearing a row's pivot
     entries takes its own entries as multipliers, so a query multiplies
     small integers into the basis and divides nothing.  C6 reads
-    fundamental circuits off it; the nullspace and adapted bases read its
-    pivots and free entries.
+    fundamental circuits off it, `nullspace_basis` its pivots and free
+    entries, and `tim.normalize_alignment` its pivots alone: the columns a
+    member keeps independent off its shrunk window.
     """
 
     def __init__(self, grid: list[list[int]], width: int):
@@ -481,37 +484,6 @@ def nullspace_basis(m: ExactMatrix) -> ExactMatrix:
             vec[p] = -scales[p] * v
         cols.append(_reduced(vec, scale))
     return ExactMatrix._of(*_by_columns(cols, m.n_cols))
-
-
-def adapted_basis(block: ExactMatrix, Y: IndexSet, J: IndexSet) -> ExactMatrix:
-    """Basis of colspan(B_{*,Y}) whose leading columns span S_J & colspan(B_{*,Y}).
-
-    B_{*,Y} must have full column rank, so it is injective.  With A its
-    rows outside J, the basis is B_{*,Y} times nullspace_basis(A), then the
-    columns of B_{*,Y} at A's pivots: e_j extends null(A) and the earlier
-    e's exactly when column j of A is independent of A's earlier columns.
-    One echelon basis of A's rows gives both, and the rows in J extend it
-    to the rank.  Over the cleared grid G with column scales s, the
-    nullspace vector of free column f maps to
-    (det G[:, f] - sum_t free[f][t] G[:, pivots[t]]) / (det s_f).
-    """
-    restricted = block if Y == IndexSet.full(block.n_cols) else block.take_cols(Y)
-    if J.universe != block.n_rows:
-        raise ShapeError(f"J over [{J.universe}] against {block.n_rows}-row matrix")
-    grid, width = restricted._grid, restricted.n_cols
-    basis = _RowBasis(grid, width).extend(J.complement())
-    pivots, det, scales = basis.pivots, basis.det, restricted._scales
-    cols = [
-        _reduced(
-            [det * row[f] - sum(row[p] * v for p, v in zip(pivots, entries)) for row in grid],
-            det * scales[f],
-        )
-        for f, entries in basis.free.items()
-    ]
-    cols += [(tuple(row[p] for row in grid), scales[p]) for p in sorted(pivots)]
-    if len(basis.extend(J).rows) != width:
-        raise PreconditionError(f"adapted_basis needs B[:, Y] of full column rank {width}")
-    return ExactMatrix._of(*_by_columns(cols, block.n_rows))
 
 
 def sparse_dim(b: ExactMatrix, j: IndexSet) -> int:

@@ -12,6 +12,7 @@ absent for a scheme with none, else one slot list or null per receiver.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any
 
 from .conditions import Ensemble
@@ -122,6 +123,9 @@ def parse_topology_data(data, where: str = "topology") -> Topology:
     for j, s in enumerate(sets, start=1):
         if not isinstance(s, list) or not all(_is_int(v) for v in s):
             raise LoadError(f"{where}, receiver {j}: interference set must be a list of integers")
+        repeated = [v for v, count in Counter(s).items() if count > 1]
+        if repeated:
+            raise LoadError(f"{where}, receiver {j}: transmitter {repeated[0]} repeated")
         parsed.append(frozenset(s))
     try:
         return Topology(tuple(parsed))

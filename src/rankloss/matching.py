@@ -12,9 +12,8 @@ in polynomial time.  The defect max_I |I| - |N(I)| equals |B| minus the
 maximum matching size (Konig-Ore duality), and the Hall threshold holds
 exactly when that size is at least k, so no subset of B is ever scanned.
 
-The certificate's graphs are built on the columns of adapted bases
-(`exactla.adapted_basis`).  `tim` reads one maximum matching as the term
-rank of a receiver's columns: no row scaling lifts their rank above it.
+`tim` reads one maximum matching as the term rank of a receiver's
+columns: no row scaling lifts their rank above it.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .exactla import (
     ExactMatrix,
     IndexSet,
     _rank_mod,
-    adapted_basis,
+    _RowBasis,
     is_full_column_rank,
     row_support,
     sparse_dim,
@@ -615,7 +615,10 @@ def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
     members' column spans and still avoiding the receiver's own span.
     Follows the column-swap construction: shrink J_r away from the
     members' own windows, then replace each member's intersection basis by
-    coordinate columns.
+    coordinate columns.  A member with sparse dimension d on the shrunk
+    window J' keeps its m - d columns at the pivots of an echelon basis of
+    its rows off J' (`_RowBasis`): they stay independent off J', so they
+    meet S_{J'} trivially, and d coordinate columns replace the rest.
     """
     if scheme.windows is None:
         raise PreconditionError("scheme file carries no sparse_assignment to normalize")
@@ -645,8 +648,9 @@ def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
         j_new = IndexSet(n, j_prime.members[:tau])
         spare = [v for v in j_prime.members if v not in j_new.members]
         for i, d in zip(members, dims):
-            base = adapted_basis(scheme.beamformers[i - 1], IndexSet.full(m), j_prime)
-            kept = base.take_cols(IndexSet.of(m, range(d + 1, m + 1)))
+            member = scheme.beamformers[i - 1]
+            pivots = _RowBasis(member._grid, m).extend(j_prime.complement()).pivots
+            kept = member.take_cols(IndexSet.of(m, (p + 1 for p in pivots)))
             fresh_rows = list(j_new.members) + spare[: d - tau]
             fresh = ExactMatrix._of(
                 [[int(row == target) for target in fresh_rows] for row in range(1, n + 1)],

@@ -74,6 +74,11 @@ def parse_rational(literal) -> Fraction:
     return Fraction(*_rational_pair(literal))
 
 
+def full_set(universe: int) -> IndexSet:
+    """Every index of [1, universe]."""
+    return IndexSet(universe, tuple(range(1, universe + 1)))
+
+
 def identity_matrix(n: int) -> ExactMatrix:
     return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n_cols=n)
 
@@ -187,9 +192,13 @@ def nullspace_rref(m: ExactMatrix) -> ExactMatrix:
 
 
 def adapted_basis_greedy(block: ExactMatrix, y: IndexSet, j: IndexSet) -> ExactMatrix:
-    """adapted_basis by its definition: the sparse part, then columns of B_{*,Y} greedily by rank.
+    """A basis of colspan(B_{*,Y}) adapted to S_J, by its definition.
 
-    The reference for the library's, which reads both parts off one echelon basis.
+    Its leading columns span S_J & colspan(B_{*,Y}), through the nullspace
+    of the rows outside J; columns of B_{*,Y} then follow greedily by rank.
+    The only adapted basis: the Step 5 bridge test builds its support
+    graphs on these columns, and the trailing columns are the ones
+    `normalize_alignment` keeps of each member.
     """
     restricted = block.take_cols(y)
     basis = matmul(restricted, nullspace_rref(take_rows(restricted, j.complement())))
@@ -287,7 +296,7 @@ def ensemble_support_graph(ensemble, Ys: Sequence[IndexSet] | None = None) -> Su
     """Support graph of the chosen columns of every block (all columns by default)."""
     cols: list[tuple[int, tuple]] = []
     for i, block in enumerate(ensemble.blocks, start=1):
-        chosen = Ys[i - 1] if Ys is not None else IndexSet.full(block.n_cols)
+        chosen = Ys[i - 1] if Ys is not None else full_set(block.n_cols)
         for j in chosen:
             cols.append((i, column(block, j - 1)))
     return build_support_graph(cols)

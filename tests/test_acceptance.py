@@ -42,6 +42,7 @@ from conftest import (
     block_schemes,
     brute_union_rank,
     defect_scan,
+    full_set,
     random_block,
     random_ensemble,
     subsets,
@@ -158,7 +159,7 @@ def matroid_instances():
             for _attempt in range(40):
                 m = rng.randint(1, min(3, n))
                 block = random_block(rng, n, m)
-                y = IndexSet.full(m)
+                y = full_set(m)
                 try:
                     matroid = scaled_linear_matroid(block, x, y)
                 except PreconditionError:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -111,7 +112,7 @@ def test_json_booleans_rejected(tmp_path, capsys, loader, data, location):
 
 def assert_load_error(capsys, loader, path, message):
     """The loader refuses the file with the message, and a command that reads it exits 3 naming it."""
-    with pytest.raises(LoadError, match=message):
+    with pytest.raises(LoadError, match=re.escape(message)):
         getattr(fileio, f"load_{loader}")(str(path))
     argv = {
         "ensemble": ["certify", str(path)],
@@ -130,13 +131,42 @@ def assert_load_error(capsys, loader, path, message):
         ("ensemble", '{"n": 1, "matrices": []}', "matrices must be a nonempty list of blocks"),
         ("topology", '{"K": 2, "interference_sets": [[]]}', "interference_sets must list exactly K = 2 sets"),
         ("scheme", '{"n": 1, "beamformers": []}', "beamformers must be a nonempty list"),
+        ("ensemble", '{"n": 2, "matrices": [[]]}', "block 1: expected a nonempty list of columns"),
+        ("ensemble", '{"n": 2, "matrices": ["1"]}', "block 1: expected a nonempty list of columns"),
+        ("ensemble", '{"n": 2, "matrices": [[["1", "0"], ["1"]]]}', "block 1, column 2: expected 2 entries"),
+        ("scheme", '{"n": 1, "beamformers": [[["1"], ["2"]]]}', "user 1: 2 columns outside [1, 1]"),
+        ("topology", '{"K": 3, "interference_sets": [[2, 2], [], [1]]}', "receiver 1: transmitter 2 repeated"),
     ],
-    ids=["malformed-json", "missing-key", "no-matrices", "sets-not-K", "no-beamformers"],
+    ids=[
+        "malformed-json", "missing-key", "no-matrices", "sets-not-K", "no-beamformers",
+        "empty-block", "block-not-a-list", "short-column", "columns-above-slots", "repeated-transmitter",
+    ],
 )
 def test_malformed_files_are_load_errors(tmp_path, capsys, loader, text, message):
     path = tmp_path / f"{loader}.json"
     path.write_text(text)
     assert_load_error(capsys, loader, path, message)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ([0, 1, 2], "index 0 out of range for universe [1, 9]"),
+        ([-1, 1, 2], "index -1 out of range for universe [1, 9]"),
+        ([1, 1, 2], "index 1 repeated"),
+    ],
+    ids=["zero", "negative", "repeated"],
+)
+def test_window_slots_below_1_or_repeated_are_load_errors(tmp_path, capsys, window, message):
+    # T9a's exclusive scheme with receiver 1's window {1, 2, 3} mistyped: a
+    # repeat is refused at load, not merged into a window that fails later.
+    data = json.loads((Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json").read_text())
+    data["sparse_assignment"][0] = window
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    assert_load_error(capsys, "scheme", path, f"{path}, receiver 1: {message}")
+    assert main(["tim", "normalize", str(FIXTURES / "T9a.json"), str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}, receiver 1: {message}\n"
 
 
 def test_topology_round_trip(tmp_path):
@@ -337,6 +367,16 @@ def test_certify_asks_c2_once_per_tau(capsys, monkeypatch):
         assert (code, report["tau"], asked) == (0, expected[-1], expected)
 
 
+def test_certify_exits_5_when_c2_fails_at_c6s_max_tau(capsys, monkeypatch):
+    # C2 must hold at the max_tau C6 gives; one above the truth is an internal fault.
+    true_max_tau = rankloss.cli.max_tau
+    monkeypatch.setattr(rankloss.cli, "max_tau", lambda ensemble: true_max_tau(ensemble) + 1)
+    assert main(["certify", str(Path(__file__).parent / "golden" / "zero_row_n6.json")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violation: C2 fails at max_tau = 2 from C6\n"
+
+
 def test_certify_generic_variant(capsys):
     code, report = run(capsys, "certify", str(FIXTURES / "E1_generic.json"))
     assert code == 0
@@ -398,8 +438,10 @@ def test_matroid_check_index_errors_name_the_flag(capsys, flag, index, universe)
             ["--block", "1", "--rows", "1,x", "--cols", "1,2"],
             "--rows must be a comma-separated list of indices, got '1,x'",
         ),
+        (["--block", "1", "--rows", "1,1,2", "--cols", "1,2"], "--rows: index 1 repeated, got '1,1,2'"),
+        (["--block", "1", "--rows", "1,2,3", "--cols", "2,1,2"], "--cols: index 2 repeated, got '2,1,2'"),
     ],
-    ids=["block", "rows"],
+    ids=["block", "rows", "rows-repeated", "cols-repeated"],
 )
 def test_matroid_check_refuses_a_bad_block_or_list(capsys, flags, message):
     assert main(["matroid-check", str(FIXTURES / "E1.json"), *flags]) == 4

@@ -4,12 +4,14 @@ Every import is relative or from the standard library, and every public
 module-level name, and every public method, classmethod and property of a
 package class, has a caller in the package or a stated reason to stay.
 Every private module-level function, class and constant is read by the
-package's own code.
+package's own code, and every code name a docstring or comment quotes in
+backticks still names something in it.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -126,3 +128,49 @@ def test_every_private_name_is_read():
                     read.add(name)
     assert defined
     assert sorted(defined - read) == []
+
+
+# A backticked token part that reads as code: a leading underscore, snake_case
+# with an underscore, or CamelCase.
+CODE_LIKE = re.compile(r"_\w+|[a-z][a-z0-9]*(?:_[a-z0-9]+)+|(?:[A-Z][a-z0-9]+){2,}")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the string constants that are module, class or function docstrings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def test_backticked_code_names_exist():
+    # A code-like part of a backticked span in the package's source names
+    # something the package defines, reads, or writes as a string literal
+    # (a report or file key); so a docstring cannot keep citing a deleted
+    # function, method or key.
+    known: set[str] = set()
+    quoted: list[tuple[str, str]] = []
+    for path in sorted(Path(rankloss.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+            elif isinstance(node, ast.alias):
+                known.add(node.name)
+            elif isinstance(node, ast.arg):
+                known.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                known.add(node.value)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            quoted += [(path.name, part) for part in re.findall(r"\w+", span) if CODE_LIKE.fullmatch(part)]
+    assert quoted
+    assert sorted({(name, part) for name, part in quoted if part not in known}) == []

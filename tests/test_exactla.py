@@ -12,13 +12,12 @@ import pytest
 
 import rankloss.exactla
 from rankloss import fileio
-from rankloss.errors import PreconditionError, ShapeError
+from rankloss.errors import ShapeError
 from rankloss.exactla import (
     ExactMatrix,
     IndexSet,
     _bareiss,
     _rank_mod,
-    adapted_basis,
     format_rational,
     intersect_dim,
     is_full_column_rank,
@@ -29,8 +28,8 @@ from rankloss.exactla import (
 )
 
 from conftest import (
-    adapted_basis_greedy,
     column,
+    full_set,
     identity_matrix,
     is_zero,
     matmul,
@@ -238,44 +237,6 @@ def test_nullspace_basis_matches_rref_reference():
     assert deficient >= 150
 
 
-def test_adapted_basis_matches_greedy_reference():
-    rng = random.Random(17)
-    for _ in range(2000):
-        n, k = rng.randint(1, 6), rng.randint(0, 3)
-        block = _reduction_matrix(rng, n, min(k, n))
-        while not is_full_column_rank(block):
-            block = _reduction_matrix(rng, n, block.n_cols)
-        y = IndexSet.of(block.n_cols, [c for c in range(1, block.n_cols + 1) if rng.random() < 0.7])
-        j = IndexSet.of(n, [v for v in range(1, n + 1) if rng.random() < rng.choice((0.0, 0.5, 1.0))])
-        assert adapted_basis(block, y, j) == adapted_basis_greedy(block, y, j)
-
-
-def test_adapted_basis_over_every_column_reads_the_blocks_grid(monkeypatch):
-    # Over every column the echelon basis reads the block's own grid, and
-    # over some columns the grid `take_cols` picks from it; neither rebuilds
-    # the block's grid, parses an entry or builds Fraction rows.
-    rows = [[Fraction(1, 2), 1], [0, 1], [1, Fraction(1, 3)]]
-    j, every, second = IndexSet.of(3, [3]), IndexSet.full(2), IndexSet.of(2, [2])
-    expected = [adapted_basis_greedy(ExactMatrix.from_rows(rows), y, j) for y in (every, second)]
-    block = ExactMatrix.from_rows(rows)
-    grid = block._grid
-    read, parsed = [], []
-    row_basis = rankloss.exactla._RowBasis
-
-    def recording(g, width):
-        read.append(g)
-        return row_basis(g, width)
-
-    monkeypatch.setattr(rankloss.exactla, "_RowBasis", recording)
-    monkeypatch.setattr(rankloss.exactla, "_rational_pair", parsed.append)
-    assert adapted_basis(block, every, j) == expected[0]
-    assert len(read) == 1 and read[0] is grid
-    assert adapted_basis(block, second, j) == expected[1]
-    assert len(read) == 2 and read[1] == [[3], [3], [1]]
-    assert block._grid is grid and grid == [[1, 3], [0, 3], [2, 1]] and block._scales == (2, 3)
-    assert parsed == [] and "rows" not in vars(block)
-
-
 def test_equal_values_give_equal_matrices_whatever_the_constructor(tmp_path):
     rows = [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), Fraction(5, 6), 7], [1, 0, 4]]
     literals = [["2/4", "6/2", "0/5"], ["-4/6", "10/12", " 7 "], ["1", "-0", "+4"]]
@@ -320,14 +281,6 @@ def test_equal_values_give_equal_matrices_whatever_the_constructor(tmp_path):
     assert ExactMatrix((), 0) not in (no_rows[0], no_cols[0])
 
 
-def test_adapted_basis_refuses_rank_deficient_columns():
-    deficient = ExactMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
-    with pytest.raises(PreconditionError):
-        adapted_basis(deficient, IndexSet.full(2), IndexSet.of(3, [3]))
-    # its first column alone has full column rank
-    assert adapted_basis(deficient, IndexSet.of(2, [1]), IndexSet.of(3, [3])).rows == ((1,), (2,), (0,))
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -338,14 +291,13 @@ def test_adapted_basis_refuses_rank_deficient_columns():
         (lambda: ExactMatrix.from_columns([[1, 2], [3]]), "ragged column: expected 2 entries, got 1"),
         (lambda: sparse_dim(B1, IndexSet.of(3, [1])), "index set over [3] against 4-row matrix"),
         (lambda: B1.take_cols(IndexSet.of(3, [1])), "column set over [3] applied to 2-column matrix"),
-        (lambda: adapted_basis(B1, IndexSet.full(2), IndexSet.of(3, [1])), "J over [3] against 4-row matrix"),
         (lambda: B1.hstack(identity_matrix(2)), "row count mismatch: 4 vs 2"),
         (lambda: IndexSet.of(3, [1]).union(IndexSet.of(4, [1])), "universe mismatch: 3 vs 4"),
         (lambda: IndexSet.of(4, [1]).difference(IndexSet.of(3, [1])), "universe mismatch: 4 vs 3"),
     ],
     ids=[
         "no-rows", "negative-cols", "ragged-row", "no-columns", "ragged-column",
-        "sparse-dim-universe", "take-cols-universe", "adapted-basis-universe", "hstack-rows",
+        "sparse-dim-universe", "take-cols-universe", "hstack-rows",
         "union-universe", "difference-universe",
     ],
 )
@@ -356,11 +308,11 @@ def test_constructors_refuse_bad_shapes(build, message):
 
 
 def test_submatrix_full_and_empty():
-    full = submatrix(B1, IndexSet.full(4), IndexSet.full(2))
+    full = submatrix(B1, full_set(4), full_set(2))
     assert full == B1
-    zero_row = submatrix(B1, IndexSet.of(4, [4]), IndexSet.full(2))
+    zero_row = submatrix(B1, IndexSet.of(4, [4]), full_set(2))
     assert zero_row.rows == ((Fraction(0), Fraction(0)),)
-    empty = submatrix(B1, IndexSet(4, ()), IndexSet.full(2))
+    empty = submatrix(B1, IndexSet(4, ()), full_set(2))
     assert empty.n_rows == 0 and empty.n_cols == 2
     assert rank(empty) == 0
 
@@ -375,7 +327,7 @@ def test_submatrix_out_of_range():
 def test_sparse_dim_fixture():
     assert sparse_dim(B1, IndexSet.of(4, [1, 2, 3])) == 2
     assert sparse_dim(B1, IndexSet.of(4, [1, 2])) == 1
-    assert sparse_dim(B1, IndexSet.full(4)) == rank(B1)
+    assert sparse_dim(B1, full_set(4)) == rank(B1)
     assert sparse_dim(B1, IndexSet(4, ())) == 0
 
 
@@ -435,13 +387,41 @@ def test_indexset_operations():
         IndexSet(5, (2, 1))
 
 
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ((0, 1, 2), "index 0 out of range for universe [1, 9]"),
+        ((-1, 1, 2), "index -1 out of range for universe [1, 9]"),
+        ((1, 1, 2), "index 1 repeated"),
+    ],
+    ids=["zero", "negative", "repeated"],
+)
+def test_indexset_names_the_index_it_refuses(members, message):
+    # `of` sorts its members but merges none: a repeat is refused, not dropped.
+    for build in (IndexSet, lambda universe, members: IndexSet.of(universe, reversed(members))):
+        with pytest.raises(ShapeError) as err:
+            build(9, members)
+        assert str(err.value) == message
+
+
+def test_exact_matrix_refuses_assignment_and_deletion():
+    m = ExactMatrix.from_rows([[1, 2]])
+    with pytest.raises(AttributeError) as err:
+        m.n_cols = 3
+    assert str(err.value) == "ExactMatrix is immutable: cannot assign 'n_cols'"
+    with pytest.raises(AttributeError) as err:
+        del m._grid
+    assert str(err.value) == "ExactMatrix is immutable: cannot delete '_grid'"
+    assert m._grid == [[1, 2]] and m.n_cols == 2
+
+
 def test_indexset_refuses_booleans():
     # bool is an int subclass, but a flag is not an index, nor a size; a float is not a size either
     for build in (
         lambda: IndexSet(3, (True,)),
         lambda: IndexSet.of(3, [True, 2]),
         lambda: IndexSet(True, (1,)),
-        lambda: IndexSet.full(True),
+        lambda: full_set(True),
         lambda: IndexSet(2.5, (1, 2)),
     ):
         with pytest.raises(ShapeError):

@@ -8,10 +8,11 @@ import pytest
 
 from rankloss.conditions import check_C2, column_choices, max_tau
 from rankloss.errors import PreconditionError, ShapeError
-from rankloss.exactla import ExactMatrix, IndexSet, adapted_basis, rank, sparse_dim
+from rankloss.exactla import ExactMatrix, IndexSet, sparse_dim
 from rankloss.matching import SupportGraph, defect, hall_threshold_check, max_matching
 
 from conftest import (
+    adapted_basis_greedy,
     build_support_graph,
     column,
     defect_scan,
@@ -106,19 +107,6 @@ def test_hall_iff_matching_random(rng):
             assert hall_threshold_check(g, k) == (mm >= k)
 
 
-def test_adapted_basis_structure():
-    e = e1()
-    j = IndexSet.of(4, [1, 2, 3])
-    for i, block in enumerate(e.blocks, start=1):
-        basis = adapted_basis(block, IndexSet.full(block.n_cols), j)
-        assert rank(basis) == rank(block)
-        d = sparse_dim(block, j)
-        leading = ExactMatrix.from_columns([column(basis, c) for c in range(d)], n_rows=4)
-        # leading columns live inside S_J
-        assert all(leading.rows[3][c] == 0 for c in range(d))
-        assert rank(leading) == d
-
-
 def test_step5_bridge_property(rng):
     # With bases adapted to a certificate J*, the support-graph matching is
     # at most R - tau exactly when the sparse-surplus certificate exists.
@@ -138,7 +126,7 @@ def test_step5_bridge_property(rng):
             j_star = IndexSet.from_mask(e.n, best_jmask)
             cols = []
             for i, (block, y) in enumerate(zip(e.blocks, ys), start=1):
-                basis = adapted_basis(block, y, j_star)
+                basis = adapted_basis_greedy(block, y, j_star)
                 cols.extend((i, column(basis, c)) for c in range(basis.n_cols))
             graph = build_support_graph(cols)
             has_certificate = best_surplus >= tau

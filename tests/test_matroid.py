@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from rankloss.conditions import column_choices
-from rankloss.errors import CapacityError, PreconditionError
+from rankloss.errors import CapacityError, PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, sparse_dim
 from rankloss.matroid import (
     RankOracleMatroid,
@@ -22,6 +22,7 @@ from conftest import (
     brute_union_rank,
     e1,
     e3,
+    full_set,
     identity_matrix,
     random_block,
     random_ensemble,
@@ -56,7 +57,7 @@ def enumerated_dual_rank(matroid: RankOracleMatroid, subset) -> int:
 
 
 def test_scaled_linear_fixture_rank():
-    m = scaled_linear_matroid(B1, IndexSet.of(4, [1, 2, 3]), IndexSet.full(2))
+    m = scaled_linear_matroid(B1, IndexSet.of(4, [1, 2, 3]), full_set(2))
     assert m.rank([1, 2, 3]) == 1
     assert not is_independent(m, [1, 2])
     assert m.rank([1, 2]) == 1
@@ -64,7 +65,7 @@ def test_scaled_linear_fixture_rank():
 
 def test_scaled_linear_generic_is_free():
     block = ExactMatrix.from_columns([[1, 2, 3], [1, 5, 7]])
-    m = scaled_linear_matroid(block, IndexSet.full(3), IndexSet.full(2))
+    m = scaled_linear_matroid(block, full_set(3), full_set(2))
     for s in subsets((1, 2, 3)):
         expected = len(s) - sparse_dim(block, IndexSet.of(3, s))
         assert m.rank(s) == expected
@@ -72,17 +73,17 @@ def test_scaled_linear_generic_is_free():
 
 def test_scaled_linear_loop_element():
     block = ExactMatrix.from_columns([[1, 0, 0]])
-    m = scaled_linear_matroid(block, IndexSet.full(3), IndexSet.full(1))
+    m = scaled_linear_matroid(block, full_set(3), full_set(1))
     assert m.rank([1]) == 0  # the column sits inside S_{1}: element 1 is a loop
     assert is_independent(m, [])
 
 
 def test_scaled_linear_precondition():
     # both columns vanish on row 4, so X^c = {4} is fine; X^c = {1} is not
-    scaled_linear_matroid(B1, IndexSet.of(4, [1, 2, 3]), IndexSet.full(2))
+    scaled_linear_matroid(B1, IndexSet.of(4, [1, 2, 3]), full_set(2))
     with pytest.raises(PreconditionError):
         scaled_linear_matroid(
-            ExactMatrix.from_columns([[1, 0, 0]]), IndexSet.of(3, [2, 3]), IndexSet.full(1)
+            ExactMatrix.from_columns([[1, 0, 0]]), IndexSet.of(3, [2, 3]), full_set(1)
         )
 
 
@@ -103,9 +104,9 @@ def test_dual_involution(rng):
     for _ in range(20):
         n = rng.randint(2, 5)
         block = random_block(rng, n, rng.randint(1, min(3, n)))
-        x = IndexSet.full(n)
+        x = full_set(n)
         try:
-            m = scaled_linear_matroid(block, x, IndexSet.full(block.n_cols))
+            m = scaled_linear_matroid(block, x, full_set(block.n_cols))
         except PreconditionError:
             continue
         dd = dual(dual(m))
@@ -118,10 +119,10 @@ def test_dual_rank_simplification(rng):
     for _ in range(30):
         n = rng.randint(2, 5)
         block = random_block(rng, n, rng.randint(1, min(3, n)))
-        y = IndexSet.full(block.n_cols)
+        y = full_set(block.n_cols)
         if sparse_dim(block, IndexSet(n, ())) != 0:
             continue
-        m = scaled_linear_matroid(block, IndexSet.full(n), y)
+        m = scaled_linear_matroid(block, full_set(n), y)
         d = dual(m)
         for s in subsets(m.ground):
             j = IndexSet.of(n, s)
@@ -149,11 +150,11 @@ def test_union_rank_matches_brute_force(rng):
         n = rng.randint(2, 5)
         k = rng.randint(1, 3)
         matroids = []
-        x = IndexSet.full(n)
+        x = full_set(n)
         for _ in range(k):
             block = random_block(rng, n, rng.randint(1, min(3, n)))
             try:
-                matroids.append(scaled_linear_matroid(block, x, IndexSet.full(block.n_cols)))
+                matroids.append(scaled_linear_matroid(block, x, full_set(block.n_cols)))
             except PreconditionError:
                 matroids.append(free_matroid(n))
         union = RankOracleMatroid(tuple(range(1, n + 1)), lambda s: union_rank(matroids, s))
@@ -198,7 +199,7 @@ def test_scaled_linear_axioms_random(rng):
         xmembers = [v for v in range(1, n + 1) if rng.random() < 0.8]
         x = IndexSet.of(n, xmembers)
         try:
-            m = scaled_linear_matroid(block, x, IndexSet.full(block.n_cols))
+            m = scaled_linear_matroid(block, x, full_set(block.n_cols))
         except PreconditionError:
             continue
         report = verify_axioms(m)
@@ -271,10 +272,50 @@ def test_union_deficiency_examples():
     for ys in column_choices(e, len(x)):
         assert union_deficiency(e, x, ys) == _c4_partition_condition(e, x, ys)
     generic = e3()
-    x3 = IndexSet.full(3)
-    ys3 = (IndexSet.full(1), IndexSet.full(2))
+    x3 = full_set(3)
+    ys3 = (full_set(1), full_set(2))
     assert union_deficiency(generic, x3, ys3) is False
     single = identity_matrix(3)
     from rankloss.conditions import Ensemble
 
-    assert union_deficiency(Ensemble((single,)), x3, (IndexSet.full(3),)) is False
+    assert union_deficiency(Ensemble((single,)), x3, (full_set(3),)) is False
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda m: m.rank([1, 5]), PreconditionError, "[5] not in ground set"),
+        (
+            lambda m: scaled_linear_matroid(B1, IndexSet.of(3, [1]), full_set(2)),
+            ShapeError,
+            "X over [3] against 4-row matrix",
+        ),
+        (lambda m: union_rank([], [1]), PreconditionError, "union of no matroids"),
+        (
+            lambda m: union_rank([m, RankOracleMatroid((1, 2), len)], [1]),
+            PreconditionError,
+            "union requires a common ground set",
+        ),
+        (lambda m: union_rank([m, m], [1, 9]), PreconditionError, "[9] not in ground set"),
+    ],
+    ids=["rank-outside-ground", "scaled-linear-universe", "union-of-none", "union-grounds", "union-outside-ground"],
+)
+def test_oracles_refuse_what_lies_outside_their_ground(call, error, message):
+    m = RankOracleMatroid((1, 2, 3), len)
+    with pytest.raises(error) as err:
+        call(m)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "rank_fn, violation",
+    [
+        (lambda s: len(s) + 1, "rank(empty) = 1 != 0"),
+        (lambda s: 2 * len(s), "rank([1]) = 2 outside [0, 1]"),
+    ],
+    ids=["nonzero-empty", "above-size"],
+)
+def test_verify_axioms_flags_rank_bounds(rank_fn, violation):
+    report = verify_axioms(RankOracleMatroid((1, 2), rank_fn))
+    assert report.ok is False
+    assert violation in report.violations

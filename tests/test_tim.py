@@ -15,11 +15,12 @@ import pytest
 import rankloss
 from rankloss import fileio
 from rankloss.conditions import Ensemble, generic_rank
-from rankloss.errors import PreconditionError, ShapeError
+from rankloss.errors import InternalInvariantError, PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, sparse_dim
 from rankloss.matching import max_matching
 from rankloss.randrank import TrialConfig
 from rankloss.tim import (
+    FILL_ATTEMPTS,
     ConflictGraph,
     Scheme,
     StructureCheck,
@@ -45,11 +46,13 @@ from rankloss.tim import (
 from conftest import (
     ENTRY_POOL,
     FIXTURES,
+    adapted_basis_greedy,
     block_schemes,
     build_support_graph,
     column,
     e1,
     fraction_scaled_rank,
+    full_set,
     minimal_fully_occupied,
     structure_report_scan,
     t6,
@@ -277,6 +280,37 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
     top = Topology.of([], [1], [], [1], [8], [3, 5], [], [9], [4, 6])
     scheme = synth_exclusive_scheme(top)
     assert verify_decodability(top, scheme).ok
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Topology(()), PreconditionError, "topology needs at least one user"),
+        (lambda: Scheme(3, (ExactMatrix.from_columns([[1, 0]]),)), ShapeError, "user 1: beamformer has 2 rows, expected 3"),
+    ],
+    ids=["no-users", "beamformer-rows"],
+)
+def test_topology_and_scheme_refuse_bad_shapes(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_exclusive_synthesis_gives_up_after_its_fill_attempts(monkeypatch):
+    # A stream that repeats one prime fills equal columns, so no fill has
+    # full column rank: each attempt starts a fresh stream further on, and
+    # the last one raises.
+    skips = []
+
+    def one_prime(skip=0):
+        skips.append(skip)
+        return itertools.repeat(2)
+
+    monkeypatch.setattr(rankloss.tim, "_prime_stream", one_prime)
+    with pytest.raises(InternalInvariantError) as err:
+        synth_exclusive_scheme(t9a())
+    assert str(err.value) == "generic fill failed its postconditions repeatedly"
+    assert skips == [97 * attempt for attempt in range(FILL_ATTEMPTS)]
 
 
 def test_prime_stream_matches_sieve():
@@ -837,18 +871,18 @@ def test_no_m5_design_in_synthesized_family_at_n9():
 
 def test_minimal_fully_occupied_e1():
     e = e1()
-    ys = (IndexSet.full(2), IndexSet.full(2))
+    ys = (full_set(2), full_set(2))
     assert minimal_fully_occupied(e, ys, IndexSet.of(4, [1, 2, 3]), 1)
     # sum m_i = 4 > n = 3, and Y_1 is empty: block 1 adds no column to the
     # chosen blocks that C6 ranks.
     e = Ensemble.of([[1], [1], [1]], [[1, 0], [0, 1], [0, 0]], [[1], [1], [0]])
-    ys = (IndexSet(1, ()), IndexSet.full(2), IndexSet.full(1))
+    ys = (IndexSet(1, ()), full_set(2), full_set(1))
     assert minimal_fully_occupied(e, ys, IndexSet.of(3, [1, 2]), 1)
 
 
 def test_minimal_fully_occupied_empty_vacuous():
     e = e1()
-    ys = (IndexSet.full(2), IndexSet.full(2))
+    ys = (full_set(2), full_set(2))
     assert minimal_fully_occupied(e, ys, IndexSet(4, ()), 1)
 
 
@@ -857,7 +891,7 @@ def test_minimal_fully_occupied_matches_fraction_route():
     # generic point, which C6 decides exactly, but scalings in {1, 2} can
     # make all three parallel, so a sampled check could answer False.
     e = Ensemble.of([[1], [1], [0]], [[Fraction(1, 3)], [Fraction(2, 3)], [0]], [[1], [Fraction(1, 2)], [0]])
-    ys = (IndexSet.full(1),) * 3
+    ys = (full_set(1),) * 3
     j = IndexSet.of(3, [1, 2])
     coordinates = ExactMatrix.from_columns([[1, 0, 0], [0, 1, 0]])
 
@@ -924,14 +958,14 @@ def test_minimal_fully_occupied_is_about_the_chosen_columns():
 
 def test_minimal_fully_occupied_rejects_non_minimal():
     e = e1()
-    ys = (IndexSet.full(2), IndexSet.full(2))
+    ys = (full_set(2), full_set(2))
     with pytest.raises(PreconditionError):
-        minimal_fully_occupied(e, ys, IndexSet.full(4), 1)
+        minimal_fully_occupied(e, ys, full_set(4), 1)
 
 
 def test_minimal_fully_occupied_rejects_bad_surplus():
     e = e1()
-    ys = (IndexSet.full(2), IndexSet.full(2))
+    ys = (full_set(2), full_set(2))
     with pytest.raises(PreconditionError):
         minimal_fully_occupied(e, ys, IndexSet.of(4, [1, 2]), 1)
 
@@ -981,6 +1015,48 @@ def test_normalize_ranks_each_row_set_of_a_beamformer_once(monkeypatch):
     per_pair = Counter(pair for pair in ranked if pair is not None)
     assert per_pair and max(per_pair.values()) == 1
     assert len(asked) > len(per_pair)  # some pairs were asked twice
+
+
+def _same_span(rng: random.Random, b: ExactMatrix) -> ExactMatrix:
+    """b times a random unit upper-triangular integer matrix, its columns then shuffled: the same span."""
+    m = b.n_cols
+    mix = [[int(r == c) if r >= c else rng.randint(-2, 2) for c in range(m)] for r in range(m)]
+    order = rng.sample(range(m), m)
+    return ExactMatrix.from_rows([[sum(row[t] * mix[t][c] for t in range(m)) for c in order] for row in b.rows])
+
+
+def test_normalize_keeps_the_trailing_columns_of_an_adapted_basis(rng):
+    # A member with sparse dimension d on its shrunk window J' keeps the
+    # columns an adapted basis over J' appends after its S_J' part: the last
+    # m - d columns of its normalized beamformer.  Mixing each synthesized
+    # beamformer's columns keeps every span and window, and moves the kept
+    # columns away from the synthesized generic ones.
+    golden = fileio.load_scheme(str(Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json"))
+    cases = [(t9a(), golden)]
+    while len(cases) < 61:
+        top = random_p1p2_topology(rng)
+        if not check_P1_P2(top)[0] or not top.alignment_receivers():
+            continue
+        scheme = synth_exclusive_scheme(top)
+        cases.append((top, Scheme(scheme.n, tuple(_same_span(rng, b) for b in scheme.beamformers), scheme.windows)))
+    moved = checked = 0
+    for top, scheme in cases:
+        normalized = normalize_alignment(top, scheme)
+        m = scheme.symbol_counts[0]
+        receivers = top.alignment_receivers()
+        for r in receivers:
+            members = sorted(top.interferers(r))
+            own = {v for i in members if i in receivers for v in scheme.windows[i - 1]}
+            j_prime = scheme.windows[r - 1].difference(IndexSet.of(scheme.n, own))
+            for i in members:
+                b = scheme.beamformers[i - 1]
+                d = sparse_dim(b, j_prime)
+                kept = [column(normalized.beamformers[i - 1], c) for c in range(d, m)]
+                assert kept == [column(adapted_basis_greedy(b, full_set(m), j_prime), c) for c in range(d, m)]
+                moved += kept != [column(b, c) for c in range(d, m)]
+                checked += 1
+    # Over 200 members, some of whose kept columns are not the input's trailing columns.
+    assert checked > 200 and moved > 0
 
 
 def test_normalize_trims_oversized_window():
