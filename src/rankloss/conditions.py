@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
@@ -88,14 +88,6 @@ class Ensemble:
                 raise PreconditionError(f"block {i} has no columns")
             if block._rank != block.n_cols:
                 raise PreconditionError(f"block {i} is not full column rank")
-
-    @cached_property
-    def _grids(self) -> tuple[list[list[int]], ...]:
-        """Each block's own cleared grid (`ExactMatrix._grid`); copy rows before eliminating.
-
-        Column scaling keeps every rank and minor singularity the routes read.
-        """
-        return tuple(block._grid for block in self.blocks)
 
     def _memoized(self, key: Any, build: Callable[[], T]) -> T:
         """build(), computed once per key and kept as long as this ensemble is."""
@@ -319,7 +311,7 @@ def _row_circuits(ensemble: Ensemble) -> Callable[[int, tuple[int, ...], int], l
     A part that gained one row since the last query extends its basis;
     any other change (an augmenting path moved rows out) rebuilds it.
     """
-    grids, widths = ensemble._grids, ensemble.column_counts
+    grids, widths = [block._grid for block in ensemble.blocks], ensemble.column_counts
     bases = [_RowBasis(grid, width) for grid, width in zip(grids, widths)]
 
     def circuit(i: int, part: tuple[int, ...], y: int) -> list[int] | None:
@@ -413,7 +405,7 @@ def _verdict(
 @_per_ensemble
 def _c3_scan(ensemble: Ensemble) -> dict[int, Witness]:
     """C3's probe: an ordered partition of X with every block subdeterminant nonzero."""
-    n, grids = ensemble.n, ensemble._grids
+    n, grids = ensemble.n, [block._grid for block in ensemble.blocks]
 
     def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
         for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):

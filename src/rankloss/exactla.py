@@ -18,9 +18,10 @@ keeps when `tim.normalize_alignment` swaps in coordinate columns all read
 one fraction-free reduced echelon basis of some rows of a grid
 (`_RowBasis`).
 
-`_bareiss` is the one exact elimination.  `_rank_mod` eliminates residues
-modulo one fixed prime q and only ever proves a lower bound: for an
-integer matrix, rank mod q <= rank over Q <= the term rank of its support
+`_bareiss` ranks, `_RowBasis` gives bases and circuits (both exactly,
+fraction-free), and `_rank_mod` gives lower bounds: it eliminates an
+integer grid modulo one fixed prime q, and for an integer matrix,
+rank mod q <= rank over Q <= the term rank of its support
 (a nonzero minor mod q is nonzero over Z, and a nonzero minor needs a
 matching of its rows to its columns in the support).  A caller whose
 modular rank reaches the term rank has the exact rank; `tim` decides any
@@ -345,17 +346,19 @@ def _bareiss(a: list[list[int]], n_cols: int) -> int:
 _MODULUS = 2**30 - 35
 
 
-def _rank_mod(a: list[list[int]], n_cols: int, width: int) -> tuple[int, int]:
-    """Rank over GF(_MODULUS) of a grid of residues, in place, and its pivots among the first `width` columns.
+def _rank_mod(grid: list[list[int]], n_cols: int, width: int) -> tuple[int, int]:
+    """Rank over GF(_MODULUS) of an integer grid, and its pivots among the first `width` columns.
 
-    Elimination runs column by column, so the second count is the rank of
-    the first `width` columns.  A minor that is nonzero mod q is nonzero
-    over the integers, so each count is at most the rank over the
-    rationals of the integer grid the residues reduce: a lower bound only,
-    never a replacement for `_bareiss`.  Unlike Bareiss, a row with a zero
-    in the pivot column is left as it is.
+    The grid's entries are reduced mod q first, so any integers may come
+    in.  Elimination runs column by column, so the second count is the
+    rank of the first `width` columns.  A minor that is nonzero mod q is
+    nonzero over the integers, so each count is at most the rank over the
+    rationals of the grid: a lower bound only, never a replacement for
+    `_bareiss`.  Unlike Bareiss, a row with a zero in the pivot column is
+    left as it is.
     """
     q = _MODULUS
+    a = [[v % q for v in row] for row in grid]
     n_rows = len(a)
     r = lead = 0
     for col in range(n_cols):
@@ -408,7 +411,6 @@ class _RowBasis:
         self.free: dict[int, list[int]] = {c: [] for c in range(width)}
         self.comb: list[list[int]] = []
         self.det = 1
-        self.last: tuple[int, list[int], list[int]] | None = None  # the last row found independent
 
     def _multipliers(self, y: int) -> list[int]:
         row = self.grid[y - 1]
@@ -426,19 +428,14 @@ class _RowBasis:
     def circuit(self, y: int) -> list[int] | None:
         """None when row y is independent of the rows, else the rows its combination uses."""
         fs = self._multipliers(y)
-        w = self._reduce(y, fs)
-        if any(w):
-            self.last = (y, w, fs)
+        if any(self._reduce(y, fs)):
             return None
         return sorted(r for r, c in zip(self.rows, self._combination(fs)) if c)
 
     def add(self, y: int) -> None:
         """Extend the basis by row y, which must be independent of it."""
-        if self.last and self.last[0] == y:
-            w, fs = self.last[1:]
-        else:
-            fs = self._multipliers(y)
-            w = self._reduce(y, fs)
+        fs = self._multipliers(y)
+        w = self._reduce(y, fs)
         k = next(k for k, v in enumerate(w) if v)
         cols = [*self.free.values(), *self.comb]
         u = w + self._combination(fs)
@@ -453,7 +450,6 @@ class _RowBasis:
         self.det = new_det
         self.rows += (y,)
         self.key = tuple(sorted(self.rows))
-        self.last = None
 
     def extend(self, rows: Iterable[int]) -> "_RowBasis":
         """Extend the basis by each of the rows that is independent of it, in order."""

@@ -8,14 +8,15 @@ by the Zippel-Schwartz lemma the maximum over trials equals the generic
 rank except with probability at most (n / entry_bound) ** trials.
 
 Sampling reads each block's own cleared grid, and C1 memoizes sampled
-ranks on the ensemble, one entry per `TrialConfig`.  C1 eliminates the
-scaled rows over Z (`_scaled_rank`).  `tim` draws one scaling per
-receiver from one fixed `TrialConfig` and builds the rows reduced modulo
-`exactla`'s prime q (`_scaled_residues`): rank mod q <= rank over Q <=
-generic rank <= the term rank of the rows' support, which scaling by
-nonzero integers leaves unchanged, so a modular rank that reaches the
-term rank is the generic rank, and any other draw is left to C6.  `tim`
-takes no sampling setting, and none of its verdicts depends on the draw.
+ranks on the ensemble, one entry per `TrialConfig`.  One builder,
+`_scaled_rows`, gives the integer rows of the scaled concatenation at a
+draw.  C1 eliminates them over Z (`_bareiss`).  `tim` draws one scaling
+per receiver from one fixed `TrialConfig` and eliminates them modulo a
+prime q (`exactla._rank_mod`): rank mod q <= rank over Q <= generic rank
+<= the term rank of the rows' support, which scaling by nonzero integers
+leaves unchanged, so a modular rank that reaches the term rank is the
+generic rank, and any other draw is left to C6.  `tim` takes no sampling
+setting, and none of its verdicts depends on the draw.
 
 C1's reports print the failure bound as an exact fraction, so C1 and the
 sampling commands refuse, before their first draw, a configuration whose
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from . import exactla
 from .errors import PreconditionError
 from .exactla import _bareiss
 
@@ -109,33 +109,25 @@ def _draw_diags(cfg: TrialConfig, stream: int, n: int, count: int) -> list[list[
     return diags
 
 
-def _scaled_residues(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The rows of [D_1 G_1 | ... | D_k G_k] reduced mod `exactla._MODULUS`, for `exactla._rank_mod`."""
-    q = exactla._MODULUS
-    return [
-        [d * v % q for grid_row, d in zip(grid_rows, ds) for v in grid_row]
-        for grid_rows, ds in zip(zip(*grids), zip(*diags))
-    ]
+def _scaled_rows(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer rows of [D_1 G_1 | ... | D_k G_k] as a fresh grid, for `_bareiss` or `_rank_mod`.
 
-
-def _scaled_rank(grids: Sequence[list[list[int]]], diags: Sequence[Sequence[int]]) -> int:
-    """Exact rank of [D_1 G_1 | ... | D_k G_k] over integer grids with n rows (0 for none).
-
-    Column scaling leaves that rank unchanged, so callers pass each block
-    with its column denominators cleared and every call eliminates plain integers.
+    Column scaling leaves every rank unchanged, so callers pass each block
+    with its column denominators cleared and every elimination reads plain integers.
     """
-    rows = [
+    return [
         [d * v for grid_row, d in zip(grid_rows, ds) for v in grid_row]
         for grid_rows, ds in zip(zip(*grids), zip(*diags))
     ]
-    return _bareiss(rows, len(rows[0])) if rows else 0
 
 
 def sample_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
     """Exact rank of the scaled concatenation at each of cfg.trials sample points."""
-    grids = ensemble._grids
+    grids = [block._grid for block in ensemble.blocks]
+    width = sum(ensemble.column_counts)
     return tuple(
-        _scaled_rank(grids, _draw_diags(cfg, t, ensemble.n, ensemble.K)) for t in range(cfg.trials)
+        _bareiss(_scaled_rows(grids, _draw_diags(cfg, t, ensemble.n, ensemble.K)), width)
+        for t in range(cfg.trials)
     )
 
 

@@ -7,12 +7,13 @@ symmetric DoF formula for exclusive-alignment topologies, synthesizes the
 corresponding beamforming schemes, and decides decodability exactly for
 generic row scalings.  Each receiver that hears interference needs the
 generic ranks of [interference | B_j] and [interference]: one scaling
-drawn by `randrank` from the fixed `_DRAW` and one elimination modulo a
-prime q give both, and rank mod q <= rank over Q <= generic rank <= term
-rank of the support (Edmonds 1967).  So a trial that reaches both term
-ranks (one matching pass over the columns' support masks gives both) has
-the generic ranks; on a miss C6 (`conditions.generic_rank`) decides, so
-every verdict is exact and nothing here takes a sampling setting.
+drawn by `randrank` from the fixed `_DRAW`, its rows built by
+`_scaled_rows`, and one elimination modulo a prime q give both, and
+rank mod q <= rank over Q <= generic rank <= term rank of the support
+(Edmonds 1967).  So a trial that reaches both term ranks (one matching
+pass over the columns' support masks gives both) has the generic ranks;
+on a miss C6 (`conditions.generic_rank`) decides, so every verdict is
+exact and nothing here takes a sampling setting.
 `tim verify` and the postconditions of synthesized exclusive-alignment
 schemes both run `verify_decodability`.  A `Scheme` carries its alignment
 windows J_r, and one rule for them (`_window_fault`) serves synthesis,
@@ -41,7 +42,7 @@ from .exactla import (
     sparse_dim,
 )
 from .matching import SupportGraph, matching_sizes
-from .randrank import TrialConfig, _draw_diags, _scaled_residues
+from .randrank import TrialConfig, _draw_diags, _scaled_rows
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
 FILL_ATTEMPTS = 8  # prime fills synth_exclusive_scheme tries before giving up
@@ -60,6 +61,8 @@ class Topology:
             raise PreconditionError("topology needs at least one user")
         for j, members in enumerate(self.interference, start=1):
             for i in members:
+                if type(i) is not int:  # bool is an int subclass, not a transmitter
+                    raise PreconditionError(f"receiver {j}: transmitter {i!r} is not an int")
                 if not 1 <= i <= k:
                     raise PreconditionError(f"receiver {j}: transmitter {i} outside [1, {k}]")
                 if i == j:
@@ -207,6 +210,13 @@ def check_P1_P2(topology: Topology) -> tuple[bool, tuple[tuple, ...]]:
     return not violations, tuple(violations)
 
 
+def _require_P1_P2(topology: Topology) -> None:
+    """Refuse a topology that breaks P1 or P2, naming its violations."""
+    ok, violations = check_P1_P2(topology)
+    if not ok:
+        raise PreconditionError(f"P1/P2 violated: {violations}")
+
+
 def half_dof_feasible(topology: Topology) -> bool:
     """Half symmetric DoF is achievable iff the reduced conflict graph is bipartite."""
     return is_bipartite(reduced_conflict_graph(topology))[0]
@@ -229,6 +239,8 @@ class Scheme:
     windows: tuple[IndexSet | None, ...] | None = None
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:  # bool is an int subclass, not a slot count
+            raise ShapeError(f"n must be a positive int, got {self.n!r}")
         for i, b in enumerate(self.beamformers, start=1):
             if b.n_rows != self.n:
                 raise ShapeError(f"user {i}: beamformer has {b.n_rows} rows, expected {self.n}")
@@ -348,9 +360,7 @@ def ldof_sym(topology: Topology) -> Fraction:
     """
     if not topology.has_interference():
         raise PreconditionError("formula applies to topologies with at least one interference link")
-    ok, violations = check_P1_P2(topology)
-    if not ok:
-        raise PreconditionError(f"P1/P2 violated: {violations}")
+    _require_P1_P2(topology)
     chi = chromatic_number(reduced_conflict_graph(topology))
     return min(Fraction(1, 2), Fraction(chi + 1, 3 * chi))
 
@@ -402,9 +412,7 @@ def synth_exclusive_scheme(topology: Topology) -> Scheme:
     `verify_decodability` (one certified trial, C6 on a miss).  After
     FILL_ATTEMPTS failed fills it raises InternalInvariantError.
     """
-    ok, violations = check_P1_P2(topology)
-    if not ok:
-        raise PreconditionError(f"P1/P2 violated: {violations}")
+    _require_P1_P2(topology)
     chi = chromatic_number(reduced_conflict_graph(topology))
     if chi == 1:
         scheme = synth_half_dof_scheme(topology)
@@ -508,7 +516,7 @@ def _generic_pair(blocks: list[ExactMatrix], own: ExactMatrix, stream: int) -> t
     width = sum(b.n_cols for b in blocks)
     own_diag, *diags = _draw_diags(_DRAW, stream, own.n_rows, 1 + len(blocks))
     grids = [b._grid for b in blocks] + [own._grid]
-    pair = _rank_mod(_scaled_residues(grids, diags + [own_diag]), width + own.n_cols, width)
+    pair = _rank_mod(_scaled_rows(grids, diags + [own_diag]), width + own.n_cols, width)
     if pair == _term_ranks(blocks, own):
         return pair, True
     return (generic_rank(Ensemble((*blocks, own))), generic_rank(Ensemble(tuple(blocks)))), False
@@ -622,9 +630,7 @@ def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
     """
     if scheme.windows is None:
         raise PreconditionError("scheme file carries no sparse_assignment to normalize")
-    ok, violations = check_P1_P2(topology)
-    if not ok:
-        raise PreconditionError(f"P1/P2 violated: {violations}")
+    _require_P1_P2(topology)
     if scheme.K != topology.K:
         raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
     fault = _window_fault(topology, scheme)

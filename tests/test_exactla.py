@@ -145,6 +145,30 @@ def test_modular_rank_is_a_lower_bound(monkeypatch):
     assert below >= 20
 
 
+def test_modular_rank_reduces_raw_integers(monkeypatch):
+    # Entries that are nonzero multiples of q, negative or at least q are
+    # ranked as their residues, and the caller's grid is left as it was.
+    # The entries below reduce to the signed residues -2..2, whose minors of
+    # at most 5 rows stay below q in absolute value, so the rank over GF(q)
+    # is the rank over the rationals of the grid reduced to those residues.
+    q = rankloss.exactla._MODULUS
+    entries = (0, q, -q, 2 * q, -1, -2, 1, 2, q - 1, q + 1, 2 * q + 1, -q - 1)
+    rng = random.Random(31)
+    for _ in range(500):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        width = rng.randint(0, m)
+        grid = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        copy = [row[:] for row in grid]
+        reduced = [[(v + 2) % q - 2 for v in row] for row in grid]
+        exact = (_bareiss([row[:] for row in reduced], m), _bareiss([row[:width] for row in reduced], width))
+        assert _rank_mod(grid, m, width) == exact
+        assert grid == copy
+    for q in (q, 3):
+        monkeypatch.setattr(rankloss.exactla, "_MODULUS", q)
+        assert _rank_mod([[q]], 1, 1) == (0, 0)
+        assert _rank_mod([[-q, 2 * q], [q, q + 1]], 2, 1) == (1, 0)
+
+
 def test_rank_identity():
     assert rank(identity_matrix(2)) == 2
 

@@ -125,7 +125,7 @@ def wider_ensembles(draw) -> Ensemble:
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(wider_ensembles())
 def test_c6_partition_matches_independence_queries(e):
-    grids, widths = e._grids, e.column_counts
+    grids, widths = [block._grid for block in e.blocks], e.column_counts
 
     def independent(i, rows):
         return _bareiss([grids[i][r - 1][:] for r in rows], widths[i]) == len(rows)

@@ -287,8 +287,15 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
     [
         (lambda: Topology(()), PreconditionError, "topology needs at least one user"),
         (lambda: Scheme(3, (ExactMatrix.from_columns([[1, 0]]),)), ShapeError, "user 1: beamformer has 2 rows, expected 3"),
+        # True == 1 and 1.0 == 1 pass the range and row-count checks, but the
+        # writers would emit them as JSON the loaders refuse.
+        (lambda: Topology.of([], [True]), PreconditionError, "receiver 2: transmitter True is not an int"),
+        (lambda: Topology.of([], [1.0]), PreconditionError, "receiver 2: transmitter 1.0 is not an int"),
+        (lambda: Scheme(True, (ExactMatrix.from_columns([[1]]),)), ShapeError, "n must be a positive int, got True"),
+        (lambda: Scheme(2.0, (ExactMatrix.from_columns([[1, 0]]),)), ShapeError, "n must be a positive int, got 2.0"),
+        (lambda: Scheme(0, ()), ShapeError, "n must be a positive int, got 0"),
     ],
-    ids=["no-users", "beamformer-rows"],
+    ids=["no-users", "beamformer-rows", "bool-transmitter", "float-transmitter", "bool-n", "float-n", "zero-n"],
 )
 def test_topology_and_scheme_refuse_bad_shapes(build, error, message):
     with pytest.raises(error) as err:
