@@ -337,42 +337,63 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str, argv: Sequence[str]) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
-    named = bool(argv) and argv[0] in table
-    for name in [argv[0]] if named else table:
-        help_text, add_arguments, run = table[name]
-        command = sub.add_parser(name, help=help_text)
-        if isinstance(run, dict):
-            _add_commands(command, run, f"{name}_command", argv[1:] if named else ())
-        else:
-            add_arguments(command)
-            command.set_defaults(run=run)
-
-
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for `argv`; with no argv, the full parser of every command.
-
-    Where argv names a command (and, under `tim`, a subcommand), only that
-    sub-parser is built; at a level where it names none (no arguments, `-h`,
-    an unknown name) every sub-parser is built, so argparse prints the full
-    usage, help and error text.  Each command runs in a fresh process, and
-    building all ten sub-parsers (50 arguments) costs about 2 ms, most of the
-    run time of a light command such as `tim dof`.
-    """
-    parser = argparse.ArgumentParser(prog="rankloss", description=__doc__.splitlines()[0])
-    _add_commands(parser, _COMMANDS, "command", argv)
+def _add_command(parser: argparse.ArgumentParser, add_arguments, run) -> argparse.ArgumentParser:
+    add_arguments(parser)
+    parser.set_defaults(run=run)
     return parser
 
 
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, add_arguments, run) in table.items():
+        command = sub.add_parser(name, help=help_text)
+        if isinstance(run, dict):
+            _add_commands(command, run, f"{name}_command")
+        else:
+            _add_command(command, add_arguments, run)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command, with its usage, help and error text."""
+    parser = argparse.ArgumentParser(prog="rankloss", description=__doc__.splitlines()[0])
+    _add_commands(parser, _COMMANDS, "command")
+    return parser
+
+
+def _parse_named(argv: Sequence[str]) -> argparse.Namespace | None:
+    """argv parsed by a parser for the one command it names, built alone.
+
+    That parser is the one the full parser hands the command's arguments
+    to (prog `rankloss <names>`, the command's arguments and handler), so
+    argparse prints the same help and errors from it.  None where argv
+    names no command, or where arguments are left over: argparse reports
+    those under the full parser's usage, which lists every command.
+    """
+    table = _COMMANDS
+    for depth, name in enumerate(argv, start=1):
+        if name not in table:
+            return None
+        _, add_arguments, run = table[name]
+        if isinstance(run, dict):
+            table = run
+            continue
+        parser = argparse.ArgumentParser(prog=" ".join(["rankloss", *argv[:depth]]))
+        args, extras = _add_command(parser, add_arguments, run).parse_known_args(argv[depth:])
+        return None if extras else args
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Only the named command's parser is built (`_parse_named`); the full
+    parser is built where that gives no answer, to parse or refuse argv.
+    """
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args, extras = build_parser(argv).parse_known_args(argv)
-        if extras:
-            # argparse reports unrecognized arguments under the top-level
-            # usage, which lists every command: only the full parser prints it.
-            build_parser().parse_args(argv)
+        args = _parse_named(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 

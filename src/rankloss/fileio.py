@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .conditions import Ensemble
@@ -200,8 +201,41 @@ def emit_scheme(scheme: Scheme) -> dict:
     return out
 
 
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _pretty(value, indent: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it at this indent.
+
+    A nonempty list or tuple of only str or only int is encoded by one C
+    function per item and joined once; any other scalar by `json.dumps`.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        types = set(map(type, value))
+        leaf = _LEAVES.get(types.pop()) if len(types) == 1 else None
+        body = (",\n" + inner).join(map(leaf, value) if leaf else [_pretty(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([f"{encode_basestring_ascii(k)}: {_pretty(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(value)
+
+
 def write_json(data: dict, path: str | None, pretty: bool = False) -> str:
-    text = json.dumps(data, indent=2 if pretty else None, sort_keys=False)
+    """`data` as JSON text, also written with a final newline to `path` if given.
+
+    The compact form is `json.dumps(data)`; the pretty form is exactly the
+    bytes of `json.dumps(data, indent=2)`, written by `_pretty` through the
+    C string and int encoders instead of the pure-Python indenting encoder.
+    Dict keys must be str.
+    """
+    text = _pretty(data, "") if pretty else json.dumps(data)
     if path:
         try:
             with open(path, "w") as fh:

@@ -60,6 +60,11 @@ class Topology:
         if k < 1:
             raise PreconditionError("topology needs at least one user")
         for j, members in enumerate(self.interference, start=1):
+            # A list could repeat a transmitter, and set algebra needs frozensets.
+            if not isinstance(members, frozenset):
+                raise PreconditionError(
+                    f"receiver {j}: interference set must be a frozenset, got {type(members).__name__}"
+                )
             for i in members:
                 if type(i) is not int:  # bool is an int subclass, not a transmitter
                     raise PreconditionError(f"receiver {j}: transmitter {i!r} is not an int")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -339,6 +340,39 @@ def test_loader_reads_each_literal_as_parse_rational_does(col):
     assert str(info.value) == expected
 
 
+# JSON values for the pretty writer: strings with quotes, backslashes,
+# control and non-ASCII characters, ints past 100 digits, floats, bools and
+# None, in lists, tuples and str-keyed dicts, empty ones at every depth.
+json_strings = st.text(st.sampled_from('"\\\x00\n\t\x1f\x7f a\u00e9\u2028\U0001f600') | st.characters(), max_size=8)
+json_ints = st.integers() | st.integers(10**100, 10**130) | st.integers(-(10**130), -(10**100))
+json_scalars = json_strings | json_ints | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    json_scalars | st.lists(json_strings) | st.lists(json_ints).map(tuple) | st.sampled_from([[], (), {}]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(json_values)
+def test_pretty_writer_is_json_dumps_indent_2(value):
+    assert fileio.write_json(value, None, pretty=True) == json.dumps(value, indent=2)
+
+
+def test_pretty_writer_matches_json_dumps_on_every_json_file(tmp_path):
+    root = FIXTURES.parent
+    paths = [*(root / "tests" / "golden").glob("*.json"), *(root / "bench" / "golden").glob("*.json"), *FIXTURES.glob("*.json")]
+    assert len(paths) >= 40
+    out = tmp_path / "out.json"
+    for path in paths:
+        data = json.loads(path.read_text())
+        text = fileio.write_json(data, str(out), pretty=True)
+        assert text == json.dumps(data, indent=2), path.name
+        assert out.read_text() == text + "\n", path.name
+
+
 # ---------------------------------------------------------------------------
 # CLI dispatch
 # ---------------------------------------------------------------------------
@@ -655,6 +689,101 @@ def assert_same_as_full_parser(capsys, argv, code):
     assert main(argv) == code
     assert capsys.readouterr() == expected
     assert expected.out or expected.err
+
+
+# Each command once, well formed; the paths need not exist, since the
+# corpus tests below replace every handler.
+WELL_FORMED = [
+    ["certify", "E1.json"],
+    ["mc-rank", "E1.json", "--trials", "5", "--bits", "8", "--seed", "7"],
+    ["equiv", "E3.json", "--tau", "1", "--pretty"],
+    ["matroid-check", "E1.json", "--block", "1", "--rows", "1,2", "--cols", "1"],
+    ["tim", "dof", "T6.json", "--out", "report.json"],
+    ["tim", "scheme", "T6.json", "--kind", "exclusive", "--scheme-out", "s.json"],
+    ["tim", "verify", "T6.json", "s.json"],
+    ["tim", "normalize", "T9a.json", "s.json", "--scheme-out", "n.json"],
+]
+
+# argparse's corners: help at every level, `--` before, inside and after a
+# command, `--opt=value`, abbreviations, negative values, repeats, options
+# before positionals, missing values, extra positionals, unknown names.
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["-x", "certify", "E1.json"],
+    ["tim"], ["tim", "-h"], ["tim", "--help"],
+    *([*command, "-h"] for command in COMMANDS),
+    ["certify", "E1.json", "--he"], ["tim", "dof", "T6.json", "-h", "--bogus"],
+    ["--", "certify", "E1.json"], ["certify", "--", "E1.json"], ["certify", "E1.json", "--"],
+    ["tim", "--", "dof", "T6.json"], ["tim", "dof", "--", "T6.json"],
+    ["tim", "dof", "T6.json", "--", "--pretty"], ["certify", "E1.json", "--tau", "--", "1"],
+    ["certify", "E1.json", "--tau=2"], ["tim", "scheme", "T6.json", "--kind=half"], ["certify", "E1.json", "--out="],
+    ["certify", "E1.json", "--pre"], ["certify", "E1.json", "--ta", "1"],
+    ["tim", "scheme", "T6.json", "--sch", "s.json"], ["tim", "scheme", "T6.json", "--kind", "exc"],
+    ["mc-rank", "E1.json", "--t", "3"], ["equiv", "E1.json", "--t", "1"],
+    ["certify", "E1.json", "--tau", "-1"], ["equiv", "E1.json", "--tau", "-1", "--seed", "-5"],
+    ["certify", "E1.json", "--tau", "1", "--tau", "2"], ["tim", "dof", "T6.json", "--pretty", "--pretty"],
+    ["certify", "--tau", "1", "E1.json"], ["tim", "verify", "--pretty", "T6.json", "s.json"],
+    ["certify", "E1.json", "--tau"], ["matroid-check", "E1.json", "--block"],
+    ["tim", "scheme", "T6.json", "--scheme-out"], ["certify", "E1.json", "--tau", "one"],
+    ["tim", "dof", "T6.json", "extra"], ["certify", "E1.json", "E3.json"], ["tim", "verify", "T6.json"],
+    ["certify"], ["equiv", "E1.json"], ["matroid-check", "E1.json", "--block", "1", "--rows", "1"],
+    ["certify", "E1.json", "--bogus"], ["tim", "normalize", "T9a.json", "s.json", "--bogus", "x"],
+    ["Certify", "E1.json"], ["TIM", "dof", "T6.json"], ["tim", "DOF", "T6.json"],
+    ["tim", "bogus"], ["bogus"], ["mc"], ["tim", "do", "T6.json"],
+    *WELL_FORMED,
+]
+
+
+@pytest.fixture
+def handed(monkeypatch, tmp_path):
+    """The Namespaces main hands the commands, each handler replaced by a recorder."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return {}
+
+    for table in (rankloss.cli._COMMANDS, rankloss.cli._TIM_COMMANDS):
+        for name, (help_text, add_arguments, run) in table.items():
+            if not isinstance(run, dict):
+                monkeypatch.setitem(table, name, (help_text, add_arguments, record))
+    monkeypatch.chdir(tmp_path)  # where --out writes
+    return seen
+
+
+@pytest.mark.parametrize("columns", ["17", "80", "200"])
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_parses_argv_as_the_full_parser(monkeypatch, capsys, handed, columns, argv):
+    # Help and errors: the same exit code, stdout and stderr.  Accepted argv:
+    # the same Namespace, but for the full parser's command names.
+    monkeypatch.setenv("COLUMNS", columns)
+    try:
+        expected = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        printed = capsys.readouterr()
+        assert main(argv) == exc.code
+        assert capsys.readouterr() == printed
+        return
+    assert main(argv) == 0
+    capsys.readouterr()
+    del expected["command"]
+    expected.pop("tim_command", None)
+    assert [vars(args) for args in handed] == [expected]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_main_builds_one_parser_per_command(monkeypatch, capsys, handed, argv):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    names = argv[:2] if argv[0] == "tim" else argv[:1]
+    assert progs == [" ".join(["rankloss", *names])]
 
 
 def test_module_entry_point_reads_sys_argv(capsys):

@@ -294,8 +294,17 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
         (lambda: Scheme(True, (ExactMatrix.from_columns([[1]]),)), ShapeError, "n must be a positive int, got True"),
         (lambda: Scheme(2.0, (ExactMatrix.from_columns([[1, 0]]),)), ShapeError, "n must be a positive int, got 2.0"),
         (lambda: Scheme(0, ()), ShapeError, "n must be a positive int, got 0"),
+        # Only frozensets: a list would break check_P1_P2's set algebra, and
+        # a repeated transmitter would count twice towards an alignment set.
+        (lambda: Topology(([2, 3], [], [1])), PreconditionError, "receiver 1: interference set must be a frozenset, got list"),
+        (lambda: Topology(([2, 2], [])), PreconditionError, "receiver 1: interference set must be a frozenset, got list"),
+        (lambda: Topology((frozenset(), {1: 0})), PreconditionError, "receiver 2: interference set must be a frozenset, got dict"),
+        (lambda: Topology(((2,), frozenset())), PreconditionError, "receiver 1: interference set must be a frozenset, got tuple"),
     ],
-    ids=["no-users", "beamformer-rows", "bool-transmitter", "float-transmitter", "bool-n", "float-n", "zero-n"],
+    ids=[
+        "no-users", "beamformer-rows", "bool-transmitter", "float-transmitter", "bool-n", "float-n", "zero-n",
+        "list-set", "repeated-transmitter", "dict-set", "tuple-set",
+    ],
 )
 def test_topology_and_scheme_refuse_bad_shapes(build, error, message):
     with pytest.raises(error) as err:
