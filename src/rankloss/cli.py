@@ -15,15 +15,21 @@ violated precondition, 5 internal invariant violation.
 
 Only the sampling commands, `mc-rank` and `equiv` (for C1), take
 `--trials/--bits/--seed`; every other verdict is exact and takes none.
+
+Each command's arguments are data in the command table.  A well-formed
+call is read straight from it; argparse is imported and the full parser
+built only for help, usage errors and argv the reader leaves, so the
+usage, help and error text are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import fileio
 from .conditions import check_C2, cross_validate, max_tau
@@ -46,18 +52,10 @@ from .tim import (
     _window_fault,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 USAGE_ERROR, LOAD_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 2, 3, 4, 5
-
-
-def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", type=int, default=20, help="sample points per check")
-    parser.add_argument("--bits", type=int, default=31, help="log2 of the scaling magnitude bound")
-    parser.add_argument("--seed", type=int, default=0, help="seed for reproducible draws")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write the report JSON here as well")
-    parser.add_argument("--pretty", action="store_true", help="indent the report")
 
 
 def _config(args, n: int) -> TrialConfig:
@@ -261,141 +259,205 @@ def _cmd_tim_normalize(args) -> dict:
     return _with_scheme(report, written, args.scheme_out)
 
 
-def _certify_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("ensemble", help="ensemble JSON file")
-    parser.add_argument("--tau", type=int, help="also report the C2 verdict at this rank loss")
-    _add_output_flags(parser)
+# Each command's arguments as (name, add_argument keywords), in the order
+# help lists them; `build_parser` adds them and `_read_argv` reads by them.
+_SAMPLING_FLAGS = (
+    ("--trials", {"type": int, "default": 20, "help": "sample points per check"}),
+    ("--bits", {"type": int, "default": 31, "help": "log2 of the scaling magnitude bound"}),
+    ("--seed", {"type": int, "default": 0, "help": "seed for reproducible draws"}),
+)
+_OUTPUT_FLAGS = (
+    ("--out", {"metavar": "PATH", "help": "write the report JSON here as well"}),
+    ("--pretty", {"action": "store_true", "help": "indent the report"}),
+)
 
-
-def _mc_rank_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("ensemble")
-    _add_sampling_flags(parser)
-    _add_output_flags(parser)
-
-
-def _equiv_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("ensemble")
-    parser.add_argument("--tau", type=int, required=True)
-    _add_sampling_flags(parser)
-    _add_output_flags(parser)
-
-
-def _matroid_check_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("ensemble")
-    parser.add_argument("--block", type=int, required=True, help="1-based block index")
-    parser.add_argument("--rows", required=True, help="ground set X, e.g. 1,2,3")
-    parser.add_argument("--cols", required=True, help="column choice Y, e.g. 1,2")
-    _add_output_flags(parser)
-
-
-def _tim_dof_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("topology")
-    _add_output_flags(parser)
-
-
-def _tim_scheme_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("topology")
-    parser.add_argument(
-        "--kind",
-        choices=["auto", "half", "exclusive"],
-        default="auto",
-        help="half: two-slot scheme; exclusive: alignment-window scheme; auto picks",
-    )
-    parser.add_argument("--scheme-out", metavar="PATH", help="write the scheme file here")
-    _add_output_flags(parser)
-
-
-def _tim_verify_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("topology")
-    parser.add_argument("scheme")
-    _add_output_flags(parser)
-
-
-def _tim_normalize_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("topology")
-    parser.add_argument("scheme", help="scheme file carrying a sparse_assignment")
-    parser.add_argument("--scheme-out", metavar="PATH", help="write the normalized scheme here")
-    _add_output_flags(parser)
-
-
-# Every command as name -> (help, add_arguments, handler), in the order help
+# Every command as name -> (help, arguments, handler), in the order help
 # lists them.  A group such as `tim` has no arguments of its own, and its
 # handler slot holds a nested table of the same shape.
 _TIM_COMMANDS = {
-    "dof": ("conflict graphs, feasibility, and the DoF formula", _tim_dof_args, _cmd_tim_dof),
-    "scheme": ("synthesize a beamforming scheme", _tim_scheme_args, _cmd_tim_scheme),
-    "verify": ("exact almost-sure decodability of a scheme", _tim_verify_args, _cmd_tim_verify),
-    "normalize": ("tighten an aligned design's sparse windows", _tim_normalize_args, _cmd_tim_normalize),
+    "dof": (
+        "conflict graphs, feasibility, and the DoF formula",
+        (("topology", {}), *_OUTPUT_FLAGS),
+        _cmd_tim_dof,
+    ),
+    "scheme": (
+        "synthesize a beamforming scheme",
+        (
+            ("topology", {}),
+            (
+                "--kind",
+                {
+                    "choices": ["auto", "half", "exclusive"],
+                    "default": "auto",
+                    "help": "half: two-slot scheme; exclusive: alignment-window scheme; auto picks",
+                },
+            ),
+            ("--scheme-out", {"metavar": "PATH", "help": "write the scheme file here"}),
+            *_OUTPUT_FLAGS,
+        ),
+        _cmd_tim_scheme,
+    ),
+    "verify": (
+        "exact almost-sure decodability of a scheme",
+        (("topology", {}), ("scheme", {}), *_OUTPUT_FLAGS),
+        _cmd_tim_verify,
+    ),
+    "normalize": (
+        "tighten an aligned design's sparse windows",
+        (
+            ("topology", {}),
+            ("scheme", {"help": "scheme file carrying a sparse_assignment"}),
+            ("--scheme-out", {"metavar": "PATH", "help": "write the normalized scheme here"}),
+            *_OUTPUT_FLAGS,
+        ),
+        _cmd_tim_normalize,
+    ),
 }
 
 _COMMANDS = {
-    "certify": ("maximum almost-sure rank loss of an ensemble", _certify_args, _cmd_certify),
-    "mc-rank": ("sampled generic rank of the scaled concatenation", _mc_rank_args, _cmd_mc_rank),
-    "equiv": ("cross-validate conditions C1 through C5", _equiv_args, _cmd_equiv),
-    "matroid-check": ("rank tables and axioms of a block's matroid", _matroid_check_args, _cmd_matroid_check),
+    "certify": (
+        "maximum almost-sure rank loss of an ensemble",
+        (
+            ("ensemble", {"help": "ensemble JSON file"}),
+            ("--tau", {"type": int, "help": "also report the C2 verdict at this rank loss"}),
+            *_OUTPUT_FLAGS,
+        ),
+        _cmd_certify,
+    ),
+    "mc-rank": (
+        "sampled generic rank of the scaled concatenation",
+        (("ensemble", {}), *_SAMPLING_FLAGS, *_OUTPUT_FLAGS),
+        _cmd_mc_rank,
+    ),
+    "equiv": (
+        "cross-validate conditions C1 through C5",
+        (("ensemble", {}), ("--tau", {"type": int, "required": True}), *_SAMPLING_FLAGS, *_OUTPUT_FLAGS),
+        _cmd_equiv,
+    ),
+    "matroid-check": (
+        "rank tables and axioms of a block's matroid",
+        (
+            ("ensemble", {}),
+            ("--block", {"type": int, "required": True, "help": "1-based block index"}),
+            ("--rows", {"required": True, "help": "ground set X, e.g. 1,2,3"}),
+            ("--cols", {"required": True, "help": "column choice Y, e.g. 1,2"}),
+            *_OUTPUT_FLAGS,
+        ),
+        _cmd_matroid_check,
+    ),
     "tim": ("topological interference management analyzer", None, _TIM_COMMANDS),
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, add_arguments, run) -> argparse.ArgumentParser:
-    add_arguments(parser)
-    parser.set_defaults(run=run)
-    return parser
-
-
 def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (help_text, add_arguments, run) in table.items():
+    for name, (help_text, arguments, run) in table.items():
         command = sub.add_parser(name, help=help_text)
         if isinstance(run, dict):
             _add_commands(command, run, f"{name}_command")
-        else:
-            _add_command(command, add_arguments, run)
+            continue
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
+        command.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every command, with its usage, help and error text."""
+    """The full parser: every command, with its usage, help and error text.
+
+    `main` builds it only for argv that `_read_argv` leaves, and argparse
+    is imported here, so a well-formed call neither imports nor builds it.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(prog="rankloss", description=__doc__.splitlines()[0])
     _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
-def _parse_named(argv: Sequence[str]) -> argparse.Namespace | None:
-    """argv parsed by a parser for the one command it names, built alone.
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argv read straight from the command table, or None to leave it to argparse.
 
-    That parser is the one the full parser hands the command's arguments
-    to (prog `rankloss <names>`, the command's arguments and handler), so
-    argparse prints the same help and errors from it.  None where argv
-    names no command, or where arguments are left over: argparse reports
-    those under the full parser's usage, which lists every command.
+    Read here: exact command names, then the command's arguments in any
+    order, each once or more: an exact long option that is a `store_true`
+    flag, or that takes the next word as its value where that word does
+    not begin with `-` and passes the option's `type` and `choices`; and
+    exactly the command's positionals, none beginning with `-`.  The full
+    parser accepts all of that and reads it to the same values (the last
+    of a repeated option), so the Namespace is its own less `command` and
+    `tim_command`.  Anything else gives None: help, `--`, `--opt=value`,
+    abbreviations, values beginning with `-`, a missing or extra argument
+    and a failed conversion, which the full parser then reads or refuses.
     """
     table = _COMMANDS
     for depth, name in enumerate(argv, start=1):
         if name not in table:
             return None
-        _, add_arguments, run = table[name]
-        if isinstance(run, dict):
-            table = run
-            continue
-        parser = argparse.ArgumentParser(prog=" ".join(["rankloss", *argv[:depth]]))
-        args, extras = _add_command(parser, add_arguments, run).parse_known_args(argv[depth:])
-        return None if extras else args
+        _, arguments, run = table[name]
+        if not isinstance(run, dict):
+            return _read_arguments(arguments, run, argv[depth:])
+        table = run
     return None
+
+
+def _read_arguments(arguments, run, words: Sequence[str]) -> SimpleNamespace | None:
+    values = {"run": run}
+    options, positionals, required = {}, [], set()
+    for name, keywords in arguments:
+        if not name.startswith("-"):
+            positionals.append(name)
+            continue
+        dest = name[2:].replace("-", "_")
+        options[name] = dest, keywords
+        flag = keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if flag else None)
+        if keywords.get("required"):
+            required.add(dest)
+    given = []
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        if word not in options:
+            return None
+        dest, keywords = options[word]
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        word = next(words, "-")
+        if word.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(word)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        required.discard(dest)
+    if required or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    Only the named command's parser is built (`_parse_named`); the full
-    parser is built where that gives no answer, to parse or refuse argv.
+    A well-formed argv is read straight from the command table
+    (`_read_argv`); the full parser is built only for the rest, to parse
+    argv or refuse it with argparse's own usage, help and error text.
     """
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _parse_named(argv)
-        if args is None:
+    args = _read_argv(argv)
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        # Handlers get the Namespace `_read_argv` gives: no command names.
+        del args.command
+        vars(args).pop("tim_command", None)
 
     started = time.monotonic()
     try:

@@ -12,6 +12,8 @@ absent for a scheme with none, else one slot list or null per receiver.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -228,7 +230,7 @@ def _pretty(value, indent: str) -> str:
 
 
 def write_json(data: dict, path: str | None, pretty: bool = False) -> str:
-    """`data` as JSON text, also written with a final newline to `path` if given.
+    """`data` as JSON text, also written with a final newline over `path` if given.
 
     The compact form is `json.dumps(data)`; the pretty form is exactly the
     bytes of `json.dumps(data, indent=2)`, written by `_pretty` through the
@@ -238,8 +240,22 @@ def write_json(data: dict, path: str | None, pretty: bool = False) -> str:
     text = _pretty(data, "") if pretty else json.dumps(data)
     if path:
         try:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+            _overwrite(path, text + "\n")
         except OSError as exc:
             raise LoadError(f"cannot write {path}: {exc}") from None
     return text
+
+
+def _overwrite(path: str, text: str) -> None:
+    """Write `text` at the start of `path` (made if missing), then cut a regular file to it.
+
+    Unlike `open(path, "w")`, nothing is truncated before the write; the
+    inode, its mode and the following of symlinks are the same.  On ext4
+    (auto_da_alloc), closing a nonempty file truncated to zero starts its
+    writeback, and rewriting it before that ends waits for it.  Only a
+    regular file is cut: ftruncate fails on /dev/null, a FIFO or a tty.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()

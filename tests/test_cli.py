@@ -373,6 +373,23 @@ def test_pretty_writer_matches_json_dumps_on_every_json_file(tmp_path):
         assert out.read_text() == text + "\n", path.name
 
 
+def test_write_json_overwrites_a_longer_file_in_place(tmp_path):
+    # Written over the old bytes, not truncated first: the same inode and
+    # permission bits, through a symlink to its target, and cut to the new length.
+    target = tmp_path / "report.json"
+    target.write_bytes(b"x" * 10_000)
+    target.chmod(0o640)
+    inode = target.stat().st_ino
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    data = {"n": 2, "beamformers": [[["1", "0"]], [["0", "1"]]]}
+    for path in (target, link):
+        text = fileio.write_json(data, str(path), pretty=True)
+        assert target.read_bytes() == (text + "\n").encode()
+        assert (target.stat().st_ino, target.stat().st_mode & 0o777) == (inode, 0o640)
+    assert link.is_symlink()
+
+
 # ---------------------------------------------------------------------------
 # CLI dispatch
 # ---------------------------------------------------------------------------
@@ -782,8 +799,120 @@ def test_main_builds_one_parser_per_command(monkeypatch, capsys, handed, argv):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(argv) == 0
     capsys.readouterr()
-    names = argv[:2] if argv[0] == "tim" else argv[:1]
-    assert progs == [" ".join(["rankloss", *names])]
+    # A well-formed call is read from the command table: no parser at all.
+    assert progs == []
+
+
+# argv near the well-formed ones: a well-formed call, then up to two
+# changes, each a wrong-case, partial or prefixed command name, a value the
+# argument may not take (negative, non-numeric, out of its choices, "",
+# `-`, `--`, an option), an option abbreviated or as `--opt=value`, an
+# argument left out or repeated, or a stray word (help, `--`, unknown).
+VALUE_WORDS = [
+    "1", "2", "0", "+3", " 4", "07", "1_0", "one", "1.5", "-1", "-5", "", "-", "--", "-h", "--pretty",
+    "auto", "half", "exclusive", "exc", "1,2", "E1.json", "T6.json", "s.json",
+]
+STRAY_WORDS = ["-h", "--help", "--", "-", "", "--bogus", "extra", "-1", "-x", "--t", "--s", "--p"]
+
+
+def command_arguments(names):
+    table, arguments = rankloss.cli._COMMANDS, ()
+    for name in names:
+        _, arguments, table = table[name]
+    return arguments
+
+
+@st.composite
+def near_well_formed_argv(draw):
+    names = draw(st.sampled_from(COMMANDS))
+
+    def value(keywords):
+        if "choices" in keywords:
+            return draw(st.sampled_from(keywords["choices"]))
+        return draw(st.sampled_from(["1", "0", "+3", " 4", "07", "1_0"] if "type" in keywords else ["E1.json", "1,2", ""]))
+
+    def words(name, keywords):
+        if not name.startswith("-"):
+            return [value(keywords)]
+        return [name] if keywords.get("action") == "store_true" else [name, value(keywords)]
+
+    groups = [
+        (keywords, words(name, keywords))
+        for name, keywords in command_arguments(names)
+        if not name.startswith("-") or keywords.get("required") or draw(st.booleans())
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["name", "stray", "value", "abbreviate", "equals", "drop", "repeat"]))
+        if change == "name" and names:
+            names = draw(
+                st.sampled_from(
+                    [
+                        [names[0].upper(), *names[1:]],
+                        [*names[:-1], names[-1].title()],
+                        [*names[:-1], names[-1][:-1]],
+                        names[:-1],
+                        ["-h", *names],
+                        ["--", *names],
+                    ]
+                )
+            )
+        elif change == "stray":
+            groups.append(({}, [draw(st.sampled_from(STRAY_WORDS))]))
+        elif groups:
+            i = draw(st.integers(0, len(groups) - 1))
+            keywords, (first, *rest) = groups[i]
+            if change == "value":
+                bad = draw(st.sampled_from(VALUE_WORDS))
+                groups[i] = keywords, ([first, bad] if rest else [bad])
+            elif change == "drop":
+                del groups[i]
+            elif change == "repeat":
+                groups.append((keywords, [first, *(value(keywords) for _ in rest)]))
+            elif change == "abbreviate" and first.startswith("--") and len(first) > 3:
+                groups[i] = keywords, [first[: draw(st.integers(3, len(first) - 1))], *rest]
+            elif change == "equals" and rest:
+                groups[i] = keywords, [f"{first}={rest[0]}"]
+    return [*names, *(word for _, group in draw(st.permutations(groups)) for word in group)]
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(near_well_formed_argv())
+def test_reader_gives_the_full_parsers_namespace_or_none(argv):
+    args = rankloss.cli._read_argv(argv)
+    if args is None:
+        return
+    # Read here, so the full parser accepts argv too, to the same values.
+    try:
+        expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"read {argv}, which the full parser refuses")
+    del expected["command"]
+    expected.pop("tim_command", None)
+    assert vars(args) == expected
+
+
+def test_module_entry_point_imports_argparse_only_for_help():
+    # A well-formed call neither builds nor imports a parser; help still prints.
+    root = FIXTURES.parent
+    imported = {}
+    for last in (str(FIXTURES / "T6.json"), "-h"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rankloss.cli", "tim", "dof", last],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        imported[last] = {
+            line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        if last == "-h":
+            assert proc.stdout.startswith("usage: rankloss tim dof [-h]")
+    assert "rankloss.fileio" in imported[str(FIXTURES / "T6.json")]
+    assert "argparse" not in imported[str(FIXTURES / "T6.json")]
+    assert "argparse" in imported["-h"]
 
 
 def test_module_entry_point_reads_sys_argv(capsys):
@@ -892,3 +1021,9 @@ def test_out_flag_writes_report(tmp_path, capsys):
     code, _ = run(capsys, "certify", str(FIXTURES / "E1.json"), "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["max_tau"] == 1
+
+
+def test_out_to_the_null_device(capsys):
+    # Not a regular file, so it is written but never truncated.
+    code, report = run(capsys, "certify", str(FIXTURES / "E1.json"), "--out", os.devnull)
+    assert code == 0 and report["max_tau"] == 1
