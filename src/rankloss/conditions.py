@@ -22,19 +22,18 @@ Edmonds' matroid partition in time polynomial in n, K and the column
 counts.  Its certificate (the partition and the set T) is checked with
 exact rank before the value is returned.
 
-Cost: every scan walks row masks in one lex order, stepped by
-`_lex_next`.  C2 and C5 share one resumable J-scan (`_JScan`).  C2 scans
-each column choice's 2^n row masks only until some J reaches the tau
-asked, and resumes there when a later call asks for a higher tau; a tau
-the ensemble does not reach still scans the failing column choice to the
-end.  C3-C5 share one X-scan (`_x_scan`): X over the 2^n row masks, then
-each |X|-column choice Ys, the pair handed to the condition's own kernel
-(C3 the block subdeterminants by `_bareiss`, C4 sparse dimensions from
-the rank tables, C5 a J-scan over X's subsets to slack 1).  So each grows
-as 2^n times the number of column choices.
-The scan stops a size |X| at its first violation, and every size up to
-the generic rank holds one, so it runs in full only over the sizes above
-the generic rank.  No condition's verdict is read off another's.
+Cost: C2 and C5 share one resumable J-scan (`_JScan`), which walks row
+masks in lex order, stepped by `_lex_next`.  C2 scans each column choice's
+2^n row masks only until some J reaches the tau asked, and resumes there
+when a later call asks for a higher tau; a tau the ensemble does not reach
+still scans the failing column choice to the end.  C3-C5 at tau scan the
+row sets X of one size, R - tau + 1 (`_pairs_of_size`), each with every
+|X|-column choice Ys, the pair handed to the condition's own kernel (C3
+the block subdeterminants by `_bareiss`, C4 sparse dimensions from the
+rank tables, C5 a J-scan over X's subsets to slack 1), and stop at the
+first violation; a holding C5 goes on to the sizes above for its holders.
+So each grows as C(n, |X|) times the number of column choices.  No
+condition's verdict is read off another's.
 
 C6 keeps each part's rows as one integer echelon basis
 (`exactla._RowBasis`, the package's one reduced echelon routine), so the
@@ -50,7 +49,8 @@ Every route reads each block's own cleared integer grid
 tables, one restriction of a block per column choice Y_i, and C6's
 certificate check off the blocks.  C1 and C3 never read that memo, so
 they stay independent of it.  The `Ensemble` owns the rank tables, the C2
-scan state, the C3-C6 results and C1's sampled ranks, freed with it.
+scan state, the C3-C5 results per size, C6's partition and C1's sampled
+ranks, freed with it.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class Ensemble:
     _memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.blocks, tuple) or not all(isinstance(b, ExactMatrix) for b in self.blocks):
+            raise PreconditionError("blocks must be a tuple of ExactMatrix")  # a list would not hash
         if not self.blocks:
             raise PreconditionError("ensemble needs at least one block")
         n = self.blocks[0].n_rows
@@ -117,12 +119,12 @@ class Ensemble:
         return min(sum(self.column_counts), self.n)
 
 
-def _per_ensemble(build: Callable[[Ensemble], T]) -> Callable[[Ensemble], T]:
-    """Memoize build(ensemble) on the ensemble itself."""
+def _per_ensemble(build: Callable[..., T]) -> Callable[..., T]:
+    """Memoize build(ensemble, *args) on the ensemble itself, once per args."""
 
     @wraps(build)
-    def memoized(ensemble: Ensemble) -> T:
-        return ensemble._memoized(build, lambda: build(ensemble))
+    def memoized(ensemble: Ensemble, *args) -> T:
+        return ensemble._memoized((build, *args), lambda: build(ensemble, *args))
 
     return memoized
 
@@ -189,14 +191,6 @@ def _lex_next(mask: int, cap: int) -> int | None:
     high = mask.bit_length()
     above = cap >> high << high
     return mask ^ 1 << high >> 1 | above & -above
-
-
-def lex_subset_masks(universe: int) -> Iterator[int]:
-    """Bitmasks of all subsets of [universe] in lexicographic member order: (), (1), (1,2), ..., (2), ..."""
-    cap, mask = (1 << universe) - 1, 0
-    while mask is not None:
-        yield mask
-        mask = _lex_next(mask, cap)
 
 
 def column_choices(ensemble: Ensemble, total: int) -> Iterator[tuple[IndexSet, ...]]:
@@ -364,118 +358,100 @@ def max_tau(ensemble: Ensemble) -> int:
 # C3, C4, C5: the quantified-over-X conditions
 # ---------------------------------------------------------------------------
 
-def _x_scan(
-    ensemble: Ensemble, probe: Callable[[IndexSet, int, tuple[IndexSet, ...]], Witness | None]
-) -> dict[int, Witness]:
-    """First violation per |X| in the canonical scan.
+def _pairs_of_size(ensemble: Ensemble, size: int) -> Iterator[tuple[IndexSet, int, tuple[IndexSet, ...]]]:
+    """The (X, X's mask, Ys) of one size |X| in the canonical scan order.
 
-    X runs over the nonempty row sets in `lex_subset_masks` order and Ys
-    over the |X|-column choices; probe(X, X's mask, Ys) returns a violating
-    witness or None.  A size is scanned only until its first violation.
+    X runs over the size-row sets in lex member order and Ys over the
+    size-column choices.  C3-C5 at tau quantify over |X| > R - tau, but scan
+    only size R - tau + 1: violating X are the independent sets of the
+    blocks' row matroids' union, so a larger size holds one only if that
+    size does, and that size's lex-first X is a prefix of, and precedes,
+    the next's.  Each condition keeps its result per size on the ensemble.
     """
     n = ensemble.n
-    per_size: dict[int, Witness] = {}
-    for xmask in lex_subset_masks(n):
-        size = xmask.bit_count()
-        if size == 0 or size in per_size:
-            continue
-        x = IndexSet.from_mask(n, xmask)
+    for members in itertools.combinations(range(1, n + 1), size):
+        x, xmask = IndexSet(n, members), _mask(members)
         for ys in column_choices(ensemble, size):
-            witness = probe(x, xmask, ys)
-            if witness is not None:
-                per_size[size] = witness
-                break
-    return per_size
-
-
-def _verdict(
-    condition: str, per_size: dict[int, Witness], threshold: int, holders: tuple[Witness, ...] = ()
-) -> CheckResult:
-    """Fails with the violation of size threshold + 1; else holds with the holders above threshold.
-
-    Violating X are the independent sets of the blocks' row matroids' union,
-    so each size's lex-first X is a prefix of, and precedes, the next size's.
-    """
-    hit = per_size.get(threshold + 1)
-    if hit is not None:
-        return CheckResult(condition, False, (hit,))
-    return CheckResult(condition, True, tuple(w for w in holders if len(w.X) > threshold))
+            yield x, xmask, ys
 
 
 @_per_ensemble
-def _c3_scan(ensemble: Ensemble) -> dict[int, Witness]:
-    """C3's probe: an ordered partition of X with every block subdeterminant nonzero."""
+def _c3_at(ensemble: Ensemble, size: int) -> CheckResult:
+    """C3 over the X of one size: fails at the first partition making every block subdeterminant nonzero."""
     n, grids = ensemble.n, [block._grid for block in ensemble.blocks]
-
-    def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
+    for x, _, ys in _pairs_of_size(ensemble, size):
         for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
             if all(
                 _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y)) == len(y)
                 for grid, part, y in zip(grids, parts, ys)
                 if len(y) > 0
             ):
-                return Witness(kind="C3-violation", Y=ys, X=x, partition=tuple(IndexSet(n, p) for p in parts))
-        return None
-
-    return _x_scan(ensemble, probe)
+                partition = tuple(IndexSet(n, p) for p in parts)
+                return CheckResult("C3", False, (Witness(kind="C3-violation", Y=ys, X=x, partition=partition),))
+    return CheckResult("C3", True)
 
 
 def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     """Do all oversized square selections have vanishing subdeterminant products?"""
     _check_tau(ensemble, tau)
-    return _verdict("C3", _c3_scan(ensemble), ensemble.R - tau)
+    return _c3_at(ensemble, ensemble.R - tau + 1)
 
 
 @_per_ensemble
-def _c4_scan(ensemble: Ensemble) -> dict[int, Witness]:
-    """C4's probe: an ordered partition of X leaving no block a sparse dimension off its part."""
+def _c4_at(ensemble: Ensemble, size: int) -> CheckResult:
+    """C4 over the X of one size: fails at the first partition leaving no block a sparse dimension off its part."""
     n = ensemble.n
-
-    def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
+    for x, _, ys in _pairs_of_size(ensemble, size):
         tables = _rank_tables(ensemble, ys)
         for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
             # The sparse dimension of the rows outside a part is rank_i less the part's own rank.
             if sum(t._rank - t._rank_of_rows(_mask(part)) for t, part in zip(tables, parts)) == 0:
-                return Witness(kind="C4-violation", Y=ys, X=x, partition=tuple(IndexSet(n, p) for p in parts))
-        return None
-
-    return _x_scan(ensemble, probe)
+                partition = tuple(IndexSet(n, p) for p in parts)
+                return CheckResult("C4", False, (Witness(kind="C4-violation", Y=ys, X=x, partition=partition),))
+    return CheckResult("C4", True)
 
 
 def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
     """Sparse-subspace form: every partition leaves some block a sparse dimension."""
     _check_tau(ensemble, tau)
-    return _verdict("C4", _c4_scan(ensemble), ensemble.R - tau)
+    return _c4_at(ensemble, ensemble.R - tau + 1)
 
 
 @_per_ensemble
-def _c5_scan(ensemble: Ensemble) -> tuple[dict[int, Witness], tuple[Witness, ...]]:
-    """C5's probe: the lex-first J inside X whose sparse dims over J and X's complement exceed |J|.
+def _c5_at(ensemble: Ensemble, size: int) -> CheckResult:
+    """C5 over the X of one size: fails at the first (X, Ys) without a holder, else lists every holder.
 
-    A J-scan with cap X and base X's complement runs to level 1.  Each
-    (X, Ys) that reaches it records its J as a holder.  One that does not
-    is a violation, reported with the lex-first J of largest margin.
+    For each (X, Ys), a J-scan with cap X and base X's complement runs to
+    level 1: the lex-first J inside X whose sparse dims over J and X's
+    complement exceed |J| is the pair's holder.  A pair without one is a
+    violation, reported with the lex-first J of largest margin.
     """
     n = ensemble.n
     full = (1 << n) - 1
     holders: list[Witness] = []
-
-    def probe(x: IndexSet, xmask: int, ys: tuple[IndexSet, ...]) -> Witness | None:
+    for x, xmask, ys in _pairs_of_size(ensemble, size):
         scan = _JScan(ys, xmask, ~xmask & full)
         scan.advance(_rank_tables(ensemble, ys), 1)
-        if 1 in scan.first_at:
-            holders.append(Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, scan.first_at[1][0])))
-            return None
-        return Witness(kind="C5-counterexample", Y=ys, X=x, J=IndexSet.from_mask(n, scan.argmax), slack=scan.best)
-
-    return _x_scan(ensemble, probe), tuple(holders)
+        if 1 not in scan.first_at:
+            hit = Witness(kind="C5-counterexample", Y=ys, X=x, J=IndexSet.from_mask(n, scan.argmax), slack=scan.best)
+            return CheckResult("C5", False, (hit,))
+        holders.append(Witness(kind="C5-witness", Y=ys, X=x, J=IndexSet.from_mask(n, scan.first_at[1][0])))
+    return CheckResult("C5", True, tuple(holders))
 
 
 def check_C5(ensemble: Ensemble, tau: int) -> CheckResult:
-    """For every X and column choice, some J inside X overshoots |J| sparse dims."""
+    """For every X and column choice, some J inside X overshoots |J| sparse dims.
+
+    Size R - tau + 1 is scanned first; only when it holds are the sizes
+    above it scanned for their holders, listed by X's members, then Ys.
+    """
     _check_tau(ensemble, tau)
-    per_size, holders = _c5_scan(ensemble)
-    return _verdict("C5", per_size, ensemble.R - tau, holders)
+    first = ensemble.R - tau + 1
+    result = _c5_at(ensemble, first)
+    if not result.holds:
+        return result
+    holders = [w for size in range(first, ensemble.R + 1) for w in _c5_at(ensemble, size).witnesses]
+    return CheckResult("C5", True, tuple(sorted(holders, key=lambda w: w.X.members)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ShapeError
+from .errors import PreconditionError, ShapeError
 
 Rational = Fraction
 
@@ -120,6 +120,8 @@ class IndexSet:
     def __post_init__(self):
         if type(self.universe) is not int or self.universe < 0:  # bool is an int subclass, not a size
             raise ShapeError(f"universe size must be a nonnegative int, got {self.universe!r}")
+        if not isinstance(self.members, tuple):  # a list would compare unequal and not hash
+            raise ShapeError(f"members must be a tuple, got {type(self.members).__name__}")
         prev = 0
         for v in self.members:
             if type(v) is not int or v <= prev:  # bool is an int subclass, not an index
@@ -173,6 +175,33 @@ def _mask(rows: Iterable[int]) -> int:
     return sum(1 << (v - 1) for v in rows)
 
 
+def _literal_lines(lines, count, what: str, other: str) -> tuple[list[list[tuple[int, int]]], int]:
+    """A matrix's lines of literals, its rows or its columns, as (numerator, denominator) pairs.
+
+    Returns them with count, the number of the other kind, read off the
+    first line when None.  A bad literal, a ragged line and a count that is
+    not a nonnegative int are refused.
+    """
+    try:
+        pairs = [[_rational_pair(v) for v in line] for line in lines]
+    except TypeError:  # the lines, or one of them, cannot be iterated
+        raise ShapeError(f"expected an iterable of {what}s, each an iterable of literals") from None
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
+    if count is None:
+        if not pairs:
+            raise ShapeError(f"{other} count required for a matrix with no {what}s")
+        count = len(pairs[0])
+    if type(count) is not int:  # bool is an int subclass, not a count
+        raise ShapeError(f"{other} count must be an int, got {_quoted(count)}")
+    if count < 0:
+        raise ShapeError(f"negative {other} count")
+    for line in pairs:
+        if len(line) != count:
+            raise ShapeError(f"ragged {what}: expected {count} entries, got {len(line)}")
+    return pairs, count
+
+
 def _reduced(col: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
     """The column col / scale (scale nonzero) as integers over a positive scale coprime to them."""
     g = gcd(scale, *col)
@@ -206,20 +235,11 @@ class ExactMatrix:
     `_grid[i][j] / _scales[j]`, and no column's entries share a factor with
     its scale, so equal matrices hold equal grids.  Column scaling keeps
     every rank and minor singularity the routes read off the grid.  `rows`
-    and `column` build Fractions on demand.
+    builds Fractions on demand.
     """
 
     def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
-        pairs = [[_rational_pair(v) for v in row] for row in rows]
-        if n_cols is None:
-            if not pairs:
-                raise ShapeError("column count required for a matrix with no rows")
-            n_cols = len(pairs[0])
-        if n_cols < 0:
-            raise ShapeError("negative column count")
-        for row in pairs:
-            if len(row) != n_cols:
-                raise ShapeError(f"ragged row: expected {n_cols} entries, got {len(row)}")
+        pairs, n_cols = _literal_lines(rows, n_cols, "row", "column")
         cols = [_cleared(col) for col in zip(*pairs)] if pairs else [((), 1)] * n_cols
         self._set(*_by_columns(cols, len(pairs)))
 
@@ -240,14 +260,7 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], n_rows: int | None = None) -> "ExactMatrix":
-        pairs = [[_rational_pair(v) for v in col] for col in cols]
-        if n_rows is None:
-            if not pairs:
-                raise ShapeError("row count required for a matrix with no columns")
-            n_rows = len(pairs[0])
-        for col in pairs:
-            if len(col) != n_rows:
-                raise ShapeError(f"ragged column: expected {n_rows} entries, got {len(col)}")
+        pairs, n_rows = _literal_lines(cols, n_rows, "column", "row")
         return cls._of(*_by_columns([_cleared(col) for col in pairs], n_rows))
 
     def __setattr__(self, name, value):

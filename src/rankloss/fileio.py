@@ -63,7 +63,7 @@ def _parse_block(block_data, n: int, where: str) -> ExactMatrix:
     if all(isinstance(col, list) and len(col) == n for col in block_data):
         try:
             return ExactMatrix.from_columns(block_data, n)
-        except ValueError:
+        except PreconditionError:
             pass
     for c, col in enumerate(block_data, start=1):
         if not isinstance(col, list) or len(col) != n:

@@ -56,6 +56,8 @@ class Topology:
     interference: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.interference, tuple):  # a list would compare unequal and not hash
+            raise PreconditionError(f"interference must be a tuple, got {type(self.interference).__name__}")
         k = len(self.interference)
         if k < 1:
             raise PreconditionError("topology needs at least one user")
@@ -246,6 +248,8 @@ class Scheme:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 1:  # bool is an int subclass, not a slot count
             raise ShapeError(f"n must be a positive int, got {self.n!r}")
+        if not isinstance(self.beamformers, tuple) or not all(isinstance(b, ExactMatrix) for b in self.beamformers):
+            raise ShapeError("beamformers must be a tuple of ExactMatrix")
         for i, b in enumerate(self.beamformers, start=1):
             if b.n_rows != self.n:
                 raise ShapeError(f"user {i}: beamformer has {b.n_rows} rows, expected {self.n}")
@@ -253,9 +257,12 @@ class Scheme:
                 raise ShapeError(f"user {i}: {b.n_cols} columns outside [1, {self.n}]")
             if not is_full_column_rank(b):
                 raise PreconditionError(f"user {i}: beamformer is not full column rank")
-        if self.windows is not None and len(self.windows) != self.K:
-            raise ShapeError(f"{len(self.windows)} windows for {self.K} users")
-        for j, s in enumerate(self.windows or (), start=1):
+        windows = (None,) * self.K if self.windows is None else self.windows
+        if not isinstance(windows, tuple) or not all(s is None or isinstance(s, IndexSet) for s in windows):
+            raise ShapeError("windows must be None or a tuple of IndexSets and Nones")
+        if len(windows) != self.K:
+            raise ShapeError(f"{len(windows)} windows for {self.K} users")
+        for j, s in enumerate(windows, start=1):
             if s is not None and s.universe != self.n:
                 raise ShapeError(f"receiver {j}: J over [{s.universe}], expected [{self.n}]")
 

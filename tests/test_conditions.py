@@ -30,7 +30,6 @@ from rankloss.conditions import (
     check_C5,
     column_choices,
     cross_validate,
-    lex_subset_masks,
     max_tau,
 )
 from rankloss.errors import InternalInvariantError, PreconditionError
@@ -69,8 +68,11 @@ def test_ensemble_validation():
         ((), "ensemble needs at least one block"),
         ((ExactMatrix((), 2),), "blocks must have at least one row"),
         ((identity_matrix(2), ExactMatrix([[], []], 0)), "block 2 has no columns"),
+        ((1, 2), "blocks must be a tuple of ExactMatrix"),
+        ((identity_matrix(2), [[1, 0], [0, 1]]), "blocks must be a tuple of ExactMatrix"),
+        ([identity_matrix(2)], "blocks must be a tuple of ExactMatrix"),
     ],
-    ids=["no-block", "no-rows", "no-columns"],
+    ids=["no-block", "no-rows", "no-columns", "int-blocks", "list-block", "list-blocks"],
 )
 def test_ensemble_refuses_empty_shapes(blocks, message):
     with pytest.raises(PreconditionError) as err:
@@ -211,7 +213,6 @@ def test_lex_next_walks_every_cap_in_sorted_order():
     # Exhaustive for n <= 8: from the empty set, the walk visits each subset of
     # cap once, in sorted() order of member tuples, then stops.
     for n in range(9):
-        walks = {}
         for cap in range(1 << n):
             members = [v for v in range(1, n + 1) if cap >> (v - 1) & 1]
             expected = sorted(j for size in range(len(members) + 1) for j in itertools.combinations(members, size))
@@ -220,8 +221,6 @@ def test_lex_next_walks_every_cap_in_sorted_order():
                 walk.append(mask)
                 mask = _lex_next(mask, cap)
             assert [IndexSet.from_mask(n, m).members for m in walk] == expected, (n, cap)
-            walks[cap] = walk
-        assert list(lex_subset_masks(n)) == walks[(1 << n) - 1]
 
 
 def test_cross_validate_e1_and_e3():
@@ -743,3 +742,44 @@ def test_c5_walks_only_inside_x_and_matches_a_full_scan_at_n6_n7(monkeypatch):
                 failing_gapped += gapped and w.kind == "C5-counterexample"
     assert late_holders > 0 and failing_gapped > 0
     assert [(nxt, cap) for nxt, cap in steps if nxt is not None and nxt & ~cap] == []
+
+
+def test_c3_c4_c5_scan_only_the_size_their_verdict_reads(monkeypatch):
+    # At tau, C3 and C4 scan the row sets of size R - tau + 1 alone, and so
+    # does a failing C5; a holding C5 goes on to the sizes above, for its holders.
+    sizes = []
+
+    def recording(ensemble, total):
+        sizes.append(total)
+        return column_choices(ensemble, total)
+
+    monkeypatch.setattr(conditions, "column_choices", recording)
+    rng = random.Random(5)
+    two_zero_rows = Ensemble.of([[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 1], [1, 2], [0, 0], [0, 0]])  # max_tau 2
+    ensembles = [e1(), e1_generic(), e3(), two_zero_rows, load_ensemble(str(ZERO_ROW))]
+    ensembles += [random_ensemble(rng) for _ in range(20)]
+    holding = failing = 0
+    for e in ensembles:
+        for tau in range(1, e.R + 1):
+            first = e.R - tau + 1
+            for check in (check_C3, check_C4, check_C5):
+                sizes.clear()
+                result = check(Ensemble(e.blocks), tau)
+                above = check is check_C5 and result.holds
+                assert set(sizes) == set(range(first, e.R + 1) if above else {first}), (check.__name__, tau, e)
+                holding += above and first < e.R
+                failing += not result.holds
+    assert holding > 0 and failing > 0
+
+
+def test_c3_c4_c5_reports_do_not_depend_on_query_order():
+    # Each (condition, size) is scanned once and kept, so the taus asked
+    # before, in any order, change no report.
+    def reports(e, taus):
+        return {tau: [check(e, tau).to_dict() for check in (check_C3, check_C4, check_C5)] for tau in taus}
+
+    for e in (e1(), e1_generic(), e3(), load_ensemble(str(ZERO_ROW))):
+        taus = list(range(1, e.R + 1))
+        ascending = reports(Ensemble(e.blocks), taus)
+        assert reports(Ensemble(e.blocks), taus[::-1]) == ascending
+        assert {tau: reports(Ensemble(e.blocks), [tau])[tau] for tau in taus} == ascending

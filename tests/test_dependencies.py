@@ -143,7 +143,8 @@ def test_every_private_name_is_read():
 
 
 # A backticked token part that reads as code: a leading underscore, snake_case
-# with an underscore, or CamelCase.
+# with an underscore, or CamelCase.  A span of one word is read as code whatever
+# its case.
 CODE_LIKE = re.compile(r"_\w+|[a-z][a-z0-9]*(?:_[a-z0-9]+)+|(?:[A-Z][a-z0-9]+){2,}")
 
 
@@ -161,11 +162,12 @@ def _docstrings(tree: ast.AST) -> set[int]:
 def test_backticked_code_names_exist():
     # A code-like part of a backticked span in the package's source names
     # something the package defines, reads, or writes as a string literal
-    # (a report or file key); so a docstring cannot keep citing a deleted
-    # function, method or key.
-    known: set[str] = set()
+    # (a report or file key), or is one of its modules; so a docstring
+    # cannot keep citing a deleted function, method or key.
+    paths = sorted(Path(rankloss.__file__).parent.glob("*.py"))
+    known = {path.stem for path in paths}
     quoted: list[tuple[str, str]] = []
-    for path in sorted(Path(rankloss.__file__).parent.glob("*.py")):
+    for path in paths:
         text = path.read_text()
         tree = ast.parse(text, filename=str(path))
         docstrings = _docstrings(tree)
@@ -183,6 +185,7 @@ def test_backticked_code_names_exist():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
                 known.add(node.value)
         for span in re.findall(r"`([^`\n]+)`", text):
-            quoted += [(path.name, part) for part in re.findall(r"\w+", span) if CODE_LIKE.fullmatch(part)]
+            parts = re.findall(r"\w+", span)
+            quoted += [(path.name, part) for part in parts if len(parts) == 1 or CODE_LIKE.fullmatch(part)]
     assert quoted
     assert sorted({(name, part) for name, part in quoted if part not in known}) == []

@@ -12,7 +12,7 @@ import pytest
 
 import rankloss.exactla
 from rankloss import fileio
-from rankloss.errors import ShapeError
+from rankloss.errors import PreconditionError, ShapeError
 from rankloss.exactla import (
     ExactMatrix,
     IndexSet,
@@ -318,11 +318,24 @@ def test_equal_values_give_equal_matrices_whatever_the_constructor(tmp_path):
         (lambda: B1.hstack(identity_matrix(2)), "row count mismatch: 4 vs 2"),
         (lambda: IndexSet.of(3, [1]).union(IndexSet.of(4, [1])), "universe mismatch: 3 vs 4"),
         (lambda: IndexSet.of(4, [1]).difference(IndexSet.of(3, [1])), "universe mismatch: 4 vs 3"),
+        # A count is a nonnegative int, in both constructors.
+        (lambda: ExactMatrix.from_columns([], -3), "negative row count"),
+        (lambda: ExactMatrix([[1]], "1"), "column count must be an int, got '1'"),
+        (lambda: ExactMatrix.from_columns([[1]], "1"), "row count must be an int, got '1'"),
+        (lambda: ExactMatrix((), True), "column count must be an int, got True"),
+        (lambda: ExactMatrix.from_columns([[1]], 1.0), "row count must be an int, got 1.0"),
+        (lambda: ExactMatrix(None, 2), "expected an iterable of rows, each an iterable of literals"),
+        (lambda: ExactMatrix.from_columns([1, 2]), "expected an iterable of columns, each an iterable of literals"),
+        # Only a tuple compares equal to, and hashes like, the IndexSet it spells.
+        (lambda: IndexSet(3, [1, 2]), "members must be a tuple, got list"),
+        (lambda: IndexSet(3, None), "members must be a tuple, got NoneType"),
     ],
     ids=[
         "no-rows", "negative-cols", "ragged-row", "no-columns", "ragged-column",
         "sparse-dim-universe", "take-cols-universe", "hstack-rows",
         "union-universe", "difference-universe",
+        "negative-rows", "str-cols", "str-rows", "bool-cols", "float-rows", "rows-not-iterable",
+        "columns-not-iterable", "list-members", "none-members",
     ],
 )
 def test_constructors_refuse_bad_shapes(build, message):
@@ -426,6 +439,20 @@ def test_indexset_names_the_index_it_refuses(members, message):
         with pytest.raises(ShapeError) as err:
             build(9, members)
         assert str(err.value) == message
+
+
+def test_matrix_constructors_refuse_a_bad_literal_by_its_reading():
+    # A literal parse_rational refuses is a PreconditionError with the same message.
+    for build, literal in (
+        (lambda: ExactMatrix([[1, "x"]]), "x"),
+        (lambda: ExactMatrix.from_columns([[None]]), None),
+        (lambda: ExactMatrix([[0.5]]), 0.5),
+    ):
+        with pytest.raises(ValueError) as expected:
+            parse_rational(literal)
+        with pytest.raises(PreconditionError) as err:
+            build()
+        assert str(err.value) == str(expected.value)
 
 
 def test_exact_matrix_refuses_assignment_and_deletion():

@@ -8,7 +8,8 @@ one block's columns.  `cross_validate` raises when C1-C5 disagree, so
 each example also checks the five routes against one another; `max_tau`
 comes from C6, and C2 must hold exactly at the taus up to it.  C6's
 partition must also be the one `matroid_partition` finds with circuits
-read off plain independence queries.
+read off plain independence queries.  The package's constructors refuse
+any other Python value with a PreconditionError.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankloss.conditions import Ensemble, _row_union, check_C2, cross_validate, max_tau
-from rankloss.exactla import ExactMatrix, _bareiss, is_full_column_rank
+from rankloss.errors import PreconditionError
+from rankloss.exactla import ExactMatrix, IndexSet, _bareiss, is_full_column_rank
 from rankloss.matroid import independence_circuits, matroid_partition
+from rankloss.randrank import TrialConfig
+from rankloss.tim import Scheme, Topology
 
 from conftest import cofactor_det, matmul
 
@@ -131,3 +135,57 @@ def test_c6_partition_matches_independence_queries(e):
         return _bareiss([grids[i][r - 1][:] for r in rows], widths[i]) == len(rows)
 
     assert _row_union(e) == matroid_partition(range(1, e.n + 1), e.K, independence_circuits(independent))
+
+
+_valid = [
+    Topology.of({2}, set()),
+    Scheme(2, (ExactMatrix.from_columns([[1, 0]]),)),
+    Ensemble.of([[1], [0]]),
+    IndexSet(2, (1,)),
+    ExactMatrix.from_columns([[1, 0]]),
+    TrialConfig(),
+]
+# Ints stay small: a count sizes what a constructor allocates.
+_counts = st.integers(-1, 3)
+_scalars = (
+    st.none() | st.booleans() | _counts | st.floats() | st.text(max_size=3)
+    | st.frozensets(_counts, max_size=2) | st.sampled_from(_valid)
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_tuples = st.lists(_values, max_size=3).map(tuple)
+
+# Each constructor, its required argument count, and per argument a
+# strategy of roughly the right type, so that its later checks are reached.
+CONSTRUCTORS = [
+    (Topology, 1, (_tuples,)),
+    (Scheme, 2, (_counts, _tuples, st.none() | _tuples)),
+    (Ensemble, 1, (_tuples,)),
+    (IndexSet, 2, (_counts, _tuples)),
+    (ExactMatrix, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
+    (ExactMatrix.from_columns, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
+    (TrialConfig, 0, (_counts, _counts, _counts)),
+]
+
+
+@st.composite
+def constructor_calls(draw):
+    build, required, typed = draw(st.sampled_from(CONSTRUCTORS))
+    count = draw(st.integers(required, len(typed)))
+    return build, [draw(st.one_of(strategy, _values)) for strategy in typed[:count]]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(constructor_calls())
+def test_constructors_raise_only_precondition_errors(call):
+    # ShapeError and CapacityError are PreconditionErrors; an AttributeError
+    # or a TypeError means a constructor met a value it never checked.
+    build, args = call
+    try:
+        build(*args)
+    except PreconditionError:
+        pass

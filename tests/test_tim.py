@@ -300,10 +300,18 @@ def test_exclusive_scheme_rejects_singular_prime_fill():
         (lambda: Topology(([2, 2], [])), PreconditionError, "receiver 1: interference set must be a frozenset, got list"),
         (lambda: Topology((frozenset(), {1: 0})), PreconditionError, "receiver 2: interference set must be a frozenset, got dict"),
         (lambda: Topology(((2,), frozenset())), PreconditionError, "receiver 1: interference set must be a frozenset, got tuple"),
+        # Only tuples compare equal to, and hash like, the values they spell.
+        (lambda: Topology([frozenset({2}), frozenset()]), PreconditionError, "interference must be a tuple, got list"),
+        (lambda: Topology(None), PreconditionError, "interference must be a tuple, got NoneType"),
+        (lambda: Scheme(2, [ExactMatrix.from_columns([[1, 0]])]), ShapeError, "beamformers must be a tuple of ExactMatrix"),
+        (lambda: Scheme(2, (1,)), ShapeError, "beamformers must be a tuple of ExactMatrix"),
+        (lambda: Scheme(2, (ExactMatrix.from_columns([[1, 0]]),), "x"), ShapeError, "windows must be None or a tuple of IndexSets and Nones"),
+        (lambda: Scheme(2, (ExactMatrix.from_columns([[1, 0]]),), ((1, 2),)), ShapeError, "windows must be None or a tuple of IndexSets and Nones"),
     ],
     ids=[
         "no-users", "beamformer-rows", "bool-transmitter", "float-transmitter", "bool-n", "float-n", "zero-n",
         "list-set", "repeated-transmitter", "dict-set", "tuple-set",
+        "list-topology", "none-topology", "list-beamformers", "int-beamformer", "str-windows", "tuple-window",
     ],
 )
 def test_topology_and_scheme_refuse_bad_shapes(build, error, message):
