@@ -49,6 +49,7 @@ from .tim import (
     synth_exclusive_scheme,
     synth_half_dof_scheme,
     verify_decodability,
+    _require_same_users,
     _window_fault,
 )
 
@@ -231,10 +232,13 @@ def _cmd_tim_scheme(args) -> dict:
 def _cmd_tim_verify(args) -> dict:
     topology = fileio.load_topology(args.topology)
     scheme = fileio.load_scheme(args.scheme)
-    result = verify_decodability(topology, scheme)
+    # The window rule indexes beamformers by the topology's users, and a
+    # refused scheme is refused before any receiver is eliminated.
+    _require_same_users(topology, scheme)
     fault = _window_fault(topology, scheme)
     if fault is not None:
         raise PreconditionError(fault)
+    result = verify_decodability(topology, scheme)
     return {
         "command": "tim verify",
         "topology": args.topology,

@@ -138,11 +138,18 @@ class IndexSet:
 
     @classmethod
     def of(cls, universe: int, members: Iterable[int]) -> "IndexSet":
-        return cls(universe, tuple(sorted(members)))
+        try:
+            ordered = tuple(sorted(members))
+        except TypeError:  # not iterable, or members that do not compare
+            raise ShapeError(f"members must be an iterable of ints, got {members!r}") from None
+        return cls(universe, ordered)
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "IndexSet":
-        return cls(universe, tuple(i + 1 for i in range(universe) if mask >> i & 1))
+        """The rows of `mask` (bit i set when row i + 1 is in it); a bit past the universe is refused."""
+        if type(mask) is not int or mask < 0:  # bool is an int subclass, not a mask
+            raise ShapeError(f"mask must be a nonnegative int, got {mask!r}")
+        return cls(universe, tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
     def complement(self) -> "IndexSet":
         inside = set(self.members)

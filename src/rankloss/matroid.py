@@ -7,31 +7,30 @@ blocks' row matroids.  It asks a circuit oracle, once per element and
 part it searches, for the element's fundamental circuit in the part,
 which holds every exchange the element can make there: `union_rank`
 builds that oracle from independence queries, and C6 reads circuits off
-one integer echelon basis per part.  The scaled-linear
-construction puts a matroid on a row set X whose independent sets are the
-J with dim(S_{J u X^c} & colspan B_{*,Y}) = 0, with rank function
-|J| - dim(S_{J u X^c} & colspan B_{*,Y}); it is defined only when the
-column span meets the sparse subspace of X^c trivially.
+one integer echelon basis per part.  The scaled-linear matroid on a row
+set X ranks J as |J| - dim(S_{J u X^c} & colspan R), R = B_{*,Y}, which is
+|J| - rank(R) + rank(R[X \\ J]): one row-mask rank that R keeps, so it is
+the dual of R[X]'s row matroid.  It is defined only when rank(R[X]) =
+rank(R), that is when colspan R meets the sparse subspace of X^c trivially.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, InternalInvariantError, PreconditionError, ShapeError
-from .exactla import ExactMatrix, IndexSet, sparse_dim
+from .exactla import ExactMatrix, IndexSet, _mask, rank
 
 
 @dataclass
 class RankOracleMatroid:
-    """A matroid given by its ground set and a memoized rank function."""
+    """A matroid given by its ground set and a rank function, asked afresh on every query."""
 
     ground: tuple[int, ...]
     rank_fn: Callable[[frozenset[int]], int]
-    _memo: dict[frozenset[int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.ground = tuple(sorted(set(self.ground)))
@@ -44,9 +43,7 @@ class RankOracleMatroid:
         key = frozenset(subset)
         if not key <= self.ground_set:
             raise PreconditionError(f"{sorted(key - self.ground_set)} not in ground set")
-        if key not in self._memo:
-            self._memo[key] = self.rank_fn(key)
-        return self._memo[key]
+        return self.rank_fn(key)
 
     def full_rank(self) -> int:
         return self.rank(self.ground)
@@ -76,17 +73,15 @@ def scaled_linear_matroid(block: ExactMatrix, X: IndexSet, Y: IndexSet) -> RankO
     if X.universe != block.n_rows:
         raise ShapeError(f"X over [{X.universe}] against {block.n_rows}-row matrix")
     restricted = block.take_cols(Y)
-    if sparse_dim(restricted, X.complement()) != 0:
+    full, x = rank(restricted), _mask(X)
+    if restricted._rank_of_rows(x) != full:
         raise PreconditionError(
             "scaled-linear matroid undefined: column span meets the sparse "
             f"subspace of the complement of X={list(X)} nontrivially"
         )
-    n = block.n_rows
-    xc = X.complement()
 
     def rank_fn(subset: frozenset[int]) -> int:
-        j_and_xc = IndexSet.of(n, set(subset) | set(xc.members))
-        return len(subset) - sparse_dim(restricted, j_and_xc)
+        return len(subset) - full + restricted._rank_of_rows(x & ~_mask(subset))
 
     return RankOracleMatroid(tuple(X), rank_fn)
 

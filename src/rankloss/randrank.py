@@ -132,6 +132,8 @@ def sample_ranks(ensemble: "Ensemble", cfg: TrialConfig) -> tuple[int, ...]:
 
 
 def _check_tau(ensemble: "Ensemble", tau: int) -> None:
+    if type(tau) is not int:  # bool is an int subclass, and 1.0 or 1.5 is not a size
+        raise PreconditionError(f"tau must be an int, got {tau!r}")
     if not 1 <= tau <= ensemble.R:
         raise PreconditionError(f"tau must be in [1, {ensemble.R}], got {tau}")
 

@@ -77,7 +77,11 @@ class Topology:
 
     @classmethod
     def of(cls, *sets: Iterable[int]) -> "Topology":
-        return cls(tuple(frozenset(s) for s in sets))
+        try:
+            interference = tuple(frozenset(s) for s in sets)
+        except TypeError:  # a set that is not iterable, or holds an unhashable member
+            raise PreconditionError(f"interference sets must be iterables of ints, got {sets!r}") from None
+        return cls(interference)
 
     @property
     def K(self) -> int:
@@ -277,6 +281,12 @@ class Scheme:
     def activation_pattern(self) -> tuple[tuple[int, ...], ...]:
         """Per user, the slots carrying any nonzero beamformer entry."""
         return tuple(tuple(row_support(b)) for b in self.beamformers)
+
+
+def _require_same_users(topology: Topology, scheme: Scheme) -> None:
+    """Refuse a scheme whose user count is not the topology's."""
+    if scheme.K != topology.K:
+        raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
 
 
 def _window_fault(topology: Topology, scheme: Scheme) -> str | None:
@@ -541,8 +551,7 @@ def verify_decodability(topology: Topology, scheme: Scheme) -> DecodabilityRepor
     that misses its term ranks is decided by C6, so no verdict or rank
     depends on the draw.
     """
-    if scheme.K != topology.K:
-        raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
+    _require_same_users(topology, scheme)
     ranks = []
     certified = []
     for j in range(1, topology.K + 1):
@@ -606,8 +615,7 @@ def half_dof_structure_check(topology: Topology, scheme: Scheme) -> StructureRep
     both checks are exact and never flag a decodable design (acceptance
     criterion 8).
     """
-    if scheme.K != topology.K:
-        raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
+    _require_same_users(topology, scheme)
     n = scheme.n
     if n % 2 != 0 or any(m != n // 2 for m in scheme.symbol_counts):
         raise PreconditionError("structure check applies to exact half-rate schemes (m_i = n/2)")
@@ -643,8 +651,7 @@ def normalize_alignment(topology: Topology, scheme: Scheme) -> Scheme:
     if scheme.windows is None:
         raise PreconditionError("scheme file carries no sparse_assignment to normalize")
     _require_P1_P2(topology)
-    if scheme.K != topology.K:
-        raise ShapeError(f"scheme has {scheme.K} users, topology has {topology.K}")
+    _require_same_users(topology, scheme)
     fault = _window_fault(topology, scheme)
     if fault is not None:
         raise PreconditionError(fault)

@@ -427,3 +427,33 @@ def random_ensemble(rng: random.Random, max_n: int = 6, max_k: int = 3) -> Ensem
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="module")
+def matroid_instances():
+    """Acceptance criteria 3 and 4's 200 scaled-linear matroids, grouped by their X."""
+    rng = random.Random(1848)
+    instances = []
+    total = 0
+    while total < 200:
+        n = rng.randint(2, 6)
+        xmembers = [v for v in range(1, n + 1) if rng.random() < 0.8] or [1]
+        x = IndexSet.of(n, xmembers)
+        group = []
+        for _ in range(rng.randint(1, 3)):
+            if total >= 200:
+                break
+            for _attempt in range(40):
+                m = rng.randint(1, min(3, n))
+                block = random_block(rng, n, m)
+                y = full_set(m)
+                try:
+                    matroid = scaled_linear_matroid(block, x, y)
+                except PreconditionError:
+                    continue
+                group.append((block, y, matroid))
+                total += 1
+                break
+        if group:
+            instances.append((x, group))
+    return instances

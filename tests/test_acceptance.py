@@ -14,12 +14,9 @@ import pytest
 
 from rankloss.cli import main
 from rankloss.conditions import cross_validate, max_tau
-from rankloss.errors import PreconditionError
-from rankloss.exactla import IndexSet
 from rankloss.matching import SupportGraph, hall_threshold_check, max_matching
 from rankloss.matroid import (
     dual,
-    scaled_linear_matroid,
     union_rank,
     verify_axioms,
 )
@@ -42,8 +39,6 @@ from conftest import (
     block_schemes,
     brute_union_rank,
     defect_scan,
-    full_set,
-    random_block,
     random_ensemble,
     subsets,
     t6,
@@ -142,35 +137,6 @@ def test_criterion_10_oracle_soundness(equivalence_sweep, capsys):
 # ---------------------------------------------------------------------------
 # Criteria 3 and 4: matroid machinery on shared random instances
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def matroid_instances():
-    rng = random.Random(1848)
-    instances = []
-    total = 0
-    while total < 200:
-        n = rng.randint(2, 6)
-        xmembers = [v for v in range(1, n + 1) if rng.random() < 0.8] or [1]
-        x = IndexSet.of(n, xmembers)
-        group = []
-        for _ in range(rng.randint(1, 3)):
-            if total >= 200:
-                break
-            for _attempt in range(40):
-                m = rng.randint(1, min(3, n))
-                block = random_block(rng, n, m)
-                y = full_set(m)
-                try:
-                    matroid = scaled_linear_matroid(block, x, y)
-                except PreconditionError:
-                    continue
-                group.append((block, y, matroid))
-                total += 1
-                break
-        if group:
-            instances.append((x, group))
-    return instances
-
 
 def test_criterion_3_matroid_axiom_suite(matroid_instances, capsys):
     start = time.monotonic()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import rankloss.cli
 import rankloss.exactla
+import rankloss.tim
 from rankloss import fileio
 from rankloss.cli import build_parser, main
 from rankloss.conditions import Ensemble
@@ -619,6 +620,21 @@ def test_verify_and_normalize_refuse_windows_by_one_rule(tmp_path, capsys, windo
         assert main(["tim", command, str(FIXTURES / "T9a.json"), str(path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_verify_refuses_windows_before_eliminating(tmp_path, capsys, monkeypatch):
+    # T9a's exclusive scheme with J_1 and J_2 swapped breaks the window rule,
+    # which `tim verify` checks before it ranks any receiver.
+    data = json.loads((Path(__file__).parent / "golden" / "T9a_exclusive_scheme.json").read_text())
+    data["sparse_assignment"] = [T9A_WINDOWS[1], T9A_WINDOWS[0], *T9A_WINDOWS[2:]]
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    calls = []
+    rank_mod = rankloss.tim._rank_mod
+    monkeypatch.setattr(rankloss.tim, "_rank_mod", lambda *args: calls.append(args) or rank_mod(*args))
+    assert main(["tim", "verify", str(FIXTURES / "T9a.json"), str(path)]) == 4
+    assert capsys.readouterr().err == "error: receiver 1: sparse surplus -3 below tau = 3\n"
+    assert calls == []
 
 
 def test_exit_code_load_error(capsys):

@@ -87,6 +87,47 @@ def test_scaled_linear_precondition():
         )
 
 
+def test_oracle_matroid_keeps_no_per_query_state():
+    asked = []
+    m = RankOracleMatroid((1, 2, 3), lambda s: asked.append(s) or len(s))
+    assert m.rank([1, 2]) == m.rank([2, 1]) == 2
+    assert asked == [frozenset({1, 2})] * 2
+    assert vars(m).keys() == {"ground", "rank_fn"}
+
+
+def sparse_dim_rank(block, x, y, subset) -> int:
+    # The rank as first defined: |J| - dim(S_{J u X^c} & colspan B_{*,Y}).
+    return len(subset) - sparse_dim(block.take_cols(y), IndexSet.of(x.universe, subset).union(x.complement()))
+
+
+def test_scaled_linear_ranks_match_the_sparse_dimension_definition(rng, matroid_instances):
+    # Criteria 3 and 4's blocks, then random X and Y (empty ones included),
+    # where the construction is refused exactly when sparse_dim(B_Y, X^c) > 0.
+    cases = [(block, x, y) for x, group in matroid_instances for block, y, _ in group]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        block = random_block(rng, n, rng.randint(1, n))
+        cases.append(
+            (block, IndexSet.from_mask(n, rng.getrandbits(n)), IndexSet.from_mask(block.n_cols, rng.getrandbits(block.n_cols)))
+        )
+    built = 0
+    for block, x, y in cases:
+        defined = sparse_dim(block.take_cols(y), x.complement()) == 0
+        try:
+            m = scaled_linear_matroid(block, x, y)
+        except PreconditionError:
+            assert not defined
+            continue
+        assert defined
+        built += 1
+        d, full = dual(m), sparse_dim_rank(block, x, y, x.members)
+        for s in subsets(x.members):
+            assert m.rank(s) == sparse_dim_rank(block, x, y, s)
+            rest = tuple(v for v in x if v not in s)
+            assert d.rank(s) == len(s) - full + sparse_dim_rank(block, x, y, rest)
+    assert built > 200
+
+
 def test_dual_of_free_is_all_loops():
     d = dual(free_matroid(3))
     for s in subsets((1, 2, 3)):

@@ -163,10 +163,15 @@ _tuples = st.lists(_values, max_size=3).map(tuple)
 # strategy of roughly the right type, so that its later checks are reached.
 CONSTRUCTORS = [
     (Topology, 1, (_tuples,)),
+    (Topology.of, 1, (st.lists(_counts, max_size=3),) * 3),
     (Scheme, 2, (_counts, _tuples, st.none() | _tuples)),
     (Ensemble, 1, (_tuples,)),
+    (Ensemble.of, 1, (st.lists(_values, max_size=3),) * 2),
     (IndexSet, 2, (_counts, _tuples)),
+    (IndexSet.of, 2, (_counts, st.lists(_counts, max_size=3))),
+    (IndexSet.from_mask, 2, (_counts, st.integers(-1, 15))),
     (ExactMatrix, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
+    (ExactMatrix.from_rows, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
     (ExactMatrix.from_columns, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
     (TrialConfig, 0, (_counts, _counts, _counts)),
 ]

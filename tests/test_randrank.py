@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import rankloss
-from rankloss.conditions import Ensemble, check_C2, cross_validate
+from rankloss.conditions import Ensemble, check_C2, check_C3, check_C4, check_C5, cross_validate
 from rankloss.errors import PreconditionError
 from rankloss.fileio import load_ensemble
 from rankloss.randrank import (
@@ -53,6 +53,17 @@ def test_check_c1_requires_positive_tau():
     for tau in (0, e.R + 1):
         with pytest.raises(PreconditionError, match=r"tau must be in \[1, 4\]"):
             check_C1(e, tau, TrialConfig(seed=5))
+
+
+@pytest.mark.parametrize("tau", [True, 1.0, 1.5], ids=["bool", "integral-float", "float"])
+@pytest.mark.parametrize(
+    "check",
+    [check_C1, check_C2, check_C3, check_C4, check_C5, cross_validate],
+    ids=["C1", "C2", "C3", "C4", "C5", "cross_validate"],
+)
+def test_every_check_refuses_a_tau_that_is_not_an_int(check, tau):
+    with pytest.raises(PreconditionError, match=rf"tau must be an int, got {tau!r}"):
+        check(e1(), tau)
 
 
 def test_failure_bound_formula():
