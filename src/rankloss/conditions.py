@@ -48,16 +48,16 @@ Every route reads each block's own cleared integer grid
 (`ExactMatrix._rank_of_rows`): C2, C4 and C5 read them off the rank
 tables, one restriction of a block per column choice Y_i, and C6's
 certificate check off the blocks.  C1 and C3 never read that memo, so
-they stay independent of it.  The `Ensemble` owns the rank tables, the C2
-scan state, the C3-C5 results per size, C6's partition and C1's sampled
-ranks, freed with it.
+they stay independent of it.  The `Ensemble` keeps only what a later call
+reads back, freed with it: the rank tables, the C2 scan state and C1's
+sampled ranks.  The C3-C5 results per size and C6's partition are
+computed where asked and not stored.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
@@ -117,16 +117,6 @@ class Ensemble:
     def R(self) -> int:
         """Maximum possible rank of the scaled concatenation: min(sum m_i, n)."""
         return min(sum(self.column_counts), self.n)
-
-
-def _per_ensemble(build: Callable[..., T]) -> Callable[..., T]:
-    """Memoize build(ensemble, *args) on the ensemble itself, once per args."""
-
-    @wraps(build)
-    def memoized(ensemble: Ensemble, *args) -> T:
-        return ensemble._memoized((build, *args), lambda: build(ensemble, *args))
-
-    return memoized
 
 
 @dataclass(frozen=True)
@@ -267,10 +257,12 @@ class _JScan:
         self.next_mask, self.best = jmask, best
 
 
-@_per_ensemble
 def _c2_scans(ensemble: Ensemble) -> tuple[_JScan, ...]:
+    """One J-scan per R-column choice, kept by the ensemble because later taus resume it."""
     rows = (1 << ensemble.n) - 1
-    return tuple(_JScan(ys, rows) for ys in column_choices(ensemble, ensemble.R))
+    return ensemble._memoized(
+        _c2_scans, lambda: tuple(_JScan(ys, rows) for ys in column_choices(ensemble, ensemble.R))
+    )
 
 
 def check_C2(ensemble: Ensemble, tau: int) -> CheckResult:
@@ -322,7 +314,6 @@ def _row_circuits(ensemble: Ensemble) -> Callable[[int, tuple[int, ...], int], l
     return circuit
 
 
-@_per_ensemble
 def _row_union(ensemble: Ensemble) -> Partition:
     """A maximum partition of the rows into sets I_i independent in B_i, checked.
 
@@ -366,7 +357,7 @@ def _pairs_of_size(ensemble: Ensemble, size: int) -> Iterator[tuple[IndexSet, in
     only size R - tau + 1: violating X are the independent sets of the
     blocks' row matroids' union, so a larger size holds one only if that
     size does, and that size's lex-first X is a prefix of, and precedes,
-    the next's.  Each condition keeps its result per size on the ensemble.
+    the next's.
     """
     n = ensemble.n
     for members in itertools.combinations(range(1, n + 1), size):
@@ -375,7 +366,6 @@ def _pairs_of_size(ensemble: Ensemble, size: int) -> Iterator[tuple[IndexSet, in
             yield x, xmask, ys
 
 
-@_per_ensemble
 def _c3_at(ensemble: Ensemble, size: int) -> CheckResult:
     """C3 over the X of one size: fails at the first partition making every block subdeterminant nonzero."""
     n, grids = ensemble.n, [block._grid for block in ensemble.blocks]
@@ -397,7 +387,6 @@ def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     return _c3_at(ensemble, ensemble.R - tau + 1)
 
 
-@_per_ensemble
 def _c4_at(ensemble: Ensemble, size: int) -> CheckResult:
     """C4 over the X of one size: fails at the first partition leaving no block a sparse dimension off its part."""
     n = ensemble.n
@@ -417,7 +406,6 @@ def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
     return _c4_at(ensemble, ensemble.R - tau + 1)
 
 
-@_per_ensemble
 def _c5_at(ensemble: Ensemble, size: int) -> CheckResult:
     """C5 over the X of one size: fails at the first (X, Ys) without a holder, else lists every holder.
 
@@ -450,7 +438,8 @@ def check_C5(ensemble: Ensemble, tau: int) -> CheckResult:
     result = _c5_at(ensemble, first)
     if not result.holds:
         return result
-    holders = [w for size in range(first, ensemble.R + 1) for w in _c5_at(ensemble, size).witnesses]
+    holders = list(result.witnesses)
+    holders += [w for size in range(first + 1, ensemble.R + 1) for w in _c5_at(ensemble, size).witnesses]
     return CheckResult("C5", True, tuple(sorted(holders, key=lambda w: w.X.members)))
 
 

@@ -10,6 +10,7 @@ import pkgutil
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,10 +33,10 @@ from rankloss.conditions import (
     cross_validate,
     max_tau,
 )
-from rankloss.errors import InternalInvariantError, PreconditionError
+from rankloss.errors import EquivalenceViolation, InternalInvariantError, PreconditionError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, rank, sparse_dim
 from rankloss.fileio import emit_ensemble, load_ensemble
-from rankloss.randrank import TrialConfig
+from rankloss.randrank import TrialConfig, sample_ranks
 
 from conftest import (
     ENTRY_POOL,
@@ -429,6 +430,14 @@ def test_c6_certificate_catches_a_wrong_circuit(monkeypatch):
         max_tau(Ensemble.of([[1], [1]], [[1], [0]]))
 
 
+def test_c6_certificate_catches_a_dependent_part(monkeypatch):
+    # An oracle that never finds a circuit piles both rows into B_1's one
+    # column.  The T bound still matches, so only the part check refuses it.
+    monkeypatch.setattr(conditions, "_row_circuits", lambda ensemble: lambda i, part, y: None)
+    with pytest.raises(InternalInvariantError, match="dependent"):
+        max_tau(Ensemble.of([[1], [1]], [[1], [0]]))
+
+
 def _dense_ensemble(n: int, k: int, seed: int) -> Ensemble:
     # k dense n x n/k blocks with entries in [-9, 9] and row 1 zero in all.
     rng = random.Random(seed)
@@ -557,6 +566,31 @@ def test_derived_results_are_freed_with_the_ensemble():
     del e
     gc.collect()
     assert ref() is None
+
+
+def _memo_kind(key, value) -> str:
+    if isinstance(value, ExactMatrix):
+        return "rank table"
+    if isinstance(key, TrialConfig):
+        return "sampled ranks"
+    if isinstance(value, tuple) and all(isinstance(scan, conditions._JScan) for scan in value):
+        return "C2 scans"
+    return type(value).__name__
+
+
+def test_the_ensemble_keeps_only_what_a_later_call_reads():
+    # Rank tables, the resumable C2 scans and C1's sampled ranks are read
+    # again by later calls; no C3-C5 result and no C6 partition is kept.
+    rng = random.Random(11)
+    ensembles = [e1(), e3(), load_ensemble(str(ZERO_ROW))] + [random_ensemble(rng) for _ in range(20)]
+    for e in ensembles:
+        for tau in range(1, e.R + 1):
+            cross_validate(e, tau)
+        max_tau(e)
+        kinds = Counter(_memo_kind(key, value) for key, value in e._memo.items())
+        assert kinds.keys() == {"rank table", "C2 scans", "sampled ranks"}, (kinds, e)
+        assert kinds["C2 scans"] == kinds["sampled ranks"] == 1
+        assert e._memo[TrialConfig()] == sample_ranks(e, TrialConfig())
 
 
 def test_rank_tables_are_built_once_per_block_and_column_choice(monkeypatch):
@@ -746,14 +780,16 @@ def test_c5_walks_only_inside_x_and_matches_a_full_scan_at_n6_n7(monkeypatch):
 
 def test_c3_c4_c5_scan_only_the_size_their_verdict_reads(monkeypatch):
     # At tau, C3 and C4 scan the row sets of size R - tau + 1 alone, and so
-    # does a failing C5; a holding C5 goes on to the sizes above, for its holders.
+    # does a failing C5; a holding C5 goes on to the sizes above, for its
+    # holders.  No call scans a size twice.
     sizes = []
+    pairs_of_size = conditions._pairs_of_size
 
-    def recording(ensemble, total):
-        sizes.append(total)
-        return column_choices(ensemble, total)
+    def recording(ensemble, size):
+        sizes.append(size)
+        return pairs_of_size(ensemble, size)
 
-    monkeypatch.setattr(conditions, "column_choices", recording)
+    monkeypatch.setattr(conditions, "_pairs_of_size", recording)
     rng = random.Random(5)
     two_zero_rows = Ensemble.of([[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 1], [1, 2], [0, 0], [0, 0]])  # max_tau 2
     ensembles = [e1(), e1_generic(), e3(), two_zero_rows, load_ensemble(str(ZERO_ROW))]
@@ -766,15 +802,15 @@ def test_c3_c4_c5_scan_only_the_size_their_verdict_reads(monkeypatch):
                 sizes.clear()
                 result = check(Ensemble(e.blocks), tau)
                 above = check is check_C5 and result.holds
-                assert set(sizes) == set(range(first, e.R + 1) if above else {first}), (check.__name__, tau, e)
+                assert sorted(sizes) == list(range(first, e.R + 1) if above else [first]), (check.__name__, tau, e)
                 holding += above and first < e.R
                 failing += not result.holds
     assert holding > 0 and failing > 0
 
 
 def test_c3_c4_c5_reports_do_not_depend_on_query_order():
-    # Each (condition, size) is scanned once and kept, so the taus asked
-    # before, in any order, change no report.
+    # Each call scans its sizes afresh and shares only the rank tables, so
+    # the taus asked before, in any order, change no report.
     def reports(e, taus):
         return {tau: [check(e, tau).to_dict() for check in (check_C3, check_C4, check_C5)] for tau in taus}
 
@@ -783,3 +819,14 @@ def test_c3_c4_c5_reports_do_not_depend_on_query_order():
         ascending = reports(Ensemble(e.blocks), taus)
         assert reports(Ensemble(e.blocks), taus[::-1]) == ascending
         assert {tau: reports(Ensemble(e.blocks), [tau])[tau] for tau in taus} == ascending
+
+
+def test_cross_validate_raises_when_the_verdicts_disagree(monkeypatch):
+    # A verdict that disagrees with the others stops cross_validate, report attached.
+    check_c3 = conditions.check_C3
+    monkeypatch.setattr(conditions, "check_C3", lambda e, tau: CheckResult("C3", not check_c3(e, tau).holds))
+    with pytest.raises(EquivalenceViolation) as err:
+        cross_validate(e1(), 1)
+    report = err.value.report
+    assert report.verdicts["C3"] != report.verdicts["C2"]
+    assert not report.agreement

@@ -360,3 +360,24 @@ def test_verify_axioms_flags_rank_bounds(rank_fn, violation):
     report = verify_axioms(RankOracleMatroid((1, 2), rank_fn))
     assert report.ok is False
     assert violation in report.violations
+
+
+def _rank_of_family(independent):
+    """The rank function a family of independent sets induces: the largest member inside the set."""
+    family = [frozenset(i) for i in independent]
+    return lambda s: max(len(i) for i in family if i <= s)
+
+
+@pytest.mark.parametrize(
+    "ground, rank_fn, violation",
+    [
+        ((1, 2), {frozenset(): 0, frozenset({1}): 0, frozenset({2}): 1, frozenset({1, 2}): 2}.get,
+         "hereditary property fails below [1, 2]"),
+        ((1, 2, 3), _rank_of_family([(), (1,), (2,), (3,), (2, 3)]), "exchange fails for [1] into [2, 3]"),
+    ],
+    ids=["hereditary", "exchange"],
+)
+def test_verify_axioms_flags_independence_families(ground, rank_fn, violation):
+    report = verify_axioms(RankOracleMatroid(ground, rank_fn))
+    assert report.ok is False
+    assert violation in report.violations
