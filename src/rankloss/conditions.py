@@ -28,12 +28,13 @@ masks in lex order, stepped by `_lex_next`.  C2 scans each column choice's
 when a later call asks for a higher tau; a tau the ensemble does not reach
 still scans the failing column choice to the end.  C3-C5 at tau scan the
 row sets X of one size, R - tau + 1 (`_pairs_of_size`), each with every
-|X|-column choice Ys, the pair handed to the condition's own kernel (C3
-the block subdeterminants by `_bareiss`, C4 sparse dimensions from the
-rank tables, C5 a J-scan over X's subsets to slack 1), and stop at the
-first violation; a holding C5 goes on to the sizes above for its holders.
-So each grows as C(n, |X|) times the number of column choices.  No
-condition's verdict is read off another's.
+|X|-column choice Ys, and stop at the first violation; a holding C5 goes
+on to the sizes above for its holders.  C5 runs a J-scan over X's subsets
+to slack 1 at each pair.  C3 and C4 share one search (`_partition_scan`)
+that chooses the parts of an ordered partition of X block by block, tests
+each as it is chosen (C3 a block subdeterminant by `_bareiss`, C4 its
+rank in the rank table) and never extends a failing part.  No condition's
+verdict is read off another's.
 
 C6 keeps each part's rows as one integer echelon basis
 (`exactla._RowBasis`, the package's one reduced echelon routine), so the
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 from .errors import EquivalenceViolation, InternalInvariantError, PreconditionError, ShapeError
 from .exactla import ExactMatrix, IndexSet, _bareiss, _mask, _RowBasis
@@ -194,18 +195,6 @@ def column_choices(ensemble: Ensemble, total: int) -> Iterator[tuple[IndexSet, .
             for m, size in zip(ms, sizes)
         ]
         yield from itertools.product(*pools)
-
-
-def _ordered_partitions(members: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # Ordered partitions of `members` into parts of the given sizes.
-    if not sizes:
-        if not members:
-            yield ()
-        return
-    for part in itertools.combinations(members, sizes[0]):
-        rest = tuple(v for v in members if v not in part)
-        for tail in _ordered_partitions(rest, sizes[1:]):
-            yield (part,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -366,44 +355,52 @@ def _pairs_of_size(ensemble: Ensemble, size: int) -> Iterator[tuple[IndexSet, in
             yield x, xmask, ys
 
 
-def _c3_at(ensemble: Ensemble, size: int) -> CheckResult:
-    """C3 over the X of one size: fails at the first partition making every block subdeterminant nonzero."""
-    n, grids = ensemble.n, [block._grid for block in ensemble.blocks]
-    for x, _, ys in _pairs_of_size(ensemble, size):
-        for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
-            if all(
-                _bareiss([[grid[v - 1][c - 1] for c in y] for v in part], len(y)) == len(y)
-                for grid, part, y in zip(grids, parts, ys)
-                if len(y) > 0
-            ):
-                partition = tuple(IndexSet(n, p) for p in parts)
-                return CheckResult("C3", False, (Witness(kind="C3-violation", Y=ys, X=x, partition=partition),))
-    return CheckResult("C3", True)
+def _partition_scan(ensemble: Ensemble, tau: int, condition: str, tests_at: Callable) -> CheckResult:
+    """C3 or C4 at tau: fails at the first (X, Ys) and partition of X passing tests_at(Ys), a test per block.
+
+    Part i runs over the combinations of the rows the earlier parts leave,
+    and a part that fails its block's test is not extended: no passing
+    partition lies under it, so the first one found is the lex-first.
+    """
+    _check_tau(ensemble, tau)
+
+    def first(rest: tuple[int, ...], i: int) -> tuple | None:  # reads the pair's ys and tests
+        if i == len(ys):
+            return ()
+        for part in itertools.combinations(rest, len(ys[i])):
+            if tests[i](part) and (tail := first(tuple(v for v in rest if v not in part), i + 1)) is not None:
+                return (part,) + tail
+        return None
+
+    for x, _, ys in _pairs_of_size(ensemble, ensemble.R - tau + 1):
+        tests = tests_at(ys)
+        parts = first(x.members, 0)
+        if parts is not None:
+            partition = tuple(IndexSet(ensemble.n, p) for p in parts)
+            hit = Witness(f"{condition}-violation", ys, X=x, partition=partition)
+            return CheckResult(condition, False, (hit,))
+    return CheckResult(condition, True)
 
 
 def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     """Do all oversized square selections have vanishing subdeterminant products?"""
-    _check_tau(ensemble, tau)
-    return _c3_at(ensemble, ensemble.R - tau + 1)
 
+    def tests_at(ys: tuple[IndexSet, ...]) -> list:
+        # A part passes when B_i[part, Y_i] is nonsingular; Bareiss eliminates in place, so it gets copied rows.
+        cuts = [([[row[c - 1] for c in y] for row in b._grid], len(y)) for b, y in zip(ensemble.blocks, ys)]
+        return [lambda part, rows=rows, k=k: _bareiss([rows[v - 1][:] for v in part], k) == k for rows, k in cuts]
 
-def _c4_at(ensemble: Ensemble, size: int) -> CheckResult:
-    """C4 over the X of one size: fails at the first partition leaving no block a sparse dimension off its part."""
-    n = ensemble.n
-    for x, _, ys in _pairs_of_size(ensemble, size):
-        tables = _rank_tables(ensemble, ys)
-        for parts in _ordered_partitions(x.members, tuple(len(y) for y in ys)):
-            # The sparse dimension of the rows outside a part is rank_i less the part's own rank.
-            if sum(t._rank - t._rank_of_rows(_mask(part)) for t, part in zip(tables, parts)) == 0:
-                partition = tuple(IndexSet(n, p) for p in parts)
-                return CheckResult("C4", False, (Witness(kind="C4-violation", Y=ys, X=x, partition=partition),))
-    return CheckResult("C4", True)
+    return _partition_scan(ensemble, tau, "C3", tests_at)
 
 
 def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
     """Sparse-subspace form: every partition leaves some block a sparse dimension."""
-    _check_tau(ensemble, tau)
-    return _c4_at(ensemble, ensemble.R - tau + 1)
+
+    def tests_at(ys: tuple[IndexSet, ...]) -> list:
+        # The rows outside a part keep rank_i less the part's rank as sparse dimension, so a full-rank part passes.
+        return [lambda part, t=t: t._rank_of_rows(_mask(part)) == t._rank for t in _rank_tables(ensemble, ys)]
+
+    return _partition_scan(ensemble, tau, "C4", tests_at)
 
 
 def _c5_at(ensemble: Ensemble, size: int) -> CheckResult:
@@ -430,16 +427,16 @@ def _c5_at(ensemble: Ensemble, size: int) -> CheckResult:
 def check_C5(ensemble: Ensemble, tau: int) -> CheckResult:
     """For every X and column choice, some J inside X overshoots |J| sparse dims.
 
-    Size R - tau + 1 is scanned first; only when it holds are the sizes
-    above it scanned for their holders, listed by X's members, then Ys.
+    The sizes R - tau + 1..R are scanned in turn and the first failing one
+    is the verdict; if all hold, their holders are listed by X's members.
     """
     _check_tau(ensemble, tau)
-    first = ensemble.R - tau + 1
-    result = _c5_at(ensemble, first)
-    if not result.holds:
-        return result
-    holders = list(result.witnesses)
-    holders += [w for size in range(first + 1, ensemble.R + 1) for w in _c5_at(ensemble, size).witnesses]
+    holders: list[Witness] = []
+    for size in range(ensemble.R - tau + 1, ensemble.R + 1):
+        result = _c5_at(ensemble, size)
+        if not result.holds:
+            return result
+        holders += result.witnesses
     return CheckResult("C5", True, tuple(sorted(holders, key=lambda w: w.X.members)))
 
 

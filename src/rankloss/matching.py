@@ -36,6 +36,12 @@ class SupportGraph:
     rights: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if type(self.n_left) is not int or self.n_left < 0:  # exactly int: bool is an int subclass
+            raise ShapeError(f"n_left must be a nonnegative int, got {self.n_left!r}")
+        if not isinstance(self.rights, tuple) or not all(
+            isinstance(r, tuple) and len(r) == 3 and all(type(v) is int for v in r) for r in self.rights
+        ):
+            raise ShapeError("rights must be a tuple of (block, label, mask) int triples")  # a list would not hash
         for block, label, mask in self.rights:
             if mask < 0 or mask >> self.n_left:
                 raise ShapeError(
@@ -99,6 +105,8 @@ def hall_threshold_check(graph: SupportGraph, k: int) -> bool:
 
     Equivalent to the graph having a matching of size k (acceptance criterion 5).
     """
+    if type(k) is not int:
+        raise PreconditionError(f"k must be an int, got {k!r}")
     if not 0 <= k <= min(graph.n_left, graph.n_right):
         raise PreconditionError(
             f"k must lie in [0, {min(graph.n_left, graph.n_right)}], got {k}"

@@ -67,8 +67,8 @@ def scaled_linear_matroid(block: ExactMatrix, X: IndexSet, Y: IndexSet) -> RankO
     """Matroid on ground X induced by the chosen columns of a block.
 
     Requires dim(S_{X^c} & colspan B_{*,Y}) = 0; when that fails the
-    construction is undefined and callers short-circuit instead (the
-    quantified conditions hold trivially there).
+    construction is undefined and raises PreconditionError, which
+    `matroid-check` reports as a refusal (exit 4).
     """
     if X.universe != block.n_rows:
         raise ShapeError(f"X over [{X.universe}] against {block.n_rows}-row matrix")

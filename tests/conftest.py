@@ -424,6 +424,33 @@ def random_ensemble(rng: random.Random, max_n: int = 6, max_k: int = 3) -> Ensem
     return Ensemble(tuple(random_block(rng, n, m) for m in ms))
 
 
+def census(n: int, k: int) -> list[Ensemble]:
+    """One ensemble per class of the K-multisets of small {0,1} blocks, up to joint row permutation.
+
+    A block is a set of one or two distinct nonzero {0,1}-columns over n
+    rows with full column rank.  A class's canonical form is the minimum,
+    over the joint row permutations, of the sorted tuple of its blocks, each
+    block the sorted tuple of its columns; the classes come in that order.
+    """
+    columns = [c for c in itertools.product((0, 1), repeat=n) if any(c)]
+    blocks = [
+        combo
+        for m in (1, 2)
+        for combo in itertools.combinations(columns, m)
+        if is_full_column_rank(ExactMatrix.from_columns(combo, n))
+    ]
+    perms = list(itertools.permutations(range(n)))
+
+    def canonical(choice):
+        return min(
+            tuple(sorted(tuple(sorted(tuple(col[p] for p in perm) for col in block)) for block in choice))
+            for perm in perms
+        )
+
+    classes = {canonical(choice) for choice in itertools.combinations_with_replacement(blocks, k)}
+    return [Ensemble(tuple(ExactMatrix.from_columns(block, n) for block in form)) for form in sorted(classes)]
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -40,6 +40,7 @@ from rankloss.randrank import TrialConfig, sample_ranks
 
 from conftest import (
     ENTRY_POOL,
+    census,
     cofactor_det,
     e1,
     e1_generic,
@@ -709,7 +710,8 @@ def _reference_x_check(e, profile, condition, tau):
 def test_c3_c4_c5_witnesses_match_a_full_scan(rng):
     checks = {"C3": check_C3, "C4": check_C4, "C5": check_C5}
     failing = {name: 0 for name in checks}
-    for e in [e1(), e3()] + [random_ensemble(rng, max_n=5) for _ in range(40)]:
+    # The smallest census domain makes the reference exhaustive there.
+    for e in [e1(), e3()] + [random_ensemble(rng, max_n=5) for _ in range(40)] + census(3, 2):
         profile = _full_profile_x(e)
         for tau in range(1, e.R + 1):
             for name, check in checks.items():
@@ -819,6 +821,68 @@ def test_c3_c4_c5_reports_do_not_depend_on_query_order():
         ascending = reports(Ensemble(e.blocks), taus)
         assert reports(Ensemble(e.blocks), taus[::-1]) == ascending
         assert {tau: reports(Ensemble(e.blocks), [tau])[tau] for tau in taus} == ascending
+
+
+def test_c3_c4_search_never_extends_a_failing_part(monkeypatch):
+    # The partition search tests each part as it is chosen and extends only
+    # a passing one; testing every ordered partition in full would take
+    # 11,860 `_bareiss` and 21,026 `_rank_of_rows` calls here.
+    calls = Counter()
+    bareiss, rank_of_rows = conditions._bareiss, ExactMatrix._rank_of_rows
+
+    def counting_bareiss(*args):
+        calls["_bareiss"] += 1
+        return bareiss(*args)
+
+    def counting_rank_of_rows(self, mask):
+        calls["_rank_of_rows"] += 1
+        return rank_of_rows(self, mask)
+
+    golden = json.loads((ZERO_ROW.parent / "equiv-zero_row_n6-tau2.json").read_text())
+    expected = {r["condition"]: r for r in golden["results"]}
+    c3_ensemble, c4_ensemble = load_ensemble(str(ZERO_ROW)), load_ensemble(str(ZERO_ROW))
+    monkeypatch.setattr(conditions, "_bareiss", counting_bareiss)
+    monkeypatch.setattr(ExactMatrix, "_rank_of_rows", counting_rank_of_rows)
+    assert check_C3(c3_ensemble, 2).to_dict() == expected["C3"]
+    assert calls["_bareiss"] < 9000
+    assert check_C4(c4_ensemble, 2).to_dict() == expected["C4"]
+    assert calls["_rank_of_rows"] < 9000
+
+
+def test_check_c5_fails_when_a_size_above_the_first_fails(monkeypatch):
+    # A holding first size does not hide a failing size above it among the holders.
+    c5_at = conditions._c5_at
+    two_zero_rows = Ensemble.of([[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 1], [1, 2], [0, 0], [0, 0]])  # max_tau 2
+    y = IndexSet(2, (1, 2))
+    hit = Witness("C5-counterexample", (y, y), J=IndexSet(4, ()), X=IndexSet(4, (1, 2, 3, 4)), slack=0)
+    failing = CheckResult("C5", False, (hit,))
+    monkeypatch.setattr(conditions, "_c5_at", lambda e, size: c5_at(e, size) if size == 3 else failing)
+    assert c5_at(two_zero_rows, 3).holds
+    assert check_C5(two_zero_rows, 2) == failing
+
+
+# Per (n, K): classes, reports (one per class and tau) and the max_tau histogram.
+CENSUS = {
+    (3, 2): (91, 264, {0: 78, 1: 13}),
+    (3, 3): (780, 2340, {0: 743, 1: 36, 2: 1}),
+    (4, 2): (471, 1734, {0: 359, 1: 108, 2: 4}),
+}
+
+
+@pytest.mark.parametrize("n, k", CENSUS)
+def test_census_cross_validates_every_class_at_every_tau(n, k):
+    # Every small {0,1} ensemble up to joint row permutation: C1-C5 agree at
+    # every tau and C2 with C6's max_tau.  The pinned counts show a change in
+    # the canonical form or in max_tau.
+    ensembles = census(n, k)
+    reports, histogram = 0, Counter()
+    for index, e in enumerate(ensembles):
+        tau_star = max_tau(e)
+        histogram[tau_star] += 1
+        for tau in range(1, e.R + 1):
+            assert cross_validate(e, tau, TrialConfig(seed=index)).verdicts["C2"] == (tau <= tau_star), (tau, e)
+            reports += 1
+    assert (len(ensembles), reports, histogram) == CENSUS[n, k]
 
 
 def test_cross_validate_raises_when_the_verdicts_disagree(monkeypatch):

@@ -4,13 +4,14 @@ Every import is relative or from the standard library, and every public
 module-level name, and every public method, classmethod and property of a
 package class, has a caller in the package or a stated reason to stay.
 Every private module-level function, class and constant is read by the
-package's own code, and every code name a docstring or comment quotes in
-backticks still names something in it.
+package's own code, and every code name a docstring, a comment or the
+README quotes in backticks still names something in it.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -159,11 +160,23 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return found
 
 
+def _code_parts(text: str) -> list[str]:
+    """The code-like parts of the text's backticked spans."""
+    found = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        parts = re.findall(r"\w+", span)
+        found += [part for part in parts if len(parts) == 1 or CODE_LIKE.fullmatch(part)]
+    return found
+
+
 def test_backticked_code_names_exist():
-    # A code-like part of a backticked span in the package's source names
-    # something the package defines, reads, or writes as a string literal
-    # (a report or file key), or is one of its modules; so a docstring
-    # cannot keep citing a deleted function, method or key.
+    # A code-like part of a backticked span in the package's source or in
+    # README.md names something the package defines, reads, or writes as a
+    # string literal (a report or file key), or is one of its modules; so a
+    # docstring or the README cannot keep citing a deleted function, method
+    # or key.  The README also quotes values, files and commands one word to
+    # a span, so there only code-like parts count, and it may quote the
+    # benchmark's end-to-end metric names and the math tokens m_i and sum_i.
     paths = sorted(Path(rankloss.__file__).parent.glob("*.py"))
     known = {path.stem for path in paths}
     quoted: list[tuple[str, str]] = []
@@ -184,8 +197,11 @@ def test_backticked_code_names_exist():
                 known.add(node.arg)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
                 known.add(node.value)
-        for span in re.findall(r"`([^`\n]+)`", text):
-            parts = re.findall(r"\w+", span)
-            quoted += [(path.name, part) for part in parts if len(parts) == 1 or CODE_LIKE.fullmatch(part)]
+        quoted += [(path.name, part) for part in _code_parts(text)]
     assert quoted
     assert sorted({(name, part) for name, part in quoted if part not in known}) == []
+    root = Path(__file__).resolve().parent.parent
+    metrics = {metric["name"] for metric in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
+    readme = {part for part in _code_parts((root / "README.md").read_text()) if CODE_LIKE.fullmatch(part)}
+    assert readme
+    assert sorted(readme - known - metrics - {"m_i", "sum_i"}) == []

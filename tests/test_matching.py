@@ -56,6 +56,33 @@ def test_adjacency_outside_the_rows_refused(n_left, mask):
         SupportGraph(n_left, ((1, 1, mask),))
 
 
+@pytest.mark.parametrize(
+    "n_left, rights",
+    [
+        (-1, ((1, 1, 1),)),
+        (True, ()),
+        ("2", ()),
+        (2, None),
+        (2, [(1, 1, 1)]),
+        (2, ((1, 1, 1.0),)),
+        (2, ((1, 1, True),)),
+        (2, ((1, 1),)),
+        (2, ([1, 1, 1],)),
+    ],
+)
+def test_malformed_graph_refused(n_left, rights):
+    # A malformed graph is refused when it is built, not met later as a TypeError or a wrong answer.
+    with pytest.raises(ShapeError):
+        SupportGraph(n_left, rights)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1", None])
+def test_threshold_that_is_not_an_int_refused(k):
+    # A bool or a float is not a threshold, even where it compares like one.
+    with pytest.raises(PreconditionError):
+        hall_threshold_check(identity_graph(2), k)
+
+
 def test_pigeonhole_three_on_two_rows():
     g = build_support_graph([(1, (1, 1)), (1, (2, 1)), (2, (1, 3))])
     assert max_matching(g) == 2

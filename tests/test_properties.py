@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from rankloss.conditions import Ensemble, _row_union, check_C2, cross_validate, max_tau
 from rankloss.errors import PreconditionError
 from rankloss.exactla import ExactMatrix, IndexSet, _bareiss, is_full_column_rank
+from rankloss.matching import SupportGraph
 from rankloss.matroid import independence_circuits, matroid_partition
 from rankloss.randrank import TrialConfig
 from rankloss.tim import Scheme, Topology
@@ -174,6 +175,7 @@ CONSTRUCTORS = [
     (ExactMatrix.from_rows, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
     (ExactMatrix.from_columns, 1, (st.lists(_values, max_size=3), st.none() | _counts)),
     (TrialConfig, 0, (_counts, _counts, _counts)),
+    (SupportGraph, 2, (_counts, _tuples)),
 ]
 
 
