@@ -32,9 +32,9 @@ row sets X of one size, R - tau + 1 (`_pairs_of_size`), each with every
 on to the sizes above for its holders.  C5 runs a J-scan over X's subsets
 to slack 1 at each pair.  C3 and C4 share one search (`_partition_scan`)
 that chooses the parts of an ordered partition of X block by block, tests
-each as it is chosen (C3 a block subdeterminant by `_bareiss`, C4 its
-rank in the rank table) and never extends a failing part.  No condition's
-verdict is read off another's.
+each against its block's rank table as it is chosen (C3 a subdeterminant
+by a fresh `_bareiss` of the table's rows, C4 the part's rank) and never
+extends a failing part.  No condition's verdict is read off another's.
 
 C6 keeps each part's rows as one integer echelon basis
 (`exactla._RowBasis`, the package's one reduced echelon routine), so the
@@ -46,13 +46,14 @@ one that an augmenting path changed otherwise is rebuilt.
 
 Every route reads each block's own cleared integer grid
 (`ExactMatrix._grid`), and each matrix keeps its row-subset ranks
-(`ExactMatrix._rank_of_rows`): C2, C4 and C5 read them off the rank
-tables, one restriction of a block per column choice Y_i, and C6's
-certificate check off the blocks.  C1 and C3 never read that memo, so
-they stay independent of it.  The `Ensemble` keeps only what a later call
-reads back, freed with it: the rank tables, the C2 scan state and C1's
-sampled ranks.  The C3-C5 results per size and C6's partition are
-computed where asked and not stored.
+(`ExactMatrix._rank_of_rows`).  C2-C5 read one restriction of a block per
+column choice Y_i, its rank table, which `_pairs_of_size` hands C3-C5 with
+each (X, Ys): C2, C4 and C5 read its row-subset ranks and C3 its grid.
+C6's certificate check reads the blocks' ranks.  C1 and C3 never read
+that memo, so they stay independent of it.  The `Ensemble` keeps only
+what a later call reads back, freed with it: the rank tables, the C2 scan
+state and C1's sampled ranks.  The C3-C5 results per size and C6's
+partition are computed where asked and not stored.
 """
 
 from __future__ import annotations
@@ -338,42 +339,45 @@ def max_tau(ensemble: Ensemble) -> int:
 # C3, C4, C5: the quantified-over-X conditions
 # ---------------------------------------------------------------------------
 
-def _pairs_of_size(ensemble: Ensemble, size: int) -> Iterator[tuple[IndexSet, int, tuple[IndexSet, ...]]]:
-    """The (X, X's mask, Ys) of one size |X| in the canonical scan order.
+def _pairs_of_size(
+    ensemble: Ensemble, size: int
+) -> Iterator[tuple[IndexSet, int, tuple[IndexSet, ...], list[ExactMatrix]]]:
+    """The (X, X's mask, Ys, Ys' rank tables) of one size |X| in the canonical scan order.
 
     X runs over the size-row sets in lex member order and Ys over the
-    size-column choices.  C3-C5 at tau quantify over |X| > R - tau, but scan
-    only size R - tau + 1: violating X are the independent sets of the
-    blocks' row matroids' union, so a larger size holds one only if that
-    size does, and that size's lex-first X is a prefix of, and precedes,
-    the next's.
+    size-column choices; each pair's tables are looked up as it is reached,
+    so a scan that stops early builds none past its stop.  C3-C5 at tau
+    quantify over |X| > R - tau, but scan only size R - tau + 1: violating
+    X are the independent sets of the blocks' row matroids' union, so a
+    larger size holds one only if that size does, and that size's lex-first
+    X is a prefix of, and precedes, the next's.
     """
     n = ensemble.n
     for members in itertools.combinations(range(1, n + 1), size):
         x, xmask = IndexSet(n, members), _mask(members)
         for ys in column_choices(ensemble, size):
-            yield x, xmask, ys
+            yield x, xmask, ys, _rank_tables(ensemble, ys)
 
 
-def _partition_scan(ensemble: Ensemble, tau: int, condition: str, tests_at: Callable) -> CheckResult:
-    """C3 or C4 at tau: fails at the first (X, Ys) and partition of X passing tests_at(Ys), a test per block.
+def _partition_scan(ensemble: Ensemble, tau: int, condition: str, passes: Callable) -> CheckResult:
+    """C3 or C4 at tau: fails at the first (X, Ys) and partition of X whose every part passes.
 
-    Part i runs over the combinations of the rows the earlier parts leave,
-    and a part that fails its block's test is not extended: no passing
-    partition lies under it, so the first one found is the lex-first.
+    Part i has |Y_i| rows and passes(table_i, part) tests it against block
+    i's rank table.  It runs over the combinations of the rows the earlier
+    parts leave, and a failing part is not extended: no passing partition
+    lies under it, so the first one found is the lex-first.
     """
     _check_tau(ensemble, tau)
 
-    def first(rest: tuple[int, ...], i: int) -> tuple | None:  # reads the pair's ys and tests
-        if i == len(ys):
+    def first(rest: tuple[int, ...], i: int) -> tuple | None:  # reads the pair's tables
+        if i == len(tables):
             return ()
-        for part in itertools.combinations(rest, len(ys[i])):
-            if tests[i](part) and (tail := first(tuple(v for v in rest if v not in part), i + 1)) is not None:
+        for part in itertools.combinations(rest, tables[i].n_cols):
+            if passes(tables[i], part) and (tail := first(tuple(v for v in rest if v not in part), i + 1)) is not None:
                 return (part,) + tail
         return None
 
-    for x, _, ys in _pairs_of_size(ensemble, ensemble.R - tau + 1):
-        tests = tests_at(ys)
+    for x, _, ys, tables in _pairs_of_size(ensemble, ensemble.R - tau + 1):
         parts = first(x.members, 0)
         if parts is not None:
             partition = tuple(IndexSet(ensemble.n, p) for p in parts)
@@ -384,23 +388,16 @@ def _partition_scan(ensemble: Ensemble, tau: int, condition: str, tests_at: Call
 
 def check_C3(ensemble: Ensemble, tau: int) -> CheckResult:
     """Do all oversized square selections have vanishing subdeterminant products?"""
-
-    def tests_at(ys: tuple[IndexSet, ...]) -> list:
-        # A part passes when B_i[part, Y_i] is nonsingular; Bareiss eliminates in place, so it gets copied rows.
-        cuts = [([[row[c - 1] for c in y] for row in b._grid], len(y)) for b, y in zip(ensemble.blocks, ys)]
-        return [lambda part, rows=rows, k=k: _bareiss([rows[v - 1][:] for v in part], k) == k for rows, k in cuts]
-
-    return _partition_scan(ensemble, tau, "C3", tests_at)
+    # A part passes when B_i[part, Y_i] is nonsingular; Bareiss eliminates in place, so it gets copied rows.
+    return _partition_scan(
+        ensemble, tau, "C3", lambda t, part: _bareiss([t._grid[v - 1][:] for v in part], t.n_cols) == t.n_cols
+    )
 
 
 def check_C4(ensemble: Ensemble, tau: int) -> CheckResult:
     """Sparse-subspace form: every partition leaves some block a sparse dimension."""
-
-    def tests_at(ys: tuple[IndexSet, ...]) -> list:
-        # The rows outside a part keep rank_i less the part's rank as sparse dimension, so a full-rank part passes.
-        return [lambda part, t=t: t._rank_of_rows(_mask(part)) == t._rank for t in _rank_tables(ensemble, ys)]
-
-    return _partition_scan(ensemble, tau, "C4", tests_at)
+    # The rows outside a part keep rank_i less the part's rank as sparse dimension, so a full-rank part passes.
+    return _partition_scan(ensemble, tau, "C4", lambda t, part: t._rank_of_rows(_mask(part)) == t._rank)
 
 
 def _c5_at(ensemble: Ensemble, size: int) -> CheckResult:
@@ -414,9 +411,9 @@ def _c5_at(ensemble: Ensemble, size: int) -> CheckResult:
     n = ensemble.n
     full = (1 << n) - 1
     holders: list[Witness] = []
-    for x, xmask, ys in _pairs_of_size(ensemble, size):
+    for x, xmask, ys, tables in _pairs_of_size(ensemble, size):
         scan = _JScan(ys, xmask, ~xmask & full)
-        scan.advance(_rank_tables(ensemble, ys), 1)
+        scan.advance(tables, 1)
         if 1 not in scan.first_at:
             hit = Witness(kind="C5-counterexample", Y=ys, X=x, J=IndexSet.from_mask(n, scan.argmax), slack=scan.best)
             return CheckResult("C5", False, (hit,))

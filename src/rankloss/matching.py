@@ -52,24 +52,22 @@ class SupportGraph:
     def n_right(self) -> int:
         return len(self.rights)
 
-    def adjacency(self, right_index: int) -> int:
-        return self.rights[right_index][2]
 
-
-def matching_sizes(graph: SupportGraph, cuts: Sequence[int]) -> tuple[int, ...]:
+def matching_sizes(n_left: int, masks: Sequence[int], cuts: Sequence[int]) -> tuple[int, ...]:
     """Maximum matching size among the first c right vertices, for each c in ascending cuts.
 
-    One augmenting-path pass over the right vertices in order: a path from
-    right vertex r only passes through rows matched to earlier ones, so
-    after the first c the matching is a maximum one of those c (Kuhn's
-    algorithm run on them alone).
+    Right vertex r is adjacent to the rows in masks[r] (bit i set for row
+    i + 1 of 1..n_left).  One augmenting-path pass over the right vertices
+    in order: a path from right vertex r only passes through rows matched
+    to earlier ones, so after the first c the matching is a maximum one of
+    those c (Kuhn's algorithm run on them alone).
     """
-    match_of_row = [-1] * graph.n_left  # row index -> right vertex or -1
+    match_of_row = [-1] * n_left  # row index -> right vertex or -1
     visited = 0  # rows visited by the current search, as a mask
 
     def try_augment(r: int) -> bool:
         nonlocal visited
-        adj = graph.adjacency(r)
+        adj = masks[r]
         while free := adj & ~visited:
             bit = free & -free
             visited |= bit
@@ -92,7 +90,7 @@ def matching_sizes(graph: SupportGraph, cuts: Sequence[int]) -> tuple[int, ...]:
 
 def max_matching(graph: SupportGraph) -> int:
     """Maximum matching size via augmenting paths."""
-    return matching_sizes(graph, (graph.n_right,))[0]
+    return matching_sizes(graph.n_left, [mask for _, _, mask in graph.rights], (graph.n_right,))[0]
 
 
 def defect(graph: SupportGraph) -> int:

@@ -41,7 +41,7 @@ from .exactla import (
     row_support,
     sparse_dim,
 )
-from .matching import SupportGraph, matching_sizes
+from .matching import matching_sizes
 from .randrank import TrialConfig, _draw_diags, _scaled_rows
 
 BOTH_SLOTS = 0  # marker for a transmitter active in every slot of a 2-slot scheme
@@ -515,13 +515,9 @@ def _term_ranks(blocks: Sequence[ExactMatrix], own: ExactMatrix) -> tuple[int, i
     over the columns' support masks gives both, read after the blocks'
     columns and after own's.
     """
-    rights = tuple(
-        (i, c, mask)
-        for i, block in enumerate((*blocks, own), start=1)
-        for c, mask in enumerate(block._supports, start=1)
-    )
-    width = len(rights) - own.n_cols
-    interfering, combined = matching_sizes(SupportGraph(own.n_rows, rights), (width, len(rights)))
+    masks = [mask for block in (*blocks, own) for mask in block._supports]
+    width = len(masks) - own.n_cols
+    interfering, combined = matching_sizes(own.n_rows, masks, (width, len(masks)))
     return combined, interfering
 
 

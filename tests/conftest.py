@@ -263,7 +263,7 @@ def defect_scan(graph: SupportGraph) -> int:
         members = [r for r in range(graph.n_right) if mask >> r & 1]
         nbhd = 0
         for r in members:
-            nbhd |= graph.adjacency(r)
+            nbhd |= graph.rights[r][2]
         best = max(best, len(members) - nbhd.bit_count())
     return best
 

@@ -595,8 +595,9 @@ def test_the_ensemble_keeps_only_what_a_later_call_reads():
 
 
 def test_rank_tables_are_built_once_per_block_and_column_choice(monkeypatch):
-    # C2, C4 and C5 all read the ensemble's one restriction per (block, Y_i),
-    # and each restriction eliminates each row mask once: every elimination
+    # C2-C5 all read the ensemble's one restriction per (block, Y_i), C3 its
+    # grid and the others its row ranks, and each restriction eliminates each
+    # row mask once (C3's own eliminations are not counted): every elimination
     # of exactla's kernel adds a new entry to some restriction's memo, and
     # its rank over all rows comes from the block without one.
     take_cols = ExactMatrix.take_cols
@@ -627,6 +628,48 @@ def test_rank_tables_are_built_once_per_block_and_column_choice(monkeypatch):
         assert len(eliminations) == sum(len(t._row_ranks) - 1 for t in tables)
         total += len(eliminations)
     assert total > 0
+
+
+def _tables_corpus() -> list[Ensemble]:
+    rng = random.Random(5)
+    return [e1(), e3(), load_ensemble(str(ZERO_ROW))] + [random_ensemble(rng) for _ in range(20)]
+
+
+def test_c4_reads_the_tables_c3_built(monkeypatch):
+    # C3 and C4 scan the same pairs, and each pair's restrictions come from
+    # the ensemble's rank tables, so C4 after C3 restricts no block again.
+    take_cols = ExactMatrix.take_cols
+    built = []
+
+    def counting_take_cols(block, cols):
+        built.append(cols)
+        return take_cols(block, cols)
+
+    monkeypatch.setattr(ExactMatrix, "take_cols", counting_take_cols)
+    by_c3 = 0
+    for e in _tables_corpus():
+        for tau in range(1, e.R + 1):
+            built.clear()
+            check_C3(e, tau)
+            by_c3 += len(built)
+            built.clear()
+            check_C4(e, tau)
+            assert built == [], (e, tau)
+    assert by_c3 > 0
+
+
+def test_c3_reads_no_row_rank_memo(monkeypatch):
+    # C3 eliminates the tables' rows itself, so with the tables built its
+    # report stands without a single row-subset rank.
+    def refuse(matrix, mask):
+        raise AssertionError("C3 read a row-subset rank")
+
+    for e in _tables_corpus():
+        for tau in range(1, e.R + 1):
+            expected = check_C3(e, tau)
+            with monkeypatch.context() as patched:
+                patched.setattr(ExactMatrix, "_rank_of_rows", refuse)
+                assert check_C3(e, tau) == expected, (e, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ when a change to the reports is intended, and say so in the change:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -24,9 +26,11 @@ from pathlib import Path
 import pytest
 
 from rankloss.cli import main
-from rankloss.conditions import Ensemble
+from rankloss.conditions import Ensemble, check_C2, check_C3, check_C4, check_C5
 from rankloss.exactla import ExactMatrix
 from rankloss.fileio import emit_ensemble
+
+from conftest import census, random_ensemble
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,6 +106,22 @@ def test_written_scheme_matches_golden(path, tmp_path):
     out = tmp_path / "scheme.json"
     report_text((*INPUTS[path], "--scheme-out", str(out)))
     assert out.read_bytes() == (ROOT / path).read_bytes()
+
+
+def test_c2_to_c5_reports_match_their_digest():
+    # Every C2-C5 witness on a fixed corpus, pinned as one sha256: criterion
+    # 2's 500 draws, then the n = 3, K = 2 census, each at every tau
+    # ascending, C2 to C5 in turn.  C1 is left out: its draws are sampled.
+    rng = random.Random(20260810)
+    corpus = itertools.chain((random_ensemble(rng, max_n=6, max_k=3) for _ in range(500)), census(3, 2))
+    digest, count = hashlib.sha256(), 0
+    for e in corpus:
+        for tau in range(1, e.R + 1):
+            for check in (check_C2, check_C3, check_C4, check_C5):
+                digest.update(json.dumps(check(e, tau).to_dict()).encode())
+                count += 1
+    assert count == 6984
+    assert digest.hexdigest() == "4b67677173c42d8ffcab6a722e491c2d7ecad898afa412d7d7cb88bffb7f0cb1"
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from rankloss import fileio
 from rankloss.conditions import Ensemble, generic_rank
 from rankloss.errors import InternalInvariantError, PreconditionError, ShapeError
 from rankloss.exactla import ExactMatrix, IndexSet, is_full_column_rank, sparse_dim
-from rankloss.matching import max_matching
+from rankloss.matching import SupportGraph, max_matching
 from rankloss.randrank import TrialConfig
 from rankloss.tim import (
     FILL_ATTEMPTS,
@@ -390,6 +390,19 @@ def test_one_matching_pass_gives_both_term_ranks(rng):
                 own = scheme.beamformers[j - 1]
                 separate = (term_rank(interference + [own]), term_rank(interference))
                 assert _term_ranks(interference, own) == separate, (topology, j)
+
+
+def test_term_ranks_build_no_support_graph(monkeypatch):
+    # The matching pass reads the support masks ExactMatrix made, so no
+    # receiver trial builds, or re-validates, a SupportGraph.
+    cases = fixture_cases()
+    expected = [verify_decodability(*case) for case in cases]
+
+    def refuse(graph):
+        raise AssertionError("verify_decodability built a SupportGraph")
+
+    monkeypatch.setattr(SupportGraph, "__post_init__", refuse)
+    assert [verify_decodability(*case) for case in cases] == expected
 
 
 def test_verify_eliminates_once_per_receiver_trial(monkeypatch, c6_calls):
